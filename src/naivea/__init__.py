@@ -22,7 +22,7 @@ from .errors import (
 from .generators import gen_instance
 from .instance_io import Instance, load_instance, load_output, output_to_jsonable
 from .space import Space, build_space, rips_components
-from .tailor import Certificate, SubsetFamily, run_pipeline
+from .tailor import Certificate, SubsetFamily, prepare, run_pipeline
 from .verify import FlowSuiteSpec, flow_monitor, verify_certificate, verify_naive
 
 __version__ = "0.1.0"
@@ -51,6 +51,7 @@ __all__ = [
     "load_output",
     "meet",
     "output_to_jsonable",
+    "prepare",
     "rips_components",
     "run_pipeline",
     "set_ratio",

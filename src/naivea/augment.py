@@ -13,13 +13,9 @@ from fractions import Fraction
 
 from .chains import InstanceParams
 from .errors import InternalInvariantError, MalformedInputError, UnknownPointError
-from .space import CLS_UNBOUNDED, Component, Decomposition, Space
+from .space import Component, Decomposition, Space
 
 AugPoint = "str | tuple[str, int]"
-
-
-def is_tail(p) -> bool:
-    return isinstance(p, tuple)
 
 
 def format_aug(p) -> str:
@@ -110,14 +106,6 @@ class AugmentedSpace:
         self.space.require(u)
         return self.space.dist(u, v[0]) + v[1] * S
 
-    def truncate(self, comp: Component) -> set:
-        """The working window for one component: its points plus, for bounded
-        components, the first N tail points."""
-        pts = set(comp.points)
-        if comp.cls != CLS_UNBOUNDED:
-            pts.update((comp.anchor, j) for j in range(1, self.params.N + 1))
-        return pts
-
     def materialize(self, max_index: int) -> list:
         """Every base point plus tail points up to max_index (tests only)."""
         if max_index > self.tail_cap:
@@ -137,10 +125,3 @@ def augment(space: Space, decomposition: Decomposition, params: InstanceParams) 
         space=space, decomposition=decomposition, params=params, tail_cap=params.N
     )
 
-
-def aug_dist(aug: AugmentedSpace, u, v) -> Fraction:
-    return aug.dist(u, v)
-
-
-def truncate(aug: AugmentedSpace, comp: Component) -> set:
-    return aug.truncate(comp)

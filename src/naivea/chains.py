@@ -111,7 +111,9 @@ def from_sets(family: SetFamily) -> ChainFamily:
             try:
                 z, level = item
             except (TypeError, ValueError):
-                raise MalformedInputError(f"set element must be (point, level), got {item!r}") from None
+                z = None
+            if not isinstance(z, str):
+                raise MalformedInputError(f"set element must be (point, level), got {item!r}")
             if not isinstance(level, int) or isinstance(level, bool) or not (0 <= level < M):
                 raise MalformedInputError(
                     f"level {level!r} for {x!r} outside range(0, {M})"
@@ -153,6 +155,7 @@ class InstanceReport:
     ok: bool
     violations: tuple
     params: InstanceParams
+    pairs: tuple = ()  # (x, y, variation ratio) per qualifying pair; not serialized
 
     def to_jsonable(self) -> dict:
         from .rational import format_rational
@@ -214,8 +217,10 @@ def check_instance(space: Space, family: ChainFamily, R, epsilon, S) -> Instance
                         "distance": str(space.dist(x, z)),
                     }
                 )
+    pairs = []
     for x, y in qualifying_pairs(space, params.R):
         ratio = variation_ratio(chains[x], chains[y])
+        pairs.append((x, y, ratio))
         if ratio >= params.epsilon:
             violations.append(
                 {"condition": "variation_ratio", "x": x, "y": y, "ratio": format_ratio(ratio)}
@@ -223,4 +228,6 @@ def check_instance(space: Space, family: ChainFamily, R, epsilon, S) -> Instance
 
     L = 1 + max(l1_norm(chains[x]) for x in space.points)
     params = replace(params, L=L, N=L * L + 2)
-    return InstanceReport(ok=not violations, violations=tuple(violations), params=params)
+    return InstanceReport(
+        ok=not violations, violations=tuple(violations), params=params, pairs=tuple(pairs)
+    )

@@ -10,8 +10,8 @@ import argparse
 import sys
 
 from .augment import aug_sort_key, format_aug
-from .chains import check_instance
 from .errors import InternalInvariantError, MalformedInputError, PreconditionError
+from .flow import stabilize
 from .generators import KINDS, SPACE_KINDS, gen_instance
 from .instance_io import (
     instance_to_doc,
@@ -21,7 +21,7 @@ from .instance_io import (
     write_canonical,
 )
 from .rational import format_rational
-from .tailor import classify, run_pipeline
+from .tailor import prepare, run_pipeline
 from .verify import verify_certificate, verify_naive
 
 
@@ -48,7 +48,12 @@ def _gen_params(args) -> dict:
     if args.radii is not None:
         params["radii"] = [r.strip() for r in args.radii.split(",") if r.strip()]
     if args.generators is not None:
-        params["generators"] = [int(g) for g in args.generators.split(",") if g.strip()]
+        try:
+            params["generators"] = [int(g) for g in args.generators.split(",") if g.strip()]
+        except ValueError:
+            raise MalformedInputError(
+                f"--generators must be comma-separated ints, got {args.generators!r}"
+            ) from None
     if args.unbounded:
         params["unbounded"] = True
     if args.no_emulate_unbounded:
@@ -88,9 +93,10 @@ def cmd_run(args) -> int:
         instance.params.R,
         instance.params.epsilon,
         instance.params.S,
-        jobs=args.jobs,
         tracer=tracer,
     )
+    for warning in certificate.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     from .instance_io import output_to_jsonable
 
     write_canonical(args.out, output_to_jsonable(subsets, certificate))
@@ -132,46 +138,32 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_trace(args) -> int:
-    from .augment import augment
-    from .flow import build_flow, stabilize
-    from .space import rips_components
+def _prepare(instance):
+    params = instance.params
+    return prepare(instance.space, instance.family, params.R, params.epsilon, params.S)
 
+
+def cmd_trace(args) -> int:
     instance = load_instance(args.instance)
     if args.point not in instance.space.point_set:
         raise MalformedInputError(f"unknown point {args.point!r}")
-    report = check_instance(
-        instance.space,
-        instance.family,
-        instance.params.R,
-        instance.params.epsilon,
-        instance.params.S,
-    )
-    if not report.ok:
-        raise PreconditionError("instance fails admission", report=report)
-    decomp, _ = classify(
-        instance.space, rips_components(instance.space, report.params.S), report.params
-    )
-    flow_map = build_flow(augment(instance.space, decomp, report.params))
+    prep = _prepare(instance)
+    if not prep.report.ok:
+        raise PreconditionError("instance fails admission", report=prep.report)
     chain = instance.family.chains[args.point]
     lines = [f"0 {_format_chain(chain)}"]
-    stabilize(flow_map, chain, on_iterate=lambda n, c: lines.append(f"{n} {_format_chain(c)}"))
+    stabilize(
+        prep.flow_map, chain, on_iterate=lambda n, c: lines.append(f"{n} {_format_chain(c)}")
+    )
     for line in lines:
         print(line)
     return 0
 
 
 def cmd_inspect(args) -> int:
-    from .space import rips_components
-
     instance = load_instance(args.instance)
-    report = check_instance(
-        instance.space,
-        instance.family,
-        instance.params.R,
-        instance.params.epsilon,
-        instance.params.S,
-    )
+    prep = _prepare(instance)
+    report, decomp, plan = prep.report, prep.decomposition, prep.plan
     params = report.params
     print(f"points: {len(instance.space.points)}")
     print(
@@ -179,7 +171,6 @@ def cmd_inspect(args) -> int:
         f"S={format_rational(params.S)} L={params.L} N={params.N}"
     )
     print(f"admission: {'PASS' if report.ok else 'FAIL'} ({len(report.violations)} violations)")
-    decomp, plan = classify(instance.space, rips_components(instance.space, params.S), params)
     print(f"components: {len(decomp.components)}")
     for comp in decomp.components:
         extra = ""
@@ -230,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("instance")
     run.add_argument("--out", required=True)
     run.add_argument("--trace", help="write per-iteration flow traces to this file")
-    run.add_argument("--jobs", type=int, default=1)
     run.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="verify an output file against its instance")

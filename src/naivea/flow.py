@@ -98,25 +98,10 @@ def split(a) -> tuple[dict, dict]:
     return base, excess
 
 
-def _successor_fn(flow):
-    if isinstance(flow, FlowMap):
-        return flow.successor
-    if callable(flow):
-        return flow
-
-    def lookup(p):
-        try:
-            return flow[p]
-        except KeyError:
-            raise InternalInvariantError(f"no successor defined for {p!r}") from None
-
-    return lookup
-
-
-def step(flow, a) -> dict:
+def step(flow: FlowMap, a) -> dict:
     """One redistribution step: keep one unit per occupied point, push the
     excess one hop along the successor map."""
-    succ = _successor_fn(flow)
+    succ = flow.successor
     out = {p: 1 for p in a}
     for p, v in a.items():
         if v > 1:
@@ -125,7 +110,7 @@ def step(flow, a) -> dict:
     return out
 
 
-def stabilize(flow, a, on_iterate=None) -> tuple[dict, int]:
+def stabilize(flow: FlowMap, a, on_iterate=None) -> tuple[dict, int]:
     """Iterate step() until the chain is an indicator; returns (result, count).
 
     The iteration count is bounded by ||a|| * ||excess(a)||; exceeding it

@@ -71,28 +71,24 @@ def instance_from_doc(doc) -> Instance:
         raise MalformedInputError("instance has both 'chains' and 'sets'; provide one")
     if has_chains:
         raw = doc["chains"]
-        if not isinstance(raw, dict):
+        if not isinstance(raw, dict) or not all(isinstance(v, dict) for v in raw.values()):
             raise MalformedInputError("'chains' must map point ids to chains")
         family = ChainFamily(chains={x: make_chain(entries) for x, entries in raw.items()})
     elif has_sets:
         raw = doc["sets"]
-        if not isinstance(raw, dict):
+        if not isinstance(raw, dict) or not all(isinstance(v, list) for v in raw.values()):
             raise MalformedInputError("'sets' must map point ids to element lists")
         bound = doc.get("multiplicity_bound")
         if bound is None:
+            # a malformed element counts as level 0 here; from_sets rejects it
             levels = [
-                lvl
+                item[1] if isinstance(item, list) and len(item) == 2 and isinstance(item[1], int)
+                else 0
                 for pairs in raw.values()
                 for item in pairs
-                for lvl in [item[1] if isinstance(item, list) and len(item) == 2 else 0]
             ]
             bound = (max(levels) + 1) if levels else 1
-        family = from_sets(
-            SetFamily(
-                sets={x: [tuple(item) for item in pairs] for x, pairs in raw.items()},
-                multiplicity_bound=bound,
-            )
-        )
+        family = from_sets(SetFamily(sets=raw, multiplicity_bound=bound))
     elif metric.get("type") == "generator":
         from .generators import gen_instance
 

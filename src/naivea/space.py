@@ -308,23 +308,6 @@ def build_space(points, metric_source, hints=()) -> Space:
     return Space(points=sorted_points, metric=metric, hints=parsed_hints, metric_spec=dict(metric_source))
 
 
-def ball(space: Space, x, r) -> set:
-    """Closed ball: every point within distance r of x (including x)."""
-    space.require(x)
-    r = Fraction(r)
-    if r < 0:
-        raise MalformedInputError(f"ball radius must be nonnegative, got {r}")
-    return set(space.metric.neighbors_within(x, r))
-
-
-def growth_profile(space: Space, r) -> int:
-    """Largest closed-ball cardinality at radius r across the space."""
-    r = Fraction(r)
-    if r < 0:
-        raise MalformedInputError(f"radius must be nonnegative, got {r}")
-    return max(len(space.metric.neighbors_within(x, r)) for x in space.points)
-
-
 CLS_BOUNDED_SMALL = "BOUNDED_SMALL"
 CLS_BOUNDED_LARGE = "BOUNDED_LARGE"
 CLS_UNBOUNDED = "UNBOUNDED_EMULATED"

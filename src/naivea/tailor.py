@@ -10,22 +10,22 @@ differences exactly while pulling everything back into the space.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .augment import augment
+from .augment import AugmentedSpace, augment
 from .chains import (
     ChainFamily,
     InstanceParams,
+    InstanceReport,
     check_instance,
     format_ratio,
-    qualifying_pairs,
     set_ratio,
-    variation_ratio,
 )
-from .errors import InternalInvariantError, MalformedInputError, PreconditionError
-from .flow import build_flow, stabilize
+# Not called here: perfbench/layers.py looks these names up in this module.
+from .chains import qualifying_pairs, variation_ratio  # noqa: F401
+from .errors import InternalInvariantError, PreconditionError
+from .flow import FlowMap, build_flow, stabilize
 from .space import (
     CLS_BOUNDED_LARGE,
     CLS_BOUNDED_SMALL,
@@ -60,6 +60,7 @@ class Certificate:
     worst_ratio: Fraction
     worst_radius: Fraction
     bounds: dict
+    warnings: tuple = ()  # classify fallbacks, for stderr; not serialized
 
     def to_jsonable(self) -> dict:
         from .rational import format_rational
@@ -227,15 +228,46 @@ def tailor_subset(plan: TailorPlan, comp: Component, pts) -> set:
     return out
 
 
-def run_pipeline(
-    space: Space,
-    family: ChainFamily,
-    R,
-    epsilon,
-    S,
-    jobs: int = 1,
-    tracer=None,
-):
+@dataclass(frozen=True)
+class Prepared:
+    """Everything built from an instance before any point is flowed.
+
+    A failed admission is recorded in ``report`` rather than raised, so each
+    caller reports it in its own way.
+    """
+
+    report: InstanceReport  # its pairs carry every qualifying pair's input ratio
+    decomposition: Decomposition
+    plan: TailorPlan
+    aug: AugmentedSpace
+    flow_map: FlowMap
+    bounds: dict
+
+
+def prepare(space: Space, family: ChainFamily, R, epsilon, S) -> Prepared:
+    """Admission, S-Rips components, classification, tails and successor map."""
+    report = check_instance(space, family, R, epsilon, S)
+    params = report.params
+    L, N, S = params.L, params.N, params.S
+    decomp, plan = classify(space, rips_components(space, S), params)
+    aug = augment(space, decomp, params)
+    bounds = {
+        "case1": S + S * L * L,
+        "case2": 6 * S + 8 * S * N,
+        "case3": 4 * S + 6 * N * S,
+        "overall": 6 * S + 8 * S * N,
+    }
+    return Prepared(
+        report=report,
+        decomposition=decomp,
+        plan=plan,
+        aug=aug,
+        flow_map=build_flow(aug),
+        bounds=bounds,
+    )
+
+
+def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S, tracer=None):
     """Full conversion: admission check, decomposition, flow, tailoring.
 
     Returns (SubsetFamily, Certificate). Raises PreconditionError when the
@@ -243,27 +275,16 @@ def run_pipeline(
     bound fails to hold (which would mean the machinery is wrong, not the
     input).
     """
-    if not isinstance(jobs, int) or jobs < 1:
-        raise MalformedInputError(f"jobs must be a positive int, got {jobs!r}")
-    report = check_instance(space, family, R, epsilon, S)
+    prep = prepare(space, family, R, epsilon, S)
+    report = prep.report
     if not report.ok:
         raise PreconditionError(
             f"instance fails admission with {len(report.violations)} violation(s)",
             report=report,
         )
     params = report.params
-    L, N, S = params.L, params.N, params.S
-    decomp0 = rips_components(space, S)
-    decomp, plan = classify(space, decomp0, params)
-    aug = augment(space, decomp, params)
-    flow_map = build_flow(aug)
-
-    bounds = {
-        "case1": S + S * L * L,
-        "case2": 6 * S + 8 * S * N,
-        "case3": 4 * S + 6 * N * S,
-        "overall": 6 * S + 8 * S * N,
-    }
+    N, S = params.N, params.S
+    decomp, plan, aug, bounds = prep.decomposition, prep.plan, prep.aug, prep.bounds
     locality = S + 2 * N * S
     chains = family.chains
 
@@ -272,7 +293,7 @@ def run_pipeline(
         on_iter = None
         if tracer is not None:
             on_iter = lambda n, c: tracer(x, n, c)
-        flowed, _ = stabilize(flow_map, chains[x], on_iterate=on_iter)
+        flowed, _ = stabilize(prep.flow_map, chains[x], on_iterate=on_iter)
         support = set(flowed)
         for p in support:
             if aug.component_of(p).index != comp.index:
@@ -306,34 +327,23 @@ def run_pipeline(
             raise InternalInvariantError(
                 f"output radius {radius} for {x!r} exceeds the case bound {limit}"
             )
-        return x, support, case, subset, radius
-
-    points = list(space.points)
-    if jobs > 1 and tracer is None:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(handle, points))
-    else:
-        results = [handle(x) for x in points]
+        return support, case, subset, radius
 
     supports = {}
     cases = {}
     subsets = {}
     radii = {}
-    for x, support, case, subset, radius in results:
-        supports[x] = support
-        cases[x] = case
-        subsets[x] = subset
-        radii[x] = radius
+    for x in space.points:
+        supports[x], cases[x], subsets[x], radii[x] = handle(x)
 
     pair_rows = []
     worst_ratio = Fraction(0)
-    for x, y in qualifying_pairs(space, params.R):
+    for x, y, rin in report.pairs:
         comp = decomp.component_of(x)
         if decomp.component_of(y).index != comp.index:
             raise InternalInvariantError(
                 f"qualifying pair ({x!r}, {y!r}) straddles two components"
             )
-        rin = variation_ratio(chains[x], chains[y])
         rout = set_ratio(subsets[x], subsets[y])
         if rout == float("inf") or rout > rin:
             raise InternalInvariantError(
@@ -358,5 +368,6 @@ def run_pipeline(
         worst_ratio=worst_ratio,
         worst_radius=max(radii.values()),
         bounds=bounds,
+        warnings=plan.warnings,
     )
     return SubsetFamily(subsets=subsets), certificate

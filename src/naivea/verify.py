@@ -22,7 +22,7 @@ from .chains import (
     set_ratio,
 )
 from .errors import MalformedInputError, PreconditionError, UnknownPointError
-from .flow import split, stabilize, step
+from .flow import FlowMap, split, stabilize, step
 from .space import Space
 
 
@@ -210,6 +210,7 @@ def flow_monitor(suite: FlowSuiteSpec) -> MonitorReport:
     width = len(str(suite.window() - 1))
     ids = [f"w{i:0{width}d}" for i in range(suite.window())]
     successor = {ids[i]: ids[i + 1] for i in range(len(ids) - 1)}
+    flow = FlowMap(base_successor=successor, tail_cap=0)
     failures = []
 
     def fail(msg):
@@ -223,7 +224,7 @@ def flow_monitor(suite: FlowSuiteSpec) -> MonitorReport:
 
     stepped = []
     for a in all_chains:
-        s1 = step(successor, a)
+        s1 = step(flow, a)
         stepped.append(s1)
         mass = l1_norm(a)
         if l1_norm(s1) != mass:
@@ -234,7 +235,7 @@ def flow_monitor(suite: FlowSuiteSpec) -> MonitorReport:
         allowed = set(a) | {successor[p] for p in a}
         if not set(s1) <= allowed:
             fail(f"support drifted more than one hop for {a}")
-        final, count = stabilize(successor, a)
+        final, count = stabilize(flow, a)
         if count > mass * l1_norm(excess):
             fail(f"stabilization bound exceeded for {a}")
         if len(final) != mass or any(v != 1 for v in final.values()):

@@ -10,7 +10,6 @@ from naivea.augment import (
     augment,
     aug_sort_key,
     format_aug,
-    is_tail,
     parse_aug,
 )
 from naivea.chains import InstanceParams
@@ -37,7 +36,6 @@ def test_format_parse_round_trip():
 def test_sort_key_orders_tails_after_their_anchor():
     pts = ["b", ("a", 2), "a", ("a", 1), ("b", 1)]
     assert sorted(pts, key=aug_sort_key) == ["a", ("a", 1), ("a", 2), "b", ("b", 1)]
-    assert is_tail(("a", 1)) and not is_tail("a")
 
 
 def test_hand_distances(two, two_params):
@@ -68,13 +66,6 @@ def test_metric_axioms_exhaustive(two, two_params):
         assert aug.dist(u, v) <= aug.dist(u, w) + aug.dist(w, v)
 
 
-def test_truncate_bounded(two, two_params):
-    aug = make_aug(two, two_params)
-    comp = aug.decomposition.components[0]
-    window = aug.truncate(comp)
-    assert window == {"q0", "q1", "q2"} | {("q0", j) for j in range(1, 12)}
-
-
 def test_truncate_unbounded_window_has_no_tail():
     ids = [f"p{i}" for i in range(5)]
     sp = build_space(
@@ -88,7 +79,6 @@ def test_truncate_unbounded_window_has_no_tail():
     comp = aug.decomposition.components[0]
     assert comp.cls == "UNBOUNDED_EMULATED"
     assert comp.anchor == "p4"  # the ray's far end carries the virtual continuation
-    assert aug.truncate(comp) == set(ids)
     assert aug.dist("p4", ("p4", 3)) == 6
     assert aug.dist("p0", ("p4", 1)) == 4 + 2
 

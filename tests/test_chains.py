@@ -107,6 +107,9 @@ def test_from_sets_collapses_levels():
         from_sets(SetFamily(sets={"x": [("a", 3)]}, multiplicity_bound=3))
     with pytest.raises(MalformedInputError, match="duplicate"):
         from_sets(SetFamily(sets={"x": [("a", 1), ("a", 1)]}, multiplicity_bound=3))
+    for item in (5, ("a",), (["a"], 0)):
+        with pytest.raises(MalformedInputError, match="set element"):
+            from_sets(SetFamily(sets={"x": [item]}, multiplicity_bound=3))
     with pytest.raises(PreconditionError, match="empty"):
         from_sets(SetFamily(sets={"x": []}, multiplicity_bound=3))
 
@@ -176,7 +179,11 @@ def test_check_instance_rejects_missing_and_unknown(l10):
 
 def test_check_instance_report_jsonable(l10):
     _, family, _ = gen_instance("line", {"count": 10, "radii": ["2", "1"]})
-    doc = check_instance(l10, family, 1, 1, 2).to_jsonable()
+    report = check_instance(l10, family, 1, 1, 2)
+    doc = report.to_jsonable()
     assert doc["ok"] is True
+    assert "pairs" not in doc  # the scored pairs stay in memory only
+    assert [(x, y) for x, y, _ in report.pairs] == qualifying_pairs(l10, 1)
+    assert report.pairs[0][2] == variation_ratio(family.chains["p0"], family.chains["p1"])
     assert doc["L"] == 9 and doc["N"] == 83
     assert doc["S"] == "2"

@@ -156,7 +156,7 @@ def test_generated_unbounded_instance_runs(tmp_path, capsys):
         "generate", "line", "--count", "20", "--radii", "2,1", "--unbounded",
         "--out", str(inst),
     ) == 0
-    assert run_cli("run", str(inst), "--out", str(out), "--jobs", "2") == 0
+    assert run_cli("run", str(inst), "--out", str(out)) == 0
     assert run_cli("verify", str(inst), str(out)) == 0
     cases = read_json(out)["certificate"]["cases"]
     assert set(cases.values()) == {"1"}
@@ -189,6 +189,19 @@ def test_exit_codes(tmp_path, capsys):
     write_canonical(good_out, thin)
     assert run_cli("verify", str(good_inst), str(good_out)) == 2
 
+    leveled = tmp_path / "sets.json"
+    doc = read_json(good_inst)
+    del doc["chains"]
+    doc["sets"] = {x: [[x, 0]] for x in doc["space"]["points"]}
+    doc["sets"]["p0"] = [["p0", "a"], ["p1", 0]]  # non-int level
+    write_canonical(leveled, doc)
+    assert run_cli("run", str(leveled), "--out", str(out)) == 2
+
+    assert run_cli(
+        "generate", "cayley_cyclic", "--n", "6", "--k", "1", "--generators", "1,x",
+        "--out", str(out),
+    ) == 2
+
 
 def test_precondition_failure_prints_violations(tmp_path, capsys):
     inst = tmp_path / "v.json"
@@ -201,3 +214,30 @@ def test_precondition_failure_prints_violations(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "precondition failed" in err
     assert "variation_ratio" in err
+
+
+def test_run_prints_classify_warnings(tmp_path, capsys):
+    plain = tmp_path / "plain.json"
+    assert run_cli(
+        "generate", "line", "--count", "20", "--radii", "2,1", "--out", str(plain)
+    ) == 0
+    hinted = tmp_path / "hinted.json"
+    doc = read_json(plain)
+    doc["unbounded_hints"] = [{"component_of": "p00", "ray": ["p00", "p05"]}]
+    write_canonical(hinted, doc)
+    warning = (
+        "warning: ignoring unbounded hint for the component of 'p00': "
+        "ray hop ('p00', 'p05') exceeds the scale"
+    )
+
+    plain_out = tmp_path / "plain_out.json"
+    hinted_out = tmp_path / "hinted_out.json"
+    assert run_cli("run", str(plain), "--out", str(plain_out)) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert run_cli("run", str(hinted), "--out", str(hinted_out)) == 0
+    assert capsys.readouterr().err.splitlines() == [warning]
+    # the broken hint falls back to the bounded path; the output does not show it
+    assert hinted_out.read_bytes() == plain_out.read_bytes()
+
+    assert run_cli("inspect", str(hinted)) == 0
+    assert warning in capsys.readouterr().out.splitlines()

@@ -19,7 +19,7 @@ from naivea.generators import gen_instance
 from naivea.space import rips_components
 from naivea.tailor import classify
 
-PATH = {f"c{i}": f"c{i+1}" for i in range(30)}
+PATH = FlowMap(base_successor={f"c{i}": f"c{i+1}" for i in range(30)}, tail_cap=0)
 
 
 def build_line_flow(count, unbounded=False, S=2):
@@ -93,7 +93,7 @@ def test_step_preserves_mass_and_stabilize_matches_iteration(a):
 
 def test_stabilize_detects_cycles():
     with pytest.raises(InternalInvariantError, match="failed to stabilize"):
-        stabilize({"a": "b", "b": "a"}, {"a": 2, "b": 1})
+        stabilize(FlowMap(base_successor={"a": "b", "b": "a"}, tail_cap=0), {"a": 2, "b": 1})
 
 
 def test_flow_map_tail_arithmetic():

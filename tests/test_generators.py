@@ -9,7 +9,7 @@ from naivea.chains import l1_norm
 from naivea.errors import MalformedInputError
 from naivea.generators import gen_instance
 from naivea.instance_io import canonical_dumps, instance_to_doc
-from naivea.space import ball, rips_components
+from naivea.space import rips_components
 
 
 def test_line_shape():
@@ -89,7 +89,7 @@ def test_weighted_ball_masses():
     # interior point: 5 points within 2, 3 within 1
     assert family.chains["p4"] == {"p2": 1, "p3": 2, "p4": 2, "p5": 2, "p6": 1}
     assert l1_norm(family.chains["p0"]) == 3 + 2
-    assert ball(space, "p4", 2) == set(family.chains["p4"])
+    assert set(space.metric.neighbors_within("p4", 2)) == set(family.chains["p4"])
 
 
 def test_param_validation():

@@ -81,6 +81,20 @@ def test_instance_validation():
     doc["chains"] = []
     with pytest.raises(MalformedInputError, match="must map"):
         instance_from_doc(doc)
+    for bad in ({"a": 5}, {"a": [["a", 1]]}):
+        doc = base_doc()
+        doc["chains"] = bad
+        with pytest.raises(MalformedInputError, match="must map"):
+            instance_from_doc(doc)
+    doc = base_doc()
+    del doc["chains"]
+    doc["sets"] = {"a": 5}
+    with pytest.raises(MalformedInputError, match="must map"):
+        instance_from_doc(doc)
+    for bad in ([["a", "x"]], [5], [[["a"], 0]]):
+        doc["sets"] = {"a": bad}
+        with pytest.raises(MalformedInputError):
+            instance_from_doc(doc)
     with pytest.raises(MalformedInputError, match="JSON object"):
         instance_from_doc([1, 2])
 

@@ -17,8 +17,6 @@ from naivea.space import (
     CLS_BOUNDED_SMALL,
     Component,
     build_space,
-    ball,
-    growth_profile,
     rips_components,
 )
 
@@ -127,17 +125,6 @@ def test_point_id_validation():
         build_space(["a#1"], {"type": "positions", "values": {"a#1": 0}})
     with pytest.raises(MalformedInputError, match="distinct"):
         build_space(["a", "b"], {"type": "positions", "values": {"a": 1, "b": 1}})
-
-
-def test_ball_and_growth_profile(l10):
-    assert ball(l10, "p5", 2) == {"p3", "p4", "p5", "p6", "p7"}
-    assert ball(l10, "p0", 0) == {"p0"}
-    assert growth_profile(l10, 2) == 5
-    assert growth_profile(l10, 100) == 10
-    with pytest.raises(UnknownPointError):
-        ball(l10, "nope", 1)
-    with pytest.raises(MalformedInputError):
-        ball(l10, "p0", -1)
 
 
 @settings(max_examples=60, deadline=None)

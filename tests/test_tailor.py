@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from naivea.chains import ChainFamily, InstanceParams, set_ratio, variation_ratio
-from naivea.errors import InternalInvariantError, MalformedInputError, PreconditionError
+from naivea.errors import InternalInvariantError, PreconditionError
 from naivea.generators import gen_instance
 from naivea.space import (
     CLS_BOUNDED_LARGE,
@@ -15,7 +15,7 @@ from naivea.space import (
     build_space,
     rips_components,
 )
-from naivea.tailor import annulus_points, classify, run_pipeline, tailor_subset
+from naivea.tailor import annulus_points, classify, prepare, run_pipeline, tailor_subset
 
 SMALL_PARAMS = InstanceParams(R=Fraction(1), epsilon=Fraction(1), S=Fraction(2), L=2, N=6)
 
@@ -186,16 +186,10 @@ def test_pipeline_rejects_bad_instances(two):
     with pytest.raises(PreconditionError) as exc:
         run_pipeline(two, ChainFamily(chains=chains), 1, "1/2", 2)
     assert exc.value.report is not None and not exc.value.report.ok
-    with pytest.raises(MalformedInputError, match="jobs"):
-        run_pipeline(two, ChainFamily(chains=chains), 1, 1, 2, jobs=0)
-
-
-def test_pipeline_jobs_parity():
-    space, family, _ = gen_instance("line", {"count": 40, "radii": ["2", "1"]})
-    one = run_pipeline(space, family, 1, 1, 2, jobs=1)
-    four = run_pipeline(space, family, 1, 1, 2, jobs=4)
-    assert one[0].subsets == four[0].subsets
-    assert one[1].to_jsonable() == four[1].to_jsonable()
+    # prepare records the failed admission and still builds every stage
+    prep = prepare(two, ChainFamily(chains=chains), 1, "1/2", 2)
+    assert not prep.report.ok and len(prep.decomposition.components) == 2
+    assert set(prep.flow_map.base_successor) == set(two.points)
 
 
 def test_pipeline_tracer_sees_every_iteration():
