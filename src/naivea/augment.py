@@ -5,10 +5,14 @@ the tuple (anchor_id, index) with index >= 1 and serialized "anchor#index".
 Bounded components hang their tail at the basepoint; components emulating an
 unbounded one hang it at the far end of their ray, so the flow can always
 escape. Tail points exist lazily up to the cap N.
+
+Augmented distances are ints in units of 1/(D*k): D is the base metric's
+denominator and k the denominator of S*D, so the tail spacing S is the int
+``step`` and a base distance counts k times its base units.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chains import InstanceParams
@@ -52,6 +56,9 @@ class AugmentedSpace:
     decomposition: Decomposition
     params: InstanceParams
     tail_cap: int
+    unit: int = field(init=False)  # distances are ints in units of 1/unit
+    k: int = field(init=False, repr=False)  # augmented units per base unit
+    step: int = field(init=False, repr=False)  # the tail spacing S, in units
 
     def __post_init__(self):
         anchors = {}
@@ -60,6 +67,10 @@ class AugmentedSpace:
                 raise InternalInvariantError(f"duplicate tail anchor {comp.anchor!r}")
             anchors[comp.anchor] = comp
         object.__setattr__(self, "_by_anchor", anchors)
+        spacing = self.params.S * self.space.metric.denominator
+        object.__setattr__(self, "k", spacing.denominator)
+        object.__setattr__(self, "step", spacing.numerator)
+        object.__setattr__(self, "unit", self.space.metric.denominator * spacing.denominator)
 
     def component_of(self, p) -> Component:
         if isinstance(p, tuple):
@@ -81,11 +92,12 @@ class AugmentedSpace:
             )
 
     def dist(self, u, v) -> Fraction:
-        """Metric on the augmented space.
+        """Metric on the augmented space, as an exact rational.
 
         Tails are glued isometrically at their anchor with spacing S, so a
         tail point (a, j) sits at distance d(x, a) + j*S from any base point
-        and tails of different components route anchor-to-anchor.
+        and tails of different components route anchor-to-anchor. This is the
+        rational reference that dist_units is checked against.
         """
         S = self.params.S
         ut, vt = isinstance(u, tuple), isinstance(v, tuple)
@@ -105,6 +117,27 @@ class AugmentedSpace:
             u, v = v, u  # now u is the base point, v the tail
         self.space.require(u)
         return self.space.dist(u, v[0]) + v[1] * S
+
+    def dist_units(self, u, v) -> int:
+        """dist(u, v) * unit, computed on ints; the pipeline compares these."""
+        base = self.space.metric.dist
+        ut, vt = isinstance(u, tuple), isinstance(v, tuple)
+        if not ut and not vt:
+            self.space.require(u)
+            self.space.require(v)
+            return self.k * base(u, v)
+        if ut:
+            self._check_tail(u)
+        if vt:
+            self._check_tail(v)
+        if ut and vt:
+            if u[0] == v[0]:
+                return abs(u[1] - v[1]) * self.step
+            return (u[1] + v[1]) * self.step + self.k * base(u[0], v[0])
+        if ut:
+            u, v = v, u  # now u is the base point, v the tail
+        self.space.require(u)
+        return self.k * base(u, v[0]) + v[1] * self.step
 
     def materialize(self, max_index: int) -> list:
         """Every base point plus tail points up to max_index (tests only)."""

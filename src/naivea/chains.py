@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import MalformedInputError, PreconditionError
+from .rational import floor_units
 from .space import Space
 
 INFINITE = math.inf
@@ -205,10 +206,12 @@ def check_instance(space: Space, family: ChainFamily, R, epsilon, S) -> Instance
             raise MalformedInputError(f"chain owner {x!r} is not a point of the space")
 
     violations = []
+    dist = space.metric.dist
+    support_limit = floor_units(params.S, space.metric.denominator)
     for x in space.points:
         a = chains[x]
         for z in a:
-            if space.dist(x, z) > params.S:
+            if dist(x, z) > support_limit:
                 violations.append(
                     {
                         "condition": "support_radius",

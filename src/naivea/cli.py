@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from .augment import aug_sort_key, format_aug
+from .chains import format_ratio
 from .errors import InternalInvariantError, MalformedInputError, PreconditionError
 from .flow import stabilize
 from .generators import KINDS, SPACE_KINDS, gen_instance
@@ -104,7 +105,7 @@ def cmd_run(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("\n".join(trace_lines) + ("\n" if trace_lines else ""))
     print(
-        f"wrote {args.out}: worst ratio {certificate.to_jsonable()['worst_ratio']}, "
+        f"wrote {args.out}: worst ratio {format_ratio(certificate.worst_ratio)}, "
         f"worst radius {format_rational(certificate.worst_radius)}"
     )
     return 0

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .augment import AugmentedSpace
 from .chains import l1_norm
 from .errors import InternalInvariantError
+from .rational import floor_units
 from .space import CLS_UNBOUNDED
 
 
@@ -83,8 +84,9 @@ def build_flow(aug: AugmentedSpace) -> FlowMap:
             for child, par in parent.items():
                 base_successor[child] = par
             base_successor[comp.basepoint] = (comp.anchor, 1)
+    hop = floor_units(scale, space.metric.denominator)
     for child, par in base_successor.items():
-        if isinstance(par, str) and space.dist(child, par) > scale:
+        if isinstance(par, str) and space.metric.dist(child, par) > hop:
             raise InternalInvariantError(
                 f"successor edge ({child!r}, {par!r}) longer than the scale"
             )

@@ -51,11 +51,14 @@ def _space_line(params, seed):
         raise MalformedInputError(f"line step must be positive, got {step}")
     width = len(str(count - 1))
     ids = [f"p{i:0{width}d}" for i in range(count)]
-    positions = {pid: i * step for i, pid in enumerate(ids)}
+    # positions i*step in units of 1/step.denominator
+    positions = {pid: i * step.numerator for i, pid in enumerate(ids)}
     hints = ()
     if params.get("unbounded", False):
         hints = (UnboundedHint(component_of=ids[0], ray=tuple(ids)),)
-    return Space(points=tuple(ids), metric=PositionMetric(positions), hints=hints)
+    return Space(
+        points=tuple(ids), metric=PositionMetric(positions, step.denominator), hints=hints
+    )
 
 
 def _space_grid(params, seed):
@@ -64,16 +67,15 @@ def _space_grid(params, seed):
     rw, cw = len(str(rows - 1)), len(str(cols - 1))
     ids = {(r, c): f"n{r:0{rw}d}_{c:0{cw}d}" for r in range(rows) for c in range(cols)}
     adjacency = {pid: [] for pid in ids.values()}
-    one = Fraction(1)
     for (r, c), pid in ids.items():
         if r + 1 < rows:
             other = ids[(r + 1, c)]
-            adjacency[pid].append((other, one))
-            adjacency[other].append((pid, one))
+            adjacency[pid].append((other, 1))
+            adjacency[other].append((pid, 1))
         if c + 1 < cols:
             other = ids[(r, c + 1)]
-            adjacency[pid].append((other, one))
-            adjacency[other].append((pid, one))
+            adjacency[pid].append((other, 1))
+            adjacency[other].append((pid, 1))
     return Space(points=tuple(sorted(ids.values())), metric=GraphMetric(adjacency))
 
 
@@ -89,7 +91,7 @@ def _space_disjoint_union_paths(params, seed):
     pw = len(str(count - 1))
     iw = len(str(max_len - 1))
     positions = {}
-    offset = Fraction(0)
+    offset = 0
     for k, length in enumerate(lengths):
         for i in range(length):
             positions[f"u{k:0{pw}d}p{i:0{iw}d}"] = offset + i
@@ -115,7 +117,6 @@ def _space_cayley_cyclic(params, seed):
     width = len(str(n - 1))
     ids = [f"g{i:0{width}d}" for i in range(n)]
     adjacency = {pid: [] for pid in ids}
-    one = Fraction(1)
     seen = set()
     for i in range(n):
         for s in sorted(steps):
@@ -124,8 +125,8 @@ def _space_cayley_cyclic(params, seed):
             if i == j or key in seen:
                 continue
             seen.add(key)
-            adjacency[ids[i]].append((ids[j], one))
-            adjacency[ids[j]].append((ids[i], one))
+            adjacency[ids[i]].append((ids[j], 1))
+            adjacency[ids[j]].append((ids[i], 1))
     hints = ()
     if params.get("emulate_unbounded", True):
         hints = (UnboundedHint(component_of=ids[0], ray=tuple(ids)),)

@@ -44,6 +44,8 @@ class Instance:
 
 
 def _require(doc, key, where):
+    if not isinstance(doc, dict):
+        raise MalformedInputError(f"{where} must be a JSON object")
     if key not in doc:
         raise MalformedInputError(f"{where} is missing the {key!r} field")
     return doc[key]

@@ -1,7 +1,8 @@
 """Exact rational parsing and formatting for the JSON boundary.
 
 Numbers travel as strings ("7", "-3/4") or plain ints; they never become
-floats anywhere in the package.
+floats anywhere in the package. Inside the pipeline, distances are ints in
+units of 1/D; floor_units turns a rational threshold into that scale.
 """
 from __future__ import annotations
 
@@ -30,3 +31,13 @@ def format_rational(q) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def floor_units(q, unit: int) -> int:
+    """floor(q * unit), exactly.
+
+    For an int distance d in units of 1/unit, d <= q holds exactly when
+    d <= floor_units(q, unit), and d > q exactly when d > floor_units(q, unit).
+    """
+    q = Fraction(q)
+    return q.numerator * unit // q.denominator

@@ -1,19 +1,26 @@
 """Finite metric spaces with exact rational distances.
 
 Three backends: an explicit symmetric matrix, the shortest-path metric of a
-weighted undirected graph, and points embedded on the rational line. All
-distance comparisons are exact; nothing here ever touches a float.
+weighted undirected graph, and points embedded on the rational line. Each
+backend stores its distances as ints in units of 1/D, where D (its
+``denominator``) is a common denominator of the source's rationals: matrix
+entries, edge weights or positions (the least one for a parsed source).
+Every comparison inside the pipeline is between ints; a rational threshold q
+enters as floor(q * D) (``rational.floor_units``). ``Space.dist`` turns a
+distance back into the exact Fraction at the public boundary. Nothing here
+ever touches a float.
 """
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InternalInvariantError, MalformedInputError, UnknownPointError
-from .rational import parse_rational
+from .rational import floor_units, parse_rational
 
 PointId = str
 
@@ -21,37 +28,47 @@ PointId = str
 # a matrix source is accepted on symmetry/positivity alone.
 TRIANGLE_CHECK_LIMIT = 200
 
-ZERO = Fraction(0)
+
+def _common_denominator(values) -> int:
+    return math.lcm(1, *(q.denominator for q in values))
+
+
+def _units(q, denominator: int) -> int:
+    """q * denominator for a rational q whose denominator divides it."""
+    return q.numerator * (denominator // q.denominator)
 
 
 class MatrixMetric:
-    """Distance lookup backed by a full symmetric matrix of rationals."""
+    """Distance lookup backed by a full symmetric matrix, in units of 1/denominator."""
 
     kind = "matrix"
 
-    def __init__(self, rows: dict[str, dict[str, Fraction]]):
+    def __init__(self, rows: dict[str, dict[str, int]], denominator: int = 1):
         self.rows = rows
+        self.denominator = denominator
 
-    def dist(self, x, y):
+    def dist(self, x, y) -> int:
         return self.rows[x][y]
 
     def neighbors_within(self, x, r):
-        row = self.rows[x]
-        return [y for y, d in row.items() if d <= r]
+        t = floor_units(r, self.denominator)
+        return [y for y, d in self.rows[x].items() if d <= t]
 
 
 class GraphMetric:
     """Shortest-path metric of a connected positive-weight graph.
 
-    Rows are computed by Dijkstra on demand and cached, so distance queries
-    stay exact (Fraction weights) without materializing all pairs up front.
+    Weights are ints in units of 1/denominator. Rows are computed by Dijkstra
+    on demand and cached, so distance queries stay exact without
+    materializing all pairs up front.
     """
 
     kind = "graph"
 
-    def __init__(self, adjacency: dict[str, list[tuple[str, Fraction]]]):
+    def __init__(self, adjacency: dict[str, list[tuple[str, int]]], denominator: int = 1):
         self.adjacency = adjacency
-        self._rows: dict[str, dict[str, Fraction]] = {}
+        self.denominator = denominator
+        self._rows: dict[str, dict[str, int]] = {}
 
     def row(self, x):
         cached = self._rows.get(x)
@@ -60,9 +77,9 @@ class GraphMetric:
         return cached
 
     def _dijkstra(self, source):
-        dist = {source: ZERO}
+        dist = {source: 0}
         done = set()
-        heap = [(ZERO, source)]
+        heap = [(0, source)]
         while heap:
             d, u = heapq.heappop(heap)
             if u in done:
@@ -75,16 +92,16 @@ class GraphMetric:
                     heapq.heappush(heap, (nd, v))
         return dist
 
-    def dist(self, x, y):
+    def dist(self, x, y) -> int:
         return self.row(x)[y]
 
     def neighbors_within(self, x, r):
-        row = self.row(x)
-        return [y for y, d in row.items() if d <= r]
+        t = floor_units(r, self.denominator)
+        return [y for y, d in self.row(x).items() if d <= t]
 
 
 class PositionMetric:
-    """|p(x) - p(y)| for points embedded on the rational line.
+    """|p(x) - p(y)| for points on the rational line, in units of 1/denominator.
 
     neighbors_within is a bisect over the sorted embedding, which keeps the
     pair scans on long lines linear instead of quadratic.
@@ -92,18 +109,20 @@ class PositionMetric:
 
     kind = "positions"
 
-    def __init__(self, positions: dict[str, Fraction]):
+    def __init__(self, positions: dict[str, int], denominator: int = 1):
         self.positions = positions
+        self.denominator = denominator
         self._order = sorted((q, pid) for pid, q in positions.items())
         self._keys = [q for q, _ in self._order]
 
-    def dist(self, x, y):
+    def dist(self, x, y) -> int:
         return abs(self.positions[x] - self.positions[y])
 
     def neighbors_within(self, x, r):
+        t = floor_units(r, self.denominator)
         q = self.positions[x]
-        lo = bisect_left(self._keys, q - r)
-        hi = bisect_right(self._keys, q + r)
+        lo = bisect_left(self._keys, q - t)
+        hi = bisect_right(self._keys, q + t)
         return [pid for _, pid in self._order[lo:hi]]
 
 
@@ -131,7 +150,9 @@ class Space:
         object.__setattr__(self, "point_set", frozenset(self.points))
 
     def dist(self, x, y) -> Fraction:
-        return self.metric.dist(x, y)
+        """The exact rational distance; the pipeline itself reads the int
+        ``metric.dist`` (units of 1/``metric.denominator``)."""
+        return Fraction(self.metric.dist(x, y), self.metric.denominator)
 
     def has(self, x) -> bool:
         return x in self.point_set
@@ -142,6 +163,8 @@ class Space:
 
 
 def _check_points(points) -> tuple[str, ...]:
+    if not isinstance(points, (list, tuple)):
+        raise MalformedInputError(f"points must be a list of ids, got {type(points).__name__}")
     if not points:
         raise MalformedInputError("a space needs at least one point")
     seen = set()
@@ -157,8 +180,10 @@ def _check_points(points) -> tuple[str, ...]:
 
 
 def _parse_hints(raw, point_set) -> tuple[UnboundedHint, ...]:
+    if not isinstance(raw, (list, tuple)):
+        raise MalformedInputError(f"unbounded hints must be a list, got {type(raw).__name__}")
     hints = []
-    for h in raw or ():
+    for h in raw:
         if isinstance(h, UnboundedHint):
             anchor, ray = h.component_of, h.ray
         elif isinstance(h, dict):
@@ -168,11 +193,13 @@ def _parse_hints(raw, point_set) -> tuple[UnboundedHint, ...]:
                 raise MalformedInputError(f"unbounded hint missing field {exc}") from None
         else:
             raise MalformedInputError(f"bad unbounded hint {h!r}")
+        if not isinstance(ray, (list, tuple)):
+            raise MalformedInputError(f"unbounded hint ray must be a list, got {ray!r}")
         ray = tuple(ray)
         if not ray:
             raise MalformedInputError("unbounded hint with empty ray")
         for p in (anchor, *ray):
-            if p not in point_set:
+            if not isinstance(p, str) or p not in point_set:
                 raise MalformedInputError(f"unbounded hint names unknown point {p!r}")
         hints.append(UnboundedHint(component_of=anchor, ray=ray))
     return tuple(hints)
@@ -185,28 +212,30 @@ def _build_matrix(points_in_order, entries):
     ):
         raise MalformedInputError(f"matrix must be {n}x{n} to match the point list")
     parsed = [[parse_rational(v) for v in row] for row in entries]
+    denominator = _common_denominator(q for row in parsed for q in row)
+    m = [[_units(q, denominator) for q in row] for row in parsed]
     for i in range(n):
-        if parsed[i][i] != 0:
+        if m[i][i] != 0:
             raise MalformedInputError(
                 f"metric axiom violation: d({points_in_order[i]}, {points_in_order[i]}) != 0"
             )
         for j in range(i + 1, n):
-            if parsed[i][j] != parsed[j][i]:
+            if m[i][j] != m[j][i]:
                 raise MalformedInputError(
                     "metric axiom violation: asymmetric pair "
                     f"({points_in_order[i]}, {points_in_order[j]})"
                 )
-            if parsed[i][j] <= 0:
+            if m[i][j] <= 0:
                 raise MalformedInputError(
                     "metric axiom violation: non-positive distance for pair "
                     f"({points_in_order[i]}, {points_in_order[j]})"
                 )
     if n <= TRIANGLE_CHECK_LIMIT:
         for k in range(n):
+            row_k = m[k]
             for i in range(n):
-                dik = parsed[i][k]
-                row_k = parsed[k]
-                row_i = parsed[i]
+                dik = m[i][k]
+                row_i = m[i]
                 for j in range(n):
                     if row_i[j] > dik + row_k[j]:
                         raise MalformedInputError(
@@ -214,28 +243,35 @@ def _build_matrix(points_in_order, entries):
                             f"({points_in_order[i]}, {points_in_order[j]}, {points_in_order[k]})"
                         )
     rows = {
-        p: {q: parsed[i][j] for j, q in enumerate(points_in_order)}
+        p: {q: m[i][j] for j, q in enumerate(points_in_order)}
         for i, p in enumerate(points_in_order)
     }
-    return MatrixMetric(rows)
+    return MatrixMetric(rows, denominator)
 
 
 def _build_graph(point_set, edges):
-    adjacency = {p: [] for p in point_set}
+    if not isinstance(edges, list):
+        raise MalformedInputError(f"graph edges must be a list, got {type(edges).__name__}")
+    parsed = []
     for e in edges:
         try:
             u, v, w = e
         except (TypeError, ValueError):
             raise MalformedInputError(f"graph edge must be [u, v, weight], got {e!r}") from None
-        if u not in point_set or v not in point_set:
+        if not all(isinstance(p, str) and p in point_set for p in (u, v)):
             raise MalformedInputError(f"graph edge {e!r} names an unknown point")
         if u == v:
             raise MalformedInputError(f"graph edge {e!r} is a self-loop")
         weight = parse_rational(w)
         if weight <= 0:
             raise MalformedInputError(f"graph edge {e!r} has non-positive weight")
-        adjacency[u].append((v, weight))
-        adjacency[v].append((u, weight))
+        parsed.append((u, v, weight))
+    denominator = _common_denominator(w for _, _, w in parsed)
+    adjacency = {p: [] for p in point_set}
+    for u, v, w in parsed:
+        w = _units(w, denominator)
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
     # all distances must be finite: reject disconnected graphs outright
     start = next(iter(sorted(point_set)))
     seen = {start}
@@ -251,18 +287,21 @@ def _build_graph(point_set, edges):
         raise MalformedInputError(
             f"graph source is disconnected ({missing!r} unreachable); all distances must be finite"
         )
-    return GraphMetric(adjacency)
+    return GraphMetric(adjacency, denominator)
 
 
 def _build_positions(point_set, values):
-    positions = {}
+    if not isinstance(values, dict):
+        raise MalformedInputError(f"positions must map point ids to rationals, got {values!r}")
+    parsed = {}
     for p in point_set:
         if p not in values:
             raise MalformedInputError(f"no position for point {p!r}")
-        positions[p] = parse_rational(values[p])
-    if len(set(positions.values())) != len(positions):
+        parsed[p] = parse_rational(values[p])
+    if len(set(parsed.values())) != len(parsed):
         raise MalformedInputError("positions must be distinct (zero distance between points)")
-    return PositionMetric(positions)
+    denominator = _common_denominator(parsed.values())
+    return PositionMetric({p: _units(q, denominator) for p, q in parsed.items()}, denominator)
 
 
 def build_space(points, metric_source, hints=()) -> Space:
@@ -273,11 +312,10 @@ def build_space(points, metric_source, hints=()) -> Space:
     """
     if not isinstance(metric_source, dict) or "type" not in metric_source:
         raise MalformedInputError("metric source must be a dict with a 'type' field")
-    points_in_order = list(points)
-    sorted_points = _check_points(points_in_order)
+    sorted_points = _check_points(points)
     kind = metric_source["type"]
     if kind == "matrix":
-        metric = _build_matrix(points_in_order, metric_source.get("entries"))
+        metric = _build_matrix(list(points), metric_source.get("entries"))
     elif kind == "graph":
         metric = _build_graph(set(sorted_points), metric_source.get("edges", []))
     elif kind == "positions":
@@ -294,11 +332,12 @@ def build_space(points, metric_source, hints=()) -> Space:
             raise MalformedInputError(
                 "generator metric does not reproduce the instance's point list"
             )
-        if hints:
+        parsed_hints = _parse_hints(hints, space.point_set)
+        if parsed_hints:
             space = Space(
                 points=space.points,
                 metric=space.metric,
-                hints=_parse_hints(hints, space.point_set),
+                hints=parsed_hints,
                 metric_spec=space.metric_spec,
             )
         return space
@@ -403,9 +442,9 @@ def rips_components(space: Space, S) -> Decomposition:
 
 
 def _assert_separated(space, decomp):
-    # inter-component gap > S is structural for a Rips decomposition; verify
-    # on small spaces where the quadratic sweep is free
-    if len(space.points) > 600 or len(decomp.components) == 1:
+    # inter-component gap > S is structural for a Rips decomposition; one
+    # component is separated from nothing, so only splits need the sweep
+    if len(decomp.components) == 1:
         return
     for comp in decomp.components:
         for x in comp.points:

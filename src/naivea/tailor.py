@@ -26,6 +26,7 @@ from .chains import (
 from .chains import qualifying_pairs, variation_ratio  # noqa: F401
 from .errors import InternalInvariantError, PreconditionError
 from .flow import FlowMap, build_flow, stabilize
+from .rational import floor_units
 from .space import (
     CLS_BOUNDED_LARGE,
     CLS_BOUNDED_SMALL,
@@ -41,8 +42,8 @@ from .space import (
 class TailorPlan:
     classes: dict
     z_points: dict
-    inner: Fraction
-    outer: Fraction
+    inner: int  # floor((3S+3SN) * D), compared with int distances
+    outer: int  # floor((3S+4SN) * D)
     warnings: tuple
 
 
@@ -53,6 +54,9 @@ class SubsetFamily:
 
 @dataclass(frozen=True)
 class Certificate:
+    """Radii and bounds are ints in units of 1/unit (the augmented space's);
+    worst_radius is their maximum as an exact rational."""
+
     params: InstanceParams
     cases: dict
     radii: dict
@@ -60,10 +64,14 @@ class Certificate:
     worst_ratio: Fraction
     worst_radius: Fraction
     bounds: dict
+    unit: int
     warnings: tuple = ()  # classify fallbacks, for stderr; not serialized
 
     def to_jsonable(self) -> dict:
         from .rational import format_rational
+
+        def length(units):
+            return format_rational(Fraction(units, self.unit))
 
         return {
             "params": {
@@ -74,7 +82,7 @@ class Certificate:
                 "N": self.params.N,
             },
             "cases": dict(sorted(self.cases.items())),
-            "radii": {x: format_rational(r) for x, r in sorted(self.radii.items())},
+            "radii": {x: length(r) for x, r in sorted(self.radii.items())},
             "pairs": [
                 {
                     "x": x,
@@ -86,8 +94,8 @@ class Certificate:
             ],
             "worst_ratio": format_ratio(self.worst_ratio),
             "worst_radius": format_rational(self.worst_radius),
-            "bound_radius": format_rational(self.bounds["overall"]),
-            "bounds": {k: format_rational(v) for k, v in sorted(self.bounds.items())},
+            "bound_radius": length(self.bounds["overall"]),
+            "bounds": {k: length(v) for k, v in sorted(self.bounds.items())},
         }
 
 
@@ -97,10 +105,17 @@ def _ray_problem(space, comp, ray, S):
     for p in ray:
         if p not in comp.point_set:
             return f"ray point {p!r} lies outside the component"
+    hop = floor_units(S, space.metric.denominator)
     for a, b in zip(ray, ray[1:]):
-        if space.dist(a, b) > S:
+        if space.metric.dist(a, b) > hop:
             return f"ray hop ({a!r}, {b!r}) exceeds the scale"
     return None
+
+
+def _annulus(space, params):
+    """(inner, outer) = floor((3S+3SN) * D), floor((3S+4SN) * D)."""
+    S, N, D = params.S, params.N, space.metric.denominator
+    return floor_units(3 * S + 3 * S * N, D), floor_units(3 * S + 4 * S * N, D)
 
 
 def classify(space: Space, decomp: Decomposition, params: InstanceParams):
@@ -110,9 +125,9 @@ def classify(space: Space, decomp: Decomposition, params: InstanceParams):
     """
     if params.N is None:
         raise InternalInvariantError("classify needs completed params (N unset)")
-    S, N = params.S, params.N
-    inner = 3 * S + 3 * S * N
-    outer = 3 * S + 4 * S * N
+    S = params.S
+    inner, outer = _annulus(space, params)
+    dist = space.metric.dist
     warnings = []
     comps = []
     for comp in decomp.components:
@@ -126,7 +141,7 @@ def classify(space: Space, decomp: Decomposition, params: InstanceParams):
             )
             comp = replace(comp, ray=None, basepoint=comp.points[0])
         basepoint = comp.basepoint
-        is_large = any(space.dist(basepoint, p) > outer for p in comp.points)
+        is_large = any(dist(basepoint, p) > outer for p in comp.points)
         comps.append(replace(comp, cls=CLS_BOUNDED_LARGE if is_large else CLS_BOUNDED_SMALL))
     decomp = Decomposition(scale=decomp.scale, components=tuple(comps), owner=decomp.owner)
     z_points = {}
@@ -153,8 +168,8 @@ def annulus_points(space: Space, comp: Component, params: InstanceParams) -> tup
     path meets the annulus at least N times.
     """
     S, N = params.S, params.N
-    inner = 3 * S + 3 * S * N
-    outer = 3 * S + 4 * S * N
+    inner, outer = _annulus(space, params)
+    dist = space.metric.dist
     bp = comp.basepoint
     level = {bp: 0}
     queue = deque([bp])
@@ -166,7 +181,7 @@ def annulus_points(space: Space, comp: Component, params: InstanceParams) -> tup
                 queue.append(v)
     target = None
     for p in comp.points:  # sorted, so the first hit is the lex-smallest
-        if space.dist(bp, p) > outer:
+        if dist(bp, p) > outer:
             target = p
             break
     if target is None:
@@ -184,13 +199,13 @@ def annulus_points(space: Space, comp: Component, params: InstanceParams) -> tup
         ]
         if not cands:
             raise InternalInvariantError(f"broken shortest-path levels at {current!r}")
-        far = max(space.dist(bp, v) for v in cands)
-        current = min(v for v in cands if space.dist(bp, v) == far)
+        far = max(dist(bp, v) for v in cands)
+        current = min(v for v in cands if dist(bp, v) == far)
         path.append(current)
     path.reverse()
     markers = []
     for p in path:
-        d = space.dist(bp, p)
+        d = dist(bp, p)
         if inner < d <= outer:
             markers.append(p)
             if len(markers) == N:
@@ -241,16 +256,17 @@ class Prepared:
     plan: TailorPlan
     aug: AugmentedSpace
     flow_map: FlowMap
-    bounds: dict
+    bounds: dict  # case radius bounds, ints in units of 1/aug.unit
 
 
 def prepare(space: Space, family: ChainFamily, R, epsilon, S) -> Prepared:
     """Admission, S-Rips components, classification, tails and successor map."""
     report = check_instance(space, family, R, epsilon, S)
     params = report.params
-    L, N, S = params.L, params.N, params.S
-    decomp, plan = classify(space, rips_components(space, S), params)
+    L, N = params.L, params.N
+    decomp, plan = classify(space, rips_components(space, params.S), params)
     aug = augment(space, decomp, params)
+    S = aug.step  # every bound is a whole multiple of S, so exact in these units
     bounds = {
         "case1": S + S * L * L,
         "case2": 6 * S + 8 * S * N,
@@ -283,9 +299,11 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S, tracer=None):
             report=report,
         )
     params = report.params
-    N, S = params.N, params.S
+    N = params.N
     decomp, plan, aug, bounds = prep.decomposition, prep.plan, prep.aug, prep.bounds
-    locality = S + 2 * N * S
+    # distances below are ints in units of 1/aug.unit; base ones count k times
+    dist, k = space.metric.dist, aug.k
+    locality = aug.step + 2 * N * aug.step
     chains = family.chains
 
     def handle(x):
@@ -300,7 +318,7 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S, tracer=None):
                 raise InternalInvariantError(f"flow left the component at {x!r}")
             if isinstance(p, tuple) and p[1] > N:
                 raise InternalInvariantError(f"tail index beyond N in the support of {x!r}")
-            if aug.dist(x, p) > bounds["case1"]:
+            if aug.dist_units(x, p) > bounds["case1"]:
                 raise InternalInvariantError(
                     f"stabilized support of {x!r} escaped the radius bound"
                 )
@@ -312,7 +330,7 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S, tracer=None):
             case = "3b" if any(isinstance(p, tuple) for p in support) else "3a"
         subset = frozenset(tailor_subset(plan, comp, support))
         if case == "3b":
-            if space.dist(x, comp.basepoint) > locality:
+            if k * dist(x, comp.basepoint) > locality:
                 raise InternalInvariantError(
                     f"tail mass for {x!r} although it sits far from the basepoint"
                 )
@@ -321,11 +339,16 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S, tracer=None):
                 raise InternalInvariantError(
                     f"support of {x!r} collides with the annulus markers"
                 )
-        radius = max(aug.dist(x, p) for p in subset)
+        if case == "2":
+            # the subset is the whole component (tailor_subset): no tail points
+            radius = k * max(dist(x, p) for p in comp.points)
+        else:
+            radius = max(aug.dist_units(x, p) for p in subset)
         limit = bounds["case1"] if case == "1" else bounds["case2" if case == "2" else "case3"]
         if radius > limit:
             raise InternalInvariantError(
-                f"output radius {radius} for {x!r} exceeds the case bound {limit}"
+                f"output radius {Fraction(radius, aug.unit)} for {x!r} exceeds "
+                f"the case bound {Fraction(limit, aug.unit)}"
             )
         return support, case, subset, radius
 
@@ -360,14 +383,25 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S, tracer=None):
             worst_ratio = rout
         pair_rows.append((x, y, rin, rout))
 
+    # the reported worst radius is re-derived by the rational reference metric
+    # at a pair that attains it, which checks the int scaling where it shows
+    worst = max(space.points, key=radii.__getitem__)
+    far = max(subsets[worst], key=lambda p: aug.dist_units(worst, p))
+    worst_radius = aug.dist(worst, far)
+    if worst_radius * aug.unit != radii[worst]:
+        raise InternalInvariantError(
+            f"radius of {worst!r} is {worst_radius}, but {radii[worst]}/{aug.unit} in units"
+        )
+
     certificate = Certificate(
         params=params,
         cases=cases,
         radii=radii,
         pairs=tuple(pair_rows),
         worst_ratio=worst_ratio,
-        worst_radius=max(radii.values()),
+        worst_radius=worst_radius,
         bounds=bounds,
+        unit=aug.unit,
         warnings=plan.warnings,
     )
     return SubsetFamily(subsets=subsets), certificate

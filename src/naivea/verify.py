@@ -21,7 +21,12 @@ from .chains import (
     qualifying_pairs,
     set_ratio,
 )
-from .errors import MalformedInputError, PreconditionError, UnknownPointError
+from .errors import (
+    InternalInvariantError,
+    MalformedInputError,
+    PreconditionError,
+    UnknownPointError,
+)
 from .flow import FlowMap, split, stabilize, step
 from .space import Space
 
@@ -36,12 +41,13 @@ class VerifyReport:
         return {"ok": self.ok, "violations": [dict(v) for v in self.violations], "stats": dict(self.stats)}
 
 
-def _resolve_distance(space, hint_anchors, tail_spacing, x, p):
-    """Distance from a base point to a subset member, which may be a tail
-    point (anchor, j) hanging at a known anchor with the given spacing."""
+def _resolve_units(space, hint_anchors, spacing, k, x, p) -> int:
+    """Distance from a base point to a subset member in units of 1/(D*k),
+    where the member may be a tail point (anchor, j) hanging at a known
+    anchor, ``spacing`` units apart (None when no spacing was supplied)."""
     if isinstance(p, tuple):
         anchor, index = p
-        if tail_spacing is None:
+        if spacing is None:
             raise MalformedInputError(
                 f"subset contains tail point {anchor}#{index} but no tail spacing was supplied"
             )
@@ -49,10 +55,10 @@ def _resolve_distance(space, hint_anchors, tail_spacing, x, p):
             raise UnknownPointError(f"subset contains unknown tail anchor {anchor!r}")
         if not isinstance(index, int) or index < 1:
             raise MalformedInputError(f"bad tail index in subset member {p!r}")
-        return space.dist(x, anchor) + index * tail_spacing
+        return k * space.metric.dist(x, anchor) + index * spacing
     if not space.has(p):
         raise UnknownPointError(f"subset contains unknown point {p!r}")
-    return space.dist(x, p)
+    return k * space.metric.dist(x, p)
 
 
 def verify_naive(
@@ -93,17 +99,37 @@ def verify_naive(
                 {"condition": "set_ratio", "x": x, "y": y, "ratio": format_ratio(ratio)}
             )
 
-    radius = Fraction(0)
+    # tail offsets j*S are whole in units of 1/(D*k), k the denominator of S*D
+    D = space.metric.denominator
+    spacing, k = None, 1
+    if tail_spacing is not None:
+        scaled = Fraction(tail_spacing) * D
+        spacing, k = scaled.numerator, scaled.denominator
+    radius, witness = 0, None
     for x in space.points:
         for p in subsets[x]:
-            d = _resolve_distance(space, hint_anchors, tail_spacing, x, p)
+            d = _resolve_units(space, hint_anchors, spacing, k, x, p)
             if d > radius:
-                radius = d
+                radius, witness = d, (x, p)
+    # report the radius as the rational distance of the pair that attains it,
+    # which checks the int scaling against the exact metric
+    support_radius = Fraction(0)
+    if witness is not None:
+        x, p = witness
+        if isinstance(p, tuple):
+            support_radius = space.dist(x, p[0]) + p[1] * Fraction(tail_spacing)
+        else:
+            support_radius = space.dist(x, p)
+        if support_radius * D * k != radius:
+            raise InternalInvariantError(
+                f"support radius at {witness!r} is {support_radius}, "
+                f"but {radius}/{D * k} in units"
+            )
 
     stats = {
         "pairs_checked": len(pairs),
         "worst_ratio": format_ratio(worst if pairs else Fraction(0)),
-        "support_radius": str(radius),
+        "support_radius": str(support_radius),
     }
     return VerifyReport(ok=not violations, violations=tuple(violations), stats=stats)
 

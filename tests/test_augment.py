@@ -66,6 +66,29 @@ def test_metric_axioms_exhaustive(two, two_params):
         assert aug.dist(u, v) <= aug.dist(u, w) + aug.dist(w, v)
 
 
+@pytest.mark.parametrize(
+    "source, S, unit",
+    [
+        # positions in halves and S = 3/4: S is not a whole number of 1/2-units
+        ({"type": "positions", "values": {"a": "0", "b": "1/2", "c": "1", "d": "9"}}, "3/4", 4),
+        (
+            {"type": "graph", "edges": [["a", "b", "1/3"], ["b", "c", "1/2"], ["c", "d", "7"]]},
+            "1",
+            6,
+        ),
+    ],
+)
+def test_int_units_match_rational_reference(source, S, unit):
+    sp = build_space(["a", "b", "c", "d"], source)
+    params = InstanceParams(R=Fraction(1, 4), epsilon=Fraction(1), S=Fraction(S), L=2, N=6)
+    aug = make_aug(sp, params, S=params.S)
+    assert len(aug.decomposition.components) == 2 and aug.unit == unit
+    pts = aug.materialize(6)
+    for u, v in itertools.product(pts, repeat=2):
+        d = aug.dist_units(u, v)
+        assert isinstance(d, int) and Fraction(d, aug.unit) == aug.dist(u, v)
+
+
 def test_truncate_unbounded_window_has_no_tail():
     ids = [f"p{i}" for i in range(5)]
     sp = build_space(

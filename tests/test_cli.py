@@ -202,6 +202,39 @@ def test_exit_codes(tmp_path, capsys):
         "--out", str(out),
     ) == 2
 
+    # malformed shapes exit 2 with an error line, never a traceback
+    shaped = tmp_path / "shaped.json"
+    base = {
+        "space": {
+            "points": ["a", "b"],
+            "metric": {"type": "positions", "values": {"a": 0, "b": 1}},
+        },
+        "params": {"R": "1", "epsilon": "1", "S": "2"},
+        "chains": {"a": {"a": 1, "b": 1}, "b": {"a": 1, "b": 1}},
+    }
+    write_canonical(shaped, base)
+    assert run_cli("run", str(shaped), "--out", str(out)) == 0
+    breakages = [
+        lambda d: d.update(unbounded_hints=5),
+        lambda d: d["space"].update(points=5),
+        lambda d: d["space"].update(points="ab"),  # not split into characters
+        lambda d: d.update(params=5),
+        lambda d: d.update(space=5),
+        lambda d: d["space"]["metric"].update(values=5),
+        lambda d: d["space"].update(metric={"type": "graph", "edges": 5}),
+        lambda d: d["space"].update(metric={"type": "graph", "edges": [[["a"], "b", 1]]}),
+        lambda d: d.update(unbounded_hints=[{"component_of": "a", "ray": 5}]),
+        lambda d: d.update(unbounded_hints=[{"component_of": ["a"], "ray": ["a"]}]),
+        lambda d: d.update(unbounded_hints=[{"component_of": "a", "ray": [["a"]]}]),
+    ]
+    for breakage in breakages:
+        doc = json.loads(json.dumps(base))
+        breakage(doc)
+        write_canonical(shaped, doc)
+        capsys.readouterr()
+        assert run_cli("run", str(shaped), "--out", str(out)) == 2, doc
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 def test_precondition_failure_prints_violations(tmp_path, capsys):
     inst = tmp_path / "v.json"

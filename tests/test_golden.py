@@ -1,9 +1,12 @@
-"""Golden bytes: `run`, `inspect` and `trace` output pinned across versions.
+"""Golden bytes: `run`, `verify`, `inspect` and `trace` output pinned across versions.
 
 Criterion 7 only compares reruns of the same code. These sha256 values pin
 the exact bytes, so a refactor that changes any output fails here. The
-instances cover the positions and graph backends and cases 1, 2, 3a and 3b.
-A deliberate format change must update the hashes in the same commit.
+instances cover the positions and graph backends and cases 1, 2, 3a and 3b,
+with integer distances and with non-integer rational ones: steps of 1/3 and
+2/5, edge weights with denominators 2 to 6, and a tail spacing S = 3/4 on a
+1/2-step line, which is not a whole number of the line's units. A
+deliberate format change must update the hashes in the same commit.
 """
 from __future__ import annotations
 
@@ -13,10 +16,52 @@ from collections import Counter
 import pytest
 
 from naivea.cli import main
-from naivea.instance_io import read_json
+from naivea.instance_io import read_json, write_canonical
 
-# name, generate arguments, trace point, case counts,
-# sha256 of the run output file, the inspect stdout and the trace stdout
+# Two S-Rips components at S = 1, joined by a 7/2 edge: the a-group is case 2
+# and the b-group follows its ray hint (case 1). Chains are the ball sums
+# B(x, 1) + B(x, 1/2) of the graph metric.
+GRAPH_DOC = {
+    "space": {
+        "points": ["a0", "a1", "a2", "a3", "a4", "a5", "b0", "b1", "b2", "b3", "b4"],
+        "metric": {
+            "type": "graph",
+            "edges": [
+                ["a0", "a1", "1/2"],
+                ["a1", "a2", "1/3"],
+                ["a2", "a3", "2/3"],
+                ["a3", "a4", "1/2"],
+                ["a4", "a5", "1/4"],
+                ["a0", "a3", "5/4"],
+                ["a5", "b0", "7/2"],
+                ["b0", "b1", "3/4"],
+                ["b1", "b2", "1/2"],
+                ["b2", "b3", "5/6"],
+                ["b3", "b4", "1/3"],
+                ["b1", "b3", "6/5"],
+            ],
+        },
+    },
+    "params": {"R": "1/2", "epsilon": "1", "S": "1"},
+    "chains": {
+        "a0": {"a0": 2, "a1": 2, "a2": 1},
+        "a1": {"a0": 2, "a1": 2, "a2": 2, "a3": 1},
+        "a2": {"a0": 1, "a1": 2, "a2": 2, "a3": 1},
+        "a3": {"a1": 1, "a2": 1, "a3": 2, "a4": 2, "a5": 1},
+        "a4": {"a3": 2, "a4": 2, "a5": 2},
+        "a5": {"a3": 1, "a4": 2, "a5": 2},
+        "b0": {"b0": 2, "b1": 1},
+        "b1": {"b0": 1, "b1": 2, "b2": 2},
+        "b2": {"b1": 2, "b2": 2, "b3": 1},
+        "b3": {"b2": 1, "b3": 2, "b4": 2},
+        "b4": {"b3": 2, "b4": 2},
+    },
+    "unbounded_hints": [{"component_of": "b2", "ray": ["b0", "b1", "b2", "b3", "b4"]}],
+}
+
+# name, generate arguments (or an instance document), trace point, case counts,
+# sha256 of the run output file, and of the run (output path as OUT), verify,
+# inspect and trace stdout
 GOLDEN = [
     (
         "line40",
@@ -24,6 +69,8 @@ GOLDEN = [
         "p20",
         {"2": 40},
         "94b7337d5d40d0da50cc54b4ef3ae9841bd48943e40117ea97447ecfc208a7a9",
+        "a5fda7270c5d783172fdce851477683077b41c12fa0681b7957eeb3e638cdcce",
+        "46e37325acc1a1e9cee15cc0b00df5b4199c50bba9527d6d393f1c0f567aae28",
         "16edab0723800df9fb0666aa84fba9cd8b45e3128cc84f397b25db85e7c38f2b",
         "da40b6a115c0f17c0fd2403cb7fbfc7d6060fd18bc7ca54015262b1ed39ed2c0",
     ),
@@ -33,6 +80,8 @@ GOLDEN = [
         "p003",
         {"3a": 695, "3b": 5},
         "eecc5c99f86da7ca951e736c7d4cdde191ea2c703de8a5375f407680cc7f3dea",
+        "f1bd1430a187856873018c25047bf56a108b88fe96f52446d29e18a7ac2f1cb0",
+        "a00a7afa0b1bdbf8633c7a6b70a3b6d196b07ef1207279a72595e50239371e95",
         "c8d0bd107198b55d597e3e6565fff736d491cc7c1446abb35cc721dc7e29f8f6",
         "b8558f93f5c94001e5e90bce74f08a57b41ad0c2598a92aa16df953180539258",
     ),
@@ -42,6 +91,8 @@ GOLDEN = [
         "p10",
         {"1": 20},
         "ffdc907ded40c94f8a497dc7f50263ba04307ca01569f6e60e92f121eeb47ac8",
+        "75b6d72826628264b2997d54d05b4f87c1d2d7ea10ff6700951799bf1ea60361",
+        "1d4d7dda297d2511278446d85ee6d3004956e7da75547c26b9c1b532da2e32be",
         "7f785d1345677431fe24b2e984792284fd68c7b6280b6ded8a5735a387dbf6e2",
         "f63bbb21e90ab27e6bd22273fbe69500d0791a07b935a4d28cdb7252d6d8b6e2",
     ),
@@ -51,8 +102,69 @@ GOLDEN = [
         "g05",
         {"1": 24},
         "bb77b75a3e59a56f2d658e5ef0f2d45475cc531a3bf8f45114cc8c9a30a53f17",
+        "2bf1ffbb06ea396560a486a197a506dd9c6783b9773ce57e3f719e2c8708c701",
+        "12fa13ecb5dc0939d5d53f8b4d217ce1031ce3c29fb3ed6770ae8e0242b7e772",
         "12d85339fbf3a8225e71db28e7a5e14677219542e3042665156b6a9b27401fb8",
         "690232b73fa648b6bcc911be74c3ee803a111c622a5eb8e8c1b92ad912c09531",
+    ),
+    (
+        "line60_third",
+        ["line", "--count", "60", "--step", "1/3", "--radii", "4/3,2/3", "--R", "1/2",
+         "--epsilon", "1"],
+        "p30",
+        {"2": 60},
+        "f2392126ab59d4915a13cf052dbfab283f8f8f7be143cd285c1c44f5ea917895",
+        "086b163fc64c0d90c9d146b276bafe0f90d365dae086a2b2e049c1e1c74deb8b",
+        "2c3810ba16cd48b2c8b75937cfe22a5686aed23d1b79e49d71904ee088b0bfa1",
+        "52f9681ebe348a81775af73787e2fd55636cc3acbbcfd6a48a1f4e55fa1622fd",
+        "9331b95420c55404ec3508b91cf9ef02fb7c728ddba81a4e9ed24116ad968a6c",
+    ),
+    (
+        "line700_third",
+        ["line", "--count", "700", "--step", "1/3", "--radii", "2/3,1/3", "--R", "1/3",
+         "--epsilon", "1"],
+        "p003",
+        {"3a": 695, "3b": 5},
+        "41cb5161d5d337f063cacdf6cace533fe9d6ec0a745cc7e635e6f5a2fa4462e6",
+        "72530e084ef56abdf300cb48eb0326997af3393ee29d336a797586ebe93f622e",
+        "821e158ac7b8f45870ca4cd24aaf874d715f13936c39a0e78074c372da8a63f0",
+        "c6fcbaa0240e89d26342eb4e3af87dd25788be92e21ca7a63fedc01d20e38cc5",
+        "b8558f93f5c94001e5e90bce74f08a57b41ad0c2598a92aa16df953180539258",
+    ),
+    (
+        "line30_fifth_u",
+        ["line", "--count", "30", "--step", "2/5", "--radii", "4/5,2/5", "--R", "1/2",
+         "--epsilon", "1", "--unbounded"],
+        "p15",
+        {"1": 30},
+        "8d8d179162e15e18d9481969498520e147e2a13f8b14439af912a585078cde0e",
+        "0a69419a30b5589230692278cc67d61517d3f4f19aefb08e312c31f7000aa6c4",
+        "d3eb138cd3ab1972bd55a13a5d254d7adeddf36515674dec83a6923b3bf38981",
+        "163bf799a04d7ca25d55adc91ce3c79e535ba527d93491bec93b10bc1ad4b879",
+        "b900e528eed76169d65595270be3cb5a666410137c56b1ec4ed0d5382451e8a8",
+    ),
+    (
+        "line20_half_u",
+        ["line", "--count", "20", "--step", "1/2", "--radii", "3/4,1/2", "--R", "1/2",
+         "--epsilon", "2", "--unbounded"],
+        "p10",
+        {"1": 20},
+        "f605d2ffacf962b730bce6fc8396fdb9279fcff3884be18b411d7f15a650244b",
+        "9887dffce81723dea77e07c79ff6520bb598769f39f8a51a1dc3be6bee566d49",
+        "348450170b02dff29260f573698bdc127f6a252ec43051dcb568aa1a740f4322",
+        "697def94751e043e8e492b3f0c613b79a413d1badd465921ab7db54f722fbe4c",
+        "ac1a76b6374789794b7052ba57d396a9f0aa4e4372f3e30d150b98922bfef716",
+    ),
+    (
+        "graph11_weights",
+        GRAPH_DOC,
+        "b1",
+        {"1": 5, "2": 6},
+        "bab80397853bb76ec0d54baaf2aabbb22e28f5e877bcfa4a262ecf7b3e44da9f",
+        "d8d7d269736a8506e351dfb19f7d17d71ccddf11101c2ed91485482a93ae272f",
+        "edcead03f81f432907dc9281de2f0ce1f1f9deee2382590434df3a1c35e974d3",
+        "466d7c13f4d0c82591facfe0155991051e65a4c761a2b9aa4070a823d39fc691",
+        "11d4109067d9110b55cd46fae7acb176401718d869f1a32b42e8b0f99cfbd127",
     ),
 ]
 
@@ -64,19 +176,28 @@ def sha256(data) -> str:
 
 
 @pytest.mark.parametrize(
-    "name, gen, point, cases, out_sha, inspect_sha, trace_sha",
+    "name, gen, point, cases, out_sha, run_sha, verify_sha, inspect_sha, trace_sha",
     GOLDEN,
     ids=[row[0] for row in GOLDEN],
 )
-def test_golden_bytes(tmp_path, capsys, name, gen, point, cases, out_sha, inspect_sha, trace_sha):
+def test_golden_bytes(
+    tmp_path, capsys, name, gen, point, cases, out_sha, run_sha, verify_sha, inspect_sha,
+    trace_sha,
+):
     inst = tmp_path / f"{name}.json"
     out = tmp_path / f"{name}_out.json"
-    assert main(["generate", *gen, "--out", str(inst)]) == 0
-    assert main(["run", str(inst), "--out", str(out)]) == 0
+    if isinstance(gen, dict):
+        write_canonical(inst, gen)
+    else:
+        assert main(["generate", *gen, "--out", str(inst)]) == 0
     capsys.readouterr()
+    assert main(["run", str(inst), "--out", str(out)]) == 0  # exit 0: admission passed
+    assert sha256(capsys.readouterr().out.replace(str(out), "OUT")) == run_sha
     assert Counter(read_json(out)["certificate"]["cases"].values()) == cases
     assert sha256(out.read_bytes()) == out_sha
 
+    assert main(["verify", str(inst), str(out)]) == 0
+    assert sha256(capsys.readouterr().out) == verify_sha
     assert main(["inspect", str(inst)]) == 0
     assert sha256(capsys.readouterr().out) == inspect_sha
     assert main(["trace", str(inst), "--point", point]) == 0

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naivea.errors import MalformedInputError, UnknownPointError
+from naivea.errors import InternalInvariantError, MalformedInputError, UnknownPointError
 from naivea.space import (
     CLS_BOUNDED_SMALL,
     Component,
+    Decomposition,
+    _assert_separated,
     build_space,
     rips_components,
 )
@@ -212,6 +214,78 @@ def test_component_anchor_follows_class():
     assert comp.anchor == "b"
 
 
+def test_separation_is_checked_at_any_size():
+    # one S-connected line of 700 points, wrongly split in two halves
+    ids = [f"p{i:03d}" for i in range(700)]
+    sp = build_space(ids, {"type": "positions", "values": {p: i for i, p in enumerate(ids)}})
+    halves = (tuple(ids[:350]), tuple(ids[350:]))
+    comps = tuple(
+        Component(index=i, points=pts, basepoint=pts[0]) for i, pts in enumerate(halves)
+    )
+    owner = {p: i for i, pts in enumerate(halves) for p in pts}
+    bad = Decomposition(scale=Fraction(1), components=comps, owner=owner)
+    with pytest.raises(InternalInvariantError, match="not 1-separated"):
+        _assert_separated(sp, bad)
+    assert len(rips_components(sp, 1).components) == 1
+
+
 def test_rips_rejects_bad_scale(l10):
     with pytest.raises(MalformedInputError):
         rips_components(l10, 0)
+
+
+def rationals(max_value=6):
+    """Positive rationals with mixed denominators, so D is a non-trivial LCD."""
+    return st.builds(
+        Fraction,
+        st.integers(min_value=1, max_value=max_value * 12),
+        st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12]),
+    )
+
+
+@st.composite
+def metric_sources(draw):
+    """(points, metric source, oracle distance table) on one of the three backends."""
+    backend = draw(st.sampled_from(["positions", "graph", "matrix"]))
+    n = draw(st.integers(min_value=2, max_value=7))
+    pts = [f"x{i}" for i in range(n)]
+    if backend == "positions":
+        qs = draw(st.lists(rationals(), min_size=n, max_size=n, unique=True))
+        qs = [q - 3 for q in qs]  # negative positions too
+        source = {"type": "positions", "values": {p: str(q) for p, q in zip(pts, qs)}}
+        oracle = {(p, q): abs(a - b) for p, a in zip(pts, qs) for q, b in zip(pts, qs)}
+        return pts, source, oracle
+    # a random spanning tree plus extra edges keeps the graph connected
+    edges = [(pts[i], pts[draw(st.integers(0, i - 1))], draw(rationals())) for i in range(1, n)]
+    for u, v in draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), max_size=6)):
+        if u != v:
+            edges.append((u, v, draw(rationals())))
+    oracle = floyd_warshall(pts, edges)
+    if backend == "graph":
+        source = {"type": "graph", "edges": [[u, v, str(w)] for u, v, w in edges]}
+    else:  # shortest-path distances always satisfy the matrix axioms
+        source = {
+            "type": "matrix",
+            "entries": [[str(oracle[(p, q)]) for q in pts] for p in pts],
+        }
+    return pts, source, oracle
+
+
+@settings(max_examples=150, deadline=None)
+@given(metric_sources(), st.data())
+def test_int_metric_matches_fraction_oracle(source, data):
+    pts, metric_source, oracle = source
+    sp = build_space(pts, metric_source)
+    for p, q in itertools.product(pts, repeat=2):
+        d = sp.dist(p, q)
+        assert isinstance(d, Fraction) and d == oracle[(p, q)]
+    # radii on a distance, a hair either side of one, and arbitrary ones
+    near = st.builds(
+        lambda d, s: max(d + s, Fraction(0)),
+        st.sampled_from(sorted(set(oracle.values()))),
+        st.sampled_from([0, Fraction(1, 1000003), Fraction(-1, 1000003)]),
+    )
+    r = data.draw(st.one_of(near, rationals(), st.integers(0, 20)))
+    for x in pts:
+        expected = sorted(y for y in pts if oracle[(x, y)] <= r)
+        assert sorted(sp.metric.neighbors_within(x, r)) == expected
