@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import MalformedInputError, PreconditionError
-from .rational import floor_units
+from .rational import floor_units, format_rational
 from .space import Space
 
 INFINITE = math.inf
@@ -64,8 +64,7 @@ def variation_ratio(a, b):
 
 
 def set_ratio(A, B):
-    """|A ^ B| / |A & B| for plain sets, with the same conventions."""
-    A, B = set(A), set(B)
+    """|A ^ B| / |A & B| for two sets or frozensets, with the same conventions."""
     sym = len(A ^ B)
     if sym == 0:
         return Fraction(0)
@@ -76,8 +75,6 @@ def set_ratio(A, B):
 
 
 def format_ratio(q) -> str:
-    from .rational import format_rational
-
     if q == INFINITE:
         return "INF"
     return format_rational(q)
@@ -159,8 +156,6 @@ class InstanceReport:
     pairs: tuple = ()  # (x, y, variation ratio) per qualifying pair; not serialized
 
     def to_jsonable(self) -> dict:
-        from .rational import format_rational
-
         return {
             "ok": self.ok,
             "violations": [dict(v) for v in self.violations],

@@ -98,6 +98,8 @@ def cmd_run(args) -> int:
     )
     for warning in certificate.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    # imported at call time, so a tracer that wraps
+    # instance_io.output_to_jsonable sees this call; do not hoist
     from .instance_io import output_to_jsonable
 
     write_canonical(args.out, output_to_jsonable(subsets, certificate))

@@ -163,16 +163,21 @@ def gen_instance(kind, params, seed=0) -> tuple[Space, ChainFamily, InstancePara
         raise MalformedInputError("generator params must be a dict")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise MalformedInputError(f"seed must be an int, got {seed!r}")
+    # kinds are looked up in the SPACE_KINDS tuple, not the builder dict, so a
+    # kind that is not a string (a list, say) is unknown instead of unhashable
     if kind == "weighted_ball":
         inner = params.get("space")
         if not isinstance(inner, dict) or "kind" not in inner:
             raise MalformedInputError("weighted_ball needs a nested 'space' generator spec")
         inner_kind = inner["kind"]
-        if inner_kind not in _SPACE_BUILDERS:
+        if inner_kind not in SPACE_KINDS:
             raise MalformedInputError(f"unknown space kind {inner_kind!r} inside weighted_ball")
-        space = _SPACE_BUILDERS[inner_kind](inner.get("params", {}), seed)
+        inner_params = inner.get("params", {})
+        if not isinstance(inner_params, dict):
+            raise MalformedInputError("generator params must be a dict")
+        space = _SPACE_BUILDERS[inner_kind](inner_params, seed)
         radii = _radii_param(params)
-    elif kind in _SPACE_BUILDERS:
+    elif kind in SPACE_KINDS:
         if kind == "cayley_cyclic":
             k = _int_param(params, "folner_radius")
             radii = [Fraction(k)]

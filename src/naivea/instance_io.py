@@ -7,13 +7,13 @@ must reproduce files byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .augment import format_aug, parse_aug
 from .chains import ChainFamily, InstanceParams, SetFamily, from_sets, make_chain
 from .errors import MalformedInputError
 from .rational import format_rational, parse_rational
-from .space import Space, build_space
+from .space import Space, build_space, check_points, parse_hints
 from .tailor import Certificate, SubsetFamily
 
 
@@ -51,6 +51,24 @@ def _require(doc, key, where):
     return doc[key]
 
 
+def _generated(points, metric, hints):
+    """Space and chains of a generator metric; non-empty ``hints`` replace its own."""
+    # imported at call time, so a tracer that wraps generators.gen_instance
+    # sees this call; do not hoist
+    from .generators import gen_instance
+
+    sorted_points = check_points(points)
+    space, family, _ = gen_instance(
+        metric.get("kind"), metric.get("params", {}), metric.get("seed", 0)
+    )
+    if space.points != sorted_points:
+        raise MalformedInputError("generator metric does not reproduce the instance's point list")
+    parsed_hints = parse_hints(hints, space.point_set)
+    if parsed_hints:
+        space = replace(space, hints=parsed_hints)
+    return space, family
+
+
 def instance_from_doc(doc) -> Instance:
     if not isinstance(doc, dict):
         raise MalformedInputError("instance document must be a JSON object")
@@ -58,7 +76,11 @@ def instance_from_doc(doc) -> Instance:
     points = _require(space_doc, "points", "instance space")
     metric = _require(space_doc, "metric", "instance space")
     hints = doc.get("unbounded_hints", ())
-    space = build_space(points, metric, hints=hints)
+    generated = None
+    if isinstance(metric, dict) and metric.get("type") == "generator":
+        space, generated = _generated(points, metric, hints)
+    else:
+        space = build_space(points, metric, hints=hints)
 
     params_doc = _require(doc, "params", "instance")
     params = InstanceParams(
@@ -91,12 +113,8 @@ def instance_from_doc(doc) -> Instance:
             ]
             bound = (max(levels) + 1) if levels else 1
         family = from_sets(SetFamily(sets=raw, multiplicity_bound=bound))
-    elif metric.get("type") == "generator":
-        from .generators import gen_instance
-
-        _, family, _ = gen_instance(
-            metric.get("kind"), metric.get("params", {}), metric.get("seed", 0)
-        )
+    elif generated is not None:
+        family = generated
     else:
         raise MalformedInputError("instance provides neither 'chains' nor 'sets'")
     return Instance(space=space, family=family, params=params)

@@ -162,7 +162,7 @@ class Space:
             raise UnknownPointError(f"unknown point id {x!r}")
 
 
-def _check_points(points) -> tuple[str, ...]:
+def check_points(points) -> tuple[str, ...]:
     if not isinstance(points, (list, tuple)):
         raise MalformedInputError(f"points must be a list of ids, got {type(points).__name__}")
     if not points:
@@ -179,20 +179,17 @@ def _check_points(points) -> tuple[str, ...]:
     return tuple(sorted(points))
 
 
-def _parse_hints(raw, point_set) -> tuple[UnboundedHint, ...]:
+def parse_hints(raw, point_set) -> tuple[UnboundedHint, ...]:
     if not isinstance(raw, (list, tuple)):
         raise MalformedInputError(f"unbounded hints must be a list, got {type(raw).__name__}")
     hints = []
     for h in raw:
-        if isinstance(h, UnboundedHint):
-            anchor, ray = h.component_of, h.ray
-        elif isinstance(h, dict):
-            try:
-                anchor, ray = h["component_of"], h["ray"]
-            except KeyError as exc:
-                raise MalformedInputError(f"unbounded hint missing field {exc}") from None
-        else:
+        if not isinstance(h, dict):
             raise MalformedInputError(f"bad unbounded hint {h!r}")
+        try:
+            anchor, ray = h["component_of"], h["ray"]
+        except KeyError as exc:
+            raise MalformedInputError(f"unbounded hint missing field {exc}") from None
         if not isinstance(ray, (list, tuple)):
             raise MalformedInputError(f"unbounded hint ray must be a list, got {ray!r}")
         ray = tuple(ray)
@@ -312,7 +309,7 @@ def build_space(points, metric_source, hints=()) -> Space:
     """
     if not isinstance(metric_source, dict) or "type" not in metric_source:
         raise MalformedInputError("metric source must be a dict with a 'type' field")
-    sorted_points = _check_points(points)
+    sorted_points = check_points(points)
     kind = metric_source["type"]
     if kind == "matrix":
         metric = _build_matrix(list(points), metric_source.get("entries"))
@@ -320,30 +317,9 @@ def build_space(points, metric_source, hints=()) -> Space:
         metric = _build_graph(set(sorted_points), metric_source.get("edges", []))
     elif kind == "positions":
         metric = _build_positions(set(sorted_points), metric_source.get("values", {}))
-    elif kind == "generator":
-        from .generators import gen_instance  # local import to avoid a cycle
-
-        space, _, _ = gen_instance(
-            metric_source.get("kind"),
-            metric_source.get("params", {}),
-            metric_source.get("seed", 0),
-        )
-        if space.points != sorted_points:
-            raise MalformedInputError(
-                "generator metric does not reproduce the instance's point list"
-            )
-        parsed_hints = _parse_hints(hints, space.point_set)
-        if parsed_hints:
-            space = Space(
-                points=space.points,
-                metric=space.metric,
-                hints=parsed_hints,
-                metric_spec=space.metric_spec,
-            )
-        return space
     else:
         raise MalformedInputError(f"unknown metric type {kind!r}")
-    parsed_hints = _parse_hints(hints, set(sorted_points))
+    parsed_hints = parse_hints(hints, set(sorted_points))
     return Space(points=sorted_points, metric=metric, hints=parsed_hints, metric_spec=dict(metric_source))
 
 

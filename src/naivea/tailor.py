@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .augment import AugmentedSpace, augment
 from .chains import (
+    INFINITE,
     ChainFamily,
     InstanceParams,
     InstanceReport,
@@ -26,7 +27,7 @@ from .chains import (
 from .chains import qualifying_pairs, variation_ratio  # noqa: F401
 from .errors import InternalInvariantError, PreconditionError
 from .flow import FlowMap, build_flow, stabilize
-from .rational import floor_units
+from .rational import floor_units, format_rational
 from .space import (
     CLS_BOUNDED_LARGE,
     CLS_BOUNDED_SMALL,
@@ -40,7 +41,6 @@ from .space import (
 
 @dataclass(frozen=True)
 class TailorPlan:
-    classes: dict
     z_points: dict
     inner: int  # floor((3S+3SN) * D), compared with int distances
     outer: int  # floor((3S+4SN) * D)
@@ -68,8 +68,6 @@ class Certificate:
     warnings: tuple = ()  # classify fallbacks, for stderr; not serialized
 
     def to_jsonable(self) -> dict:
-        from .rational import format_rational
-
         def length(units):
             return format_rational(Fraction(units, self.unit))
 
@@ -149,7 +147,6 @@ def classify(space: Space, decomp: Decomposition, params: InstanceParams):
         if comp.cls == CLS_BOUNDED_LARGE:
             z_points[comp.index] = annulus_points(space, comp, params)
     plan = TailorPlan(
-        classes={c.index: c.cls for c in decomp.components},
         z_points=z_points,
         inner=inner,
         outer=outer,
@@ -217,15 +214,18 @@ def annulus_points(space: Space, comp: Component, params: InstanceParams) -> tup
     return tuple(markers)
 
 
-def tailor_subset(plan: TailorPlan, comp: Component, pts) -> set:
-    """Map one stabilized support into the output subset for its component."""
+def tailor_subset(plan: TailorPlan, comp: Component, pts) -> frozenset:
+    """Map one stabilized support into the output subset for its component.
+
+    A BOUNDED_SMALL component's subset is the component itself: every point
+    of it gets the same ``comp.point_set`` object.
+    """
     if not pts:
         raise InternalInvariantError("cannot tailor an empty support")
-    cls = plan.classes[comp.index]
-    if cls == CLS_UNBOUNDED:
-        return set(pts)
-    if cls == CLS_BOUNDED_SMALL:
-        return set(comp.points)
+    if comp.cls == CLS_UNBOUNDED:
+        return frozenset(pts)
+    if comp.cls == CLS_BOUNDED_SMALL:
+        return comp.point_set
     z = plan.z_points[comp.index]
     out = set()
     for p in pts:
@@ -240,7 +240,7 @@ def tailor_subset(plan: TailorPlan, comp: Component, pts) -> set:
             if p not in comp.point_set:
                 raise InternalInvariantError(f"support point {p!r} outside the component")
             out.add(p)
-    return out
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -328,7 +328,7 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S, tracer=None):
             case = "2"
         else:
             case = "3b" if any(isinstance(p, tuple) for p in support) else "3a"
-        subset = frozenset(tailor_subset(plan, comp, support))
+        subset = tailor_subset(plan, comp, support)
         if case == "3b":
             if k * dist(x, comp.basepoint) > locality:
                 raise InternalInvariantError(
@@ -368,7 +368,7 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S, tracer=None):
                 f"qualifying pair ({x!r}, {y!r}) straddles two components"
             )
         rout = set_ratio(subsets[x], subsets[y])
-        if rout == float("inf") or rout > rin:
+        if rout == INFINITE or rout > rin:
             raise InternalInvariantError(
                 f"output ratio for ({x!r}, {y!r}) is {rout}, input was {rin}"
             )

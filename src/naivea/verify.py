@@ -161,6 +161,8 @@ def first_divergence(a, b, path=""):
 
 def verify_certificate(space, family, params, subsets_jsonable, certificate_jsonable) -> VerifyReport:
     """Recompute the whole output deterministically and compare field by field."""
+    # imported at call time, so a tracer that wraps tailor.run_pipeline or
+    # instance_io.output_to_jsonable sees these calls; do not hoist
     from .instance_io import output_to_jsonable
     from .tailor import run_pipeline
 

@@ -226,6 +226,15 @@ def test_exit_codes(tmp_path, capsys):
         lambda d: d.update(unbounded_hints=[{"component_of": "a", "ray": 5}]),
         lambda d: d.update(unbounded_hints=[{"component_of": ["a"], "ray": ["a"]}]),
         lambda d: d.update(unbounded_hints=[{"component_of": "a", "ray": [["a"]]}]),
+        lambda d: d["space"].update(metric={"type": "generator", "kind": ["line"]}),
+        lambda d: d["space"].update(metric={"type": "generator", "kind": {"a": 1}}),
+        lambda d: d["space"].update(metric={
+            "type": "generator", "kind": "weighted_ball", "params": {"space": {"kind": ["line"]}},
+        }),
+        lambda d: d["space"].update(metric={
+            "type": "generator", "kind": "weighted_ball",
+            "params": {"space": {"kind": "line", "params": "1/2"}},
+        }),
     ]
     for breakage in breakages:
         doc = json.loads(json.dumps(base))
@@ -233,6 +242,8 @@ def test_exit_codes(tmp_path, capsys):
         write_canonical(shaped, doc)
         capsys.readouterr()
         assert run_cli("run", str(shaped), "--out", str(out)) == 2, doc
+        assert capsys.readouterr().err.startswith("error: ")
+        assert run_cli("inspect", str(shaped)) == 2, doc
         assert capsys.readouterr().err.startswith("error: ")
 
 

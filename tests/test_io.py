@@ -113,6 +113,44 @@ def test_generator_instances_regenerate_chains(tmp_path):
     assert inst2.family.chains == family.chains
 
 
+def test_thin_generator_instance_generates_once(monkeypatch):
+    from naivea import generators
+
+    space, family, params = gen_instance("line", {"count": 8, "radii": ["2"]}, seed=1)
+    thin = instance_to_doc(space, family, params)
+    del thin["chains"]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return gen_instance(*args)
+
+    monkeypatch.setattr(generators, "gen_instance", counting)
+    inst = instance_from_doc(thin)
+    assert len(calls) == 1
+    assert inst.family.chains == family.chains
+
+
+def test_generator_instance_hint_rule():
+    space, family, params = gen_instance(
+        "line", {"count": 8, "radii": ["2"], "unbounded": True}, seed=0
+    )
+    doc = instance_to_doc(space, family, params)
+    own = space.hints
+    assert own and doc["unbounded_hints"]
+    # absent or empty: the generator's hints stay
+    for hints in (None, []):
+        if hints is None:
+            del doc["unbounded_hints"]
+        else:
+            doc["unbounded_hints"] = hints
+        assert instance_from_doc(doc).space.hints == own
+    # non-empty: the document's hints replace them
+    doc["unbounded_hints"] = [{"component_of": "p3", "ray": ["p3", "p4"]}]
+    hints = instance_from_doc(doc).space.hints
+    assert [(h.component_of, h.ray) for h in hints] == [("p3", ("p3", "p4"))]
+
+
 def test_instance_to_doc_needs_metric_spec(l10):
     _, family, params = gen_instance("line", {"count": 10, "radii": ["2"]})
     bare = Space(points=l10.points, metric=l10.metric)  # no metric_spec attached

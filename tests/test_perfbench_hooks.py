@@ -1,0 +1,60 @@
+"""The names perfbench/layers.py traces stay bound where its tracer looks them up.
+
+A refactor that unbinds one of them (or hoists a call-time import, so the
+caller keeps the unwrapped original) would otherwise only show up in a full
+``perfbench/run.py --trace 1`` run.
+"""
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from naivea.cli import main
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+@pytest.fixture(scope="module")
+def layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve(layers):
+    for module, attr, _ in layers.TIMED:
+        assert callable(vars(importlib.import_module(module)).get(attr)), (module, attr)
+    for module, cls, method, _ in layers.COUNTED:
+        owner = getattr(importlib.import_module(module), cls)
+        assert callable(vars(owner).get(method)), (module, cls, method)
+    layers.Tracer().patches()  # also looks up GraphMetric.row
+
+
+def test_traced_cycle_reaches_every_count(layers, tmp_path):
+    inst, out = str(tmp_path / "inst.json"), str(tmp_path / "out.json")
+    assert main(["generate", "line", "--count", "12", "--out", inst]) == 0
+    tracer = layers.Tracer()
+    originals = [(owner, attr, vars(owner)[attr]) for owner, attr, _ in tracer.patches()]
+    ops = {}
+    with layers.installed(tracer):
+        for name, argv in (("run", ["run", inst, "--out", out]), ("verify", ["verify", inst, out])):
+            with tracer.op(f"cli.{name}"):
+                assert main(argv) == 0
+            ops[name] = tracer.take()
+    for owner, attr, original in originals:
+        assert vars(owner)[attr] is original, (owner, attr)
+
+    metrics = layers.cycle_metrics(ops["run"], ops["verify"])
+    # tailor.cases_* are read from the output file, not traced
+    missing = [
+        name for name in layers.EXACT
+        if not name.startswith("tailor.cases_") and name not in metrics
+    ]
+    assert not missing
+    for name, op in ops.items():
+        assert op["calls"]["tailor.run_pipeline"] == 1, name
+        assert op["calls"]["instance_io.to_jsonable"] == 1, name

@@ -94,6 +94,7 @@ def test_tailor_subset_cases():
     # tails swap for markers, base points pass through
     out = tailor_subset(plan, comp, {"p00", "p01", ("p00", 1), ("p00", 3)})
     assert out == {"p00", "p01", z[0], z[2]}
+    assert isinstance(out, frozenset)
     with pytest.raises(InternalInvariantError, match="empty"):
         tailor_subset(plan, comp, set())
     with pytest.raises(InternalInvariantError, match="different component"):
@@ -109,6 +110,7 @@ def test_tailor_subset_small_ignores_support_detail():
     decomp, plan = classify(space, rips_components(space, 2), SMALL_PARAMS)
     comp = decomp.components[0]
     assert tailor_subset(plan, comp, {"p3"}) == set(space.points)
+    assert tailor_subset(plan, comp, {"p3"}) is comp.point_set
 
 
 def test_pipeline_small_two_components(two):
@@ -126,6 +128,9 @@ def test_pipeline_small_two_components(two):
     assert doc["params"]["L"] == 4 and doc["params"]["N"] == 18
     assert doc["bound_radius"] == str(6 * 2 + 8 * 2 * 18)
     assert [p["x"] for p in doc["pairs"]] == ["q0", "q1", "r0", "r1"]
+    # one shared subset object per component, not one copy per point
+    assert len(subsets.subsets) == 6
+    assert len({id(s) for s in subsets.subsets.values()}) == 2
 
 
 def test_pipeline_case_3a_identity():
