@@ -92,9 +92,6 @@ class SetFamily:
 class ChainFamily:
     chains: dict  # point id -> chain
 
-    def __getitem__(self, x):
-        return self.chains[x]
-
 
 def from_sets(family: SetFamily) -> ChainFamily:
     """Collapse levels: a_x(z) = number of levels at which (z, level) sits in A_x."""

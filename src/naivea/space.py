@@ -41,8 +41,6 @@ def _units(q, denominator: int) -> int:
 class MatrixMetric:
     """Distance lookup backed by a full symmetric matrix, in units of 1/denominator."""
 
-    kind = "matrix"
-
     def __init__(self, rows: dict[str, dict[str, int]], denominator: int = 1):
         self.rows = rows
         self.denominator = denominator
@@ -62,8 +60,6 @@ class GraphMetric:
     on demand and cached, so distance queries stay exact without
     materializing all pairs up front.
     """
-
-    kind = "graph"
 
     def __init__(self, adjacency: dict[str, list[tuple[str, int]]], denominator: int = 1):
         self.adjacency = adjacency
@@ -106,8 +102,6 @@ class PositionMetric:
     neighbors_within is a bisect over the sorted embedding, which keeps the
     pair scans on long lines linear instead of quadratic.
     """
-
-    kind = "positions"
 
     def __init__(self, positions: dict[str, int], denominator: int = 1):
         self.positions = positions
@@ -269,22 +263,15 @@ def _build_graph(point_set, edges):
         w = _units(w, denominator)
         adjacency[u].append((v, w))
         adjacency[v].append((u, w))
+    metric = GraphMetric(adjacency, denominator)
     # all distances must be finite: reject disconnected graphs outright
-    start = next(iter(sorted(point_set)))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v, _ in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    if len(seen) != len(point_set):
-        missing = sorted(point_set - seen)[0]
+    row = metric.row(min(point_set))
+    if len(row) != len(point_set):
+        missing = min(point_set - row.keys())
         raise MalformedInputError(
             f"graph source is disconnected ({missing!r} unreachable); all distances must be finite"
         )
-    return GraphMetric(adjacency, denominator)
+    return metric
 
 
 def _build_positions(point_set, values):
@@ -365,53 +352,33 @@ class Decomposition:
 def rips_components(space: Space, S) -> Decomposition:
     """Split the space into S-connected pieces (edges where d <= S).
 
-    Components are indexed by their lexicographically smallest member;
-    basepoints default to that member, overridden by an unbounded hint's
-    ray start. Classes here are provisional (finalized by the tailor).
+    Components are indexed by their lexicographically smallest member, which
+    is also their basepoint. This only groups points: every component comes
+    out with no ray and the provisional class, and ``tailor.classify`` alone
+    reads the space's unbounded hints and decides rays, basepoints and
+    classes.
     """
     S = Fraction(S)
     if S <= 0:
         raise MalformedInputError(f"scale S must be positive, got {S}")
-    seen = set()
-    groups = []
-    for start in space.points:  # sorted, so groups come out in lex order
-        if start in seen:
+    components = []
+    owner = {}
+    for start in space.points:  # sorted, so components come out in lex order
+        if start in owner:
             continue
+        idx = len(components)
         group = []
-        seen.add(start)
+        owner[start] = idx
         queue = deque([start])
         while queue:
             u = queue.popleft()
             group.append(u)
             for v in space.metric.neighbors_within(u, S):
-                if v not in seen:
-                    seen.add(v)
+                if v not in owner:
+                    owner[v] = idx
                     queue.append(v)
-        groups.append(tuple(sorted(group)))
-
-    hint_by_member = {}
-    for hint in space.hints:
-        hint_by_member[hint.component_of] = hint
-
-    components = []
-    owner = {}
-    for idx, pts in enumerate(groups):
-        basepoint = pts[0]
-        ray = None
-        member_hints = {hint_by_member[p] for p in pts if p in hint_by_member}
-        if len(member_hints) > 1:
-            raise MalformedInputError(
-                f"multiple unbounded hints target the component of {basepoint!r}"
-            )
-        if member_hints:
-            hint = member_hints.pop()
-            ray = hint.ray
-            if ray[0] in pts:
-                basepoint = ray[0]
-        comp = Component(index=idx, points=pts, basepoint=basepoint, ray=ray)
-        components.append(comp)
-        for p in pts:
-            owner[p] = idx
+        pts = tuple(sorted(group))
+        components.append(Component(index=idx, points=pts, basepoint=pts[0]))
     decomp = Decomposition(scale=S, components=tuple(components), owner=owner)
     _assert_separated(space, decomp)
     return decomp

@@ -9,7 +9,7 @@ differences exactly while pulling everything back into the space.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -25,7 +25,7 @@ from .chains import (
 )
 # Not called here: perfbench/layers.py looks these names up in this module.
 from .chains import qualifying_pairs, variation_ratio  # noqa: F401
-from .errors import InternalInvariantError, PreconditionError
+from .errors import InternalInvariantError, MalformedInputError, PreconditionError
 from .flow import FlowMap, build_flow, stabilize
 from .rational import floor_units, format_rational
 from .space import (
@@ -119,27 +119,38 @@ def _annulus(space, params):
 def classify(space: Space, decomp: Decomposition, params: InstanceParams):
     """Finalize component classes; returns the updated decomposition and plan.
 
-    Invalid hints fall back to the bounded path with a recorded warning.
+    Unbounded hints are read here and counted per component: two hints on
+    one component, even on one point of it, are malformed input. A single
+    hint with a valid ray makes its component emulate an unbounded one, with
+    the ray's first point as basepoint; an invalid one falls back to the
+    bounded path with a recorded warning.
     """
     if params.N is None:
         raise InternalInvariantError("classify needs completed params (N unset)")
     S = params.S
     inner, outer = _annulus(space, params)
     dist = space.metric.dist
+    hints = defaultdict(list)  # component index -> the hints naming a point of it
+    for hint in space.hints:
+        hints[decomp.component_of(hint.component_of).index].append(hint)
     warnings = []
     comps = []
     for comp in decomp.components:
-        if comp.ray is not None:
-            problem = _ray_problem(space, comp, comp.ray, S)
+        mine = hints[comp.index]
+        if len(mine) > 1:
+            raise MalformedInputError(
+                f"multiple unbounded hints target the component of {comp.points[0]!r}"
+            )
+        if mine:
+            ray = mine[0].ray
+            problem = _ray_problem(space, comp, ray, S)
             if problem is None:
-                comps.append(replace(comp, cls=CLS_UNBOUNDED, basepoint=comp.ray[0]))
+                comps.append(replace(comp, cls=CLS_UNBOUNDED, basepoint=ray[0], ray=ray))
                 continue
             warnings.append(
                 f"ignoring unbounded hint for the component of {comp.points[0]!r}: {problem}"
             )
-            comp = replace(comp, ray=None, basepoint=comp.points[0])
-        basepoint = comp.basepoint
-        is_large = any(dist(basepoint, p) > outer for p in comp.points)
+        is_large = any(dist(comp.basepoint, p) > outer for p in comp.points)
         comps.append(replace(comp, cls=CLS_BOUNDED_LARGE if is_large else CLS_BOUNDED_SMALL))
     decomp = Decomposition(scale=decomp.scale, components=tuple(comps), owner=decomp.owner)
     z_points = {}
@@ -313,23 +324,30 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S, tracer=None):
             on_iter = lambda n, c: tracer(x, n, c)
         flowed, _ = stabilize(prep.flow_map, chains[x], on_iterate=on_iter)
         support = set(flowed)
+        has_tail = False
+        reach = 0  # the largest distance from x to a support point
         for p in support:
             if aug.component_of(p).index != comp.index:
                 raise InternalInvariantError(f"flow left the component at {x!r}")
-            if isinstance(p, tuple) and p[1] > N:
-                raise InternalInvariantError(f"tail index beyond N in the support of {x!r}")
-            if aug.dist_units(x, p) > bounds["case1"]:
-                raise InternalInvariantError(
-                    f"stabilized support of {x!r} escaped the radius bound"
-                )
-        if comp.cls == CLS_UNBOUNDED:
-            case = "1"
-        elif comp.cls == CLS_BOUNDED_SMALL:
-            case = "2"
-        else:
-            case = "3b" if any(isinstance(p, tuple) for p in support) else "3a"
+            if isinstance(p, tuple):
+                has_tail = True
+                if p[1] > N:
+                    raise InternalInvariantError(f"tail index beyond N in the support of {x!r}")
+            reach = max(reach, aug.dist_units(x, p))
+        if reach > bounds["case1"]:
+            raise InternalInvariantError(f"stabilized support of {x!r} escaped the radius bound")
         subset = tailor_subset(plan, comp, support)
-        if case == "3b":
+        # in cases 1 and 3a the subset is the support itself, so its reach is the radius
+        if comp.cls == CLS_UNBOUNDED:
+            case, radius, limit = "1", reach, bounds["case1"]
+        elif comp.cls == CLS_BOUNDED_SMALL:
+            # the subset is the whole component (tailor_subset): no tail points
+            case, limit = "2", bounds["case2"]
+            radius = k * max(dist(x, p) for p in comp.points)
+        elif not has_tail:
+            case, radius, limit = "3a", reach, bounds["case3"]
+        else:
+            case, limit = "3b", bounds["case3"]
             if k * dist(x, comp.basepoint) > locality:
                 raise InternalInvariantError(
                     f"tail mass for {x!r} although it sits far from the basepoint"
@@ -339,12 +357,7 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S, tracer=None):
                 raise InternalInvariantError(
                     f"support of {x!r} collides with the annulus markers"
                 )
-        if case == "2":
-            # the subset is the whole component (tailor_subset): no tail points
-            radius = k * max(dist(x, p) for p in comp.points)
-        else:
             radius = max(aug.dist_units(x, p) for p in subset)
-        limit = bounds["case1"] if case == "1" else bounds["case2" if case == "2" else "case3"]
         if radius > limit:
             raise InternalInvariantError(
                 f"output radius {Fraction(radius, aug.unit)} for {x!r} exceeds "

@@ -2,9 +2,10 @@
 
 verify_naive re-derives every ratio and the support radius from the space
 and the proposed subsets alone; verify_certificate reruns the deterministic
-pipeline and demands byte-equality of the canonical serialization. The flow
-monitor brute-forces every small chain on a successor path and checks the
-redistribution laws exhaustively.
+pipeline and demands that the parsed output equal the recomputed one, field
+by field and with the same JSON types (so the file's whitespace does not
+matter). The flow monitor brute-forces every small chain on a successor path
+and checks the redistribution laws exhaustively.
 """
 from __future__ import annotations
 

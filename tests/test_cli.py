@@ -235,6 +235,11 @@ def test_exit_codes(tmp_path, capsys):
             "type": "generator", "kind": "weighted_ball",
             "params": {"space": {"kind": "line", "params": "1/2"}},
         }),
+        # two hints on one point: counted per component, so neither silently wins
+        lambda d: d.update(unbounded_hints=[
+            {"component_of": "a", "ray": ["a"]}, {"component_of": "a", "ray": ["a", "b"]},
+        ]),
+        lambda d: d.update(unbounded_hints=[{"component_of": "a", "ray": ["a", "b"]}] * 2),
     ]
     for breakage in breakages:
         doc = json.loads(json.dumps(base))

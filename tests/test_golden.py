@@ -5,8 +5,10 @@ the exact bytes, so a refactor that changes any output fails here. The
 instances cover the positions and graph backends and cases 1, 2, 3a and 3b,
 with integer distances and with non-integer rational ones: steps of 1/3 and
 2/5, edge weights with denominators 2 to 6, and a tail spacing S = 3/4 on a
-1/2-step line, which is not a whole number of the line's units. A
-deliberate format change must update the hashes in the same commit.
+1/2-step line, which is not a whole number of the line's units. Unbounded
+hints cover a ray that starts mid-component and one that falls back to the
+bounded path with a warning. A deliberate format change must update the
+hashes in the same commit.
 """
 from __future__ import annotations
 
@@ -57,6 +59,28 @@ GRAPH_DOC = {
         "b4": {"b3": 2, "b4": 2},
     },
     "unbounded_hints": [{"component_of": "b2", "ray": ["b0", "b1", "b2", "b3", "b4"]}],
+}
+
+# Two 20-point unit lines at S = 2 with ball-sum chains B(x, 2) + B(x, 1). The
+# a-line's hint starts its ray mid-component, so a10 becomes the basepoint
+# (case 1); the b-line's ray hops 5 > S, so that hint falls back with a
+# warning (case 2).
+LINES = {f"{c}{i:02d}": base + i for c, base in (("a", 0), ("b", 100)) for i in range(20)}
+HINTS_DOC = {
+    "space": {"points": sorted(LINES), "metric": {"type": "positions", "values": LINES}},
+    "params": {"R": "1", "epsilon": "1", "S": "2"},
+    "chains": {
+        x: {
+            y: (abs(LINES[x] - LINES[y]) <= 2) + (abs(LINES[x] - LINES[y]) <= 1)
+            for y in LINES
+            if abs(LINES[x] - LINES[y]) <= 2
+        }
+        for x in LINES
+    },
+    "unbounded_hints": [
+        {"component_of": "a03", "ray": [f"a{i}" for i in range(10, 20)]},
+        {"component_of": "b00", "ray": ["b00", "b05"]},
+    ],
 }
 
 # name, generate arguments (or an instance document), trace point, case counts,
@@ -165,6 +189,17 @@ GOLDEN = [
         "edcead03f81f432907dc9281de2f0ce1f1f9deee2382590434df3a1c35e974d3",
         "466d7c13f4d0c82591facfe0155991051e65a4c761a2b9aa4070a823d39fc691",
         "11d4109067d9110b55cd46fae7acb176401718d869f1a32b42e8b0f99cfbd127",
+    ),
+    (
+        "hints_mixed",
+        HINTS_DOC,
+        "a12",
+        {"1": 20, "2": 20},
+        "95c1dea07aa05d12a76cdcc4df77a23ce76da6919678ae9788d89556c91a8161",
+        "d9dc458959f17cd181d179be7069540cdd31d1d7b8ebe2932d1714b9254f82a6",
+        "5ca24a022a5b77da5f992e200e3ff3a6f83499df8e248194b9f453736a20037b",
+        "8bce233b1d2b5b6b3f126d17ab3fa72d9ae8576b27e7c23f95066a93ed4277cb",
+        "e76f283c3a7efd7ec4cb14f57c48cfe9157e3c63a3fc172f802536fe0ea986b3",
     ),
 ]
 

@@ -12,15 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from naivea.chains import InstanceParams
 from naivea.errors import InternalInvariantError, MalformedInputError, UnknownPointError
 from naivea.space import (
     CLS_BOUNDED_SMALL,
+    CLS_UNBOUNDED,
     Component,
     Decomposition,
     _assert_separated,
     build_space,
     rips_components,
 )
+from naivea.tailor import classify
 
 
 def floyd_warshall(points, edges):
@@ -168,10 +171,15 @@ def test_hint_overrides_basepoint():
         hints=[{"component_of": "p0", "ray": ["p3", "p4"]}],
     )
     decomp = rips_components(sp, 1)
-    comp = decomp.components[0]
+    # the decomposition only groups points; classify alone reads the hints
+    assert decomp.components[0].basepoint == "p0"
+    assert decomp.components[0].ray is None
+    params = InstanceParams(R=Fraction(1, 2), epsilon=Fraction(1), S=Fraction(1), L=2, N=6)
+    comp = classify(sp, decomp, params)[0].components[0]
+    assert comp.cls == CLS_UNBOUNDED
     assert comp.basepoint == "p3"
     assert comp.ray == ("p3", "p4")
-    assert comp.anchor == "p3"  # provisional class is bounded, so anchor=basepoint
+    assert comp.anchor == "p4"
 
 
 def test_hint_validation():
@@ -196,17 +204,25 @@ def test_hint_validation():
         )
 
 
-def test_multiple_hints_on_one_component_rejected(two):
-    sp = build_space(
-        two.points,
-        {"type": "positions", "values": {p: two.metric.positions[p] for p in two.points}},
-        hints=[
-            {"component_of": "q0", "ray": ["q0"]},
-            {"component_of": "q1", "ray": ["q1"]},
-        ],
-    )
-    with pytest.raises(MalformedInputError, match="multiple unbounded hints"):
-        rips_components(sp, 2)
+def test_multiple_hints_on_one_component_rejected(two, two_params):
+    values = {p: two.metric.positions[p] for p in two.points}
+    cases = [
+        # two points of one component
+        ("q0", [{"component_of": "q0", "ray": ["q0"]}, {"component_of": "q1", "ray": ["q1"]}]),
+        # one point with two different rays: neither may silently win
+        ("r0", [{"component_of": "r1", "ray": ["r0"]}, {"component_of": "r1", "ray": ["r0", "r1"]}]),
+        # an exact duplicate
+        ("q0", [{"component_of": "q2", "ray": ["q2", "q1"]}] * 2),
+    ]
+    for first, hints in cases:
+        sp = build_space(two.points, {"type": "positions", "values": values}, hints=hints)
+        decomp = rips_components(sp, 2)
+        assert all(c.basepoint == c.points[0] and c.ray is None for c in decomp.components)
+        with pytest.raises(
+            MalformedInputError,
+            match=f"multiple unbounded hints target the component of '{first}'",
+        ):
+            classify(sp, decomp, two_params)
 
 
 def test_component_anchor_follows_class():

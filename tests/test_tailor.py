@@ -4,9 +4,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naivea.chains import ChainFamily, InstanceParams, set_ratio, variation_ratio
-from naivea.errors import InternalInvariantError, PreconditionError
+from naivea.errors import InternalInvariantError, MalformedInputError, PreconditionError
 from naivea.generators import gen_instance
 from naivea.space import (
     CLS_BOUNDED_LARGE,
@@ -84,6 +86,66 @@ def test_classify_accepts_valid_ray():
     assert comp.basepoint == "p2"
     assert comp.anchor == "p4"
     assert plan.warnings == ()
+
+
+# two S-connected lines at S = 1, far apart: a0..a5 at 0..5 and b0..b5 at 50..55
+HINT_POSITIONS = {f"{c}{i}": base + i for c, base in (("a", 0), ("b", 50)) for i in range(6)}
+HINT_IDS = sorted(HINT_POSITIONS)
+
+
+@st.composite
+def ray_hints(draw):
+    """0-3 hints naming random points; a ray is a slice of one line, its
+    reverse, or random points (which may repeat, jump or cross lines)."""
+    hints = []
+    for _ in range(draw(st.integers(0, 3))):
+        line = draw(st.sampled_from("ab"))
+        i = draw(st.integers(0, 5))
+        j = draw(st.integers(i + 1, 6))
+        shape = draw(st.sampled_from(["slice", "reversed", "random"]))
+        if shape == "random":
+            ray = draw(st.lists(st.sampled_from(HINT_IDS), min_size=1, max_size=4))
+        else:
+            ray = [f"{line}{n}" for n in range(i, j)]
+            if shape == "reversed":
+                ray.reverse()
+        hints.append({"component_of": draw(st.sampled_from(HINT_IDS)), "ray": ray})
+    return hints
+
+
+@settings(max_examples=300, deadline=None)
+@given(ray_hints())
+def test_classify_counts_hints_per_component(hints):
+    space = build_space(
+        HINT_IDS, {"type": "positions", "values": HINT_POSITIONS}, hints=hints
+    )
+    params = InstanceParams(R=Fraction(1, 2), epsilon=Fraction(1), S=Fraction(1), L=2, N=6)
+    decomp = rips_components(space, 1)
+    by_line = {c: [h for h in hints if h["component_of"][0] == c] for c in "ab"}
+    crowded = [c for c in "ab" if len(by_line[c]) > 1]
+    if crowded:
+        with pytest.raises(MalformedInputError, match=f"component of '{crowded[0]}0'"):
+            classify(space, decomp, params)
+        return
+    classified, plan = classify(space, decomp, params)
+    for comp in classified.components:
+        mine = by_line[comp.points[0][0]]
+        ray = tuple(mine[0]["ray"]) if mine else None
+        valid = ray is not None and (
+            len(set(ray)) == len(ray)
+            and all(p[0] == comp.points[0][0] for p in ray)
+            and all(abs(HINT_POSITIONS[u] - HINT_POSITIONS[v]) <= 1 for u, v in zip(ray, ray[1:]))
+        )
+        if valid:
+            assert comp.cls == CLS_UNBOUNDED
+            assert (comp.basepoint, comp.ray) == (ray[0], ray)
+        else:
+            assert comp.cls == CLS_BOUNDED_SMALL
+            assert (comp.basepoint, comp.ray) == (comp.points[0], None)
+    assert len(plan.warnings) == sum(
+        1 for comp in classified.components
+        if by_line[comp.points[0][0]] and comp.cls != CLS_UNBOUNDED
+    )
 
 
 def test_tailor_subset_cases():
