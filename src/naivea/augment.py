@@ -54,8 +54,7 @@ def aug_sort_key(p):
 class AugmentedSpace:
     space: Space
     decomposition: Decomposition
-    params: InstanceParams
-    tail_cap: int
+    params: InstanceParams  # params.N caps the tail index
     unit: int = field(init=False)  # distances are ints in units of 1/unit
     k: int = field(init=False, repr=False)  # augmented units per base unit
     step: int = field(init=False, repr=False)  # the tail spacing S, in units
@@ -86,9 +85,9 @@ class AugmentedSpace:
             raise UnknownPointError(f"no component anchored at {anchor!r}")
         if not isinstance(index, int) or index < 1:
             raise MalformedInputError(f"bad tail index in {p!r}")
-        if index > self.tail_cap:
+        if index > self.params.N:
             raise InternalInvariantError(
-                f"tail index {index} exceeds the cap {self.tail_cap} at {anchor!r}"
+                f"tail index {index} exceeds the cap {self.params.N} at {anchor!r}"
             )
 
     def dist(self, u, v) -> Fraction:
@@ -141,9 +140,9 @@ class AugmentedSpace:
 
     def materialize(self, max_index: int) -> list:
         """Every base point plus tail points up to max_index (tests only)."""
-        if max_index > self.tail_cap:
+        if max_index > self.params.N:
             raise InternalInvariantError(
-                f"materialization depth {max_index} exceeds the cap {self.tail_cap}"
+                f"materialization depth {max_index} exceeds the cap {self.params.N}"
             )
         pts: list = list(self.space.points)
         for comp in self.decomposition.components:
@@ -154,7 +153,5 @@ class AugmentedSpace:
 def augment(space: Space, decomposition: Decomposition, params: InstanceParams) -> AugmentedSpace:
     if params.N is None:
         raise InternalInvariantError("augment needs completed params (N unset)")
-    return AugmentedSpace(
-        space=space, decomposition=decomposition, params=params, tail_cap=params.N
-    )
+    return AugmentedSpace(space=space, decomposition=decomposition, params=params)
 

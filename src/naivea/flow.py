@@ -4,11 +4,12 @@ Each point keeps one unit of whatever it holds; the excess moves one hop
 along the successor map per step. Successors follow a breadth-first spanning
 tree of the S-Rips graph toward the component's escape route (the tail for
 bounded components, the ray and its continuation for unbounded ones), so
-repeated steps spread any chain into a set indicator of the same mass.
+repeated steps spread any chain into a set indicator of the same mass. The
+tree is not searched here: it is ``Component.parent``, grown from the
+basepoint by ``space.rips_components`` or from the ray by ``tailor.classify``.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .augment import AugmentedSpace
@@ -39,58 +40,32 @@ class FlowMap:
         return nxt
 
 
-def _bfs_tree(space, points, seeds, scale):
-    """Parent pointers of a BFS forest over the S-Rips graph of one component.
-
-    Seeds enter the queue in the order given; neighbors are explored in lex
-    order, and a point's parent is whichever vertex discovered it first.
-    """
-    parent = {}
-    seen = set(seeds)
-    queue = deque(seeds)
-    while queue:
-        u = queue.popleft()
-        for v in sorted(space.metric.neighbors_within(u, scale)):
-            if v in points and v not in seen:
-                seen.add(v)
-                parent[v] = u
-                queue.append(v)
-    if len(seen) != len(points):
-        missing = sorted(set(points) - seen)[0]
-        raise InternalInvariantError(f"component not S-connected at {missing!r}")
-    return parent
-
-
 def build_flow(aug: AugmentedSpace) -> FlowMap:
-    """Successor map for every component of an augmented space."""
+    """Successor map for every component of an augmented space: each point's
+    parent in its component's tree, then the ray in order, and the escape
+    edge from the tree's root (or the ray's end) onto the tail."""
     space = aug.space
-    scale = aug.decomposition.scale
     base_successor = {}
     for comp in aug.decomposition.components:
+        base_successor.update(comp.parent)  # the roots map to None until set below
         if comp.cls == CLS_UNBOUNDED:
             ray = comp.ray
             if not ray:
                 raise InternalInvariantError(
                     f"component at {comp.basepoint!r} marked unbounded without a ray"
                 )
-            parent = _bfs_tree(space, comp.point_set, list(ray), scale)
-            for child, par in parent.items():
-                base_successor[child] = par
-            for i in range(len(ray) - 1):
-                base_successor[ray[i]] = ray[i + 1]
+            for a, b in zip(ray, ray[1:]):
+                base_successor[a] = b
             base_successor[ray[-1]] = (comp.anchor, 1)
         else:
-            parent = _bfs_tree(space, comp.point_set, [comp.basepoint], scale)
-            for child, par in parent.items():
-                base_successor[child] = par
             base_successor[comp.basepoint] = (comp.anchor, 1)
-    hop = floor_units(scale, space.metric.denominator)
+    hop = floor_units(aug.decomposition.scale, space.metric.denominator)
     for child, par in base_successor.items():
         if isinstance(par, str) and space.metric.dist(child, par) > hop:
             raise InternalInvariantError(
                 f"successor edge ({child!r}, {par!r}) longer than the scale"
             )
-    return FlowMap(base_successor=base_successor, tail_cap=aug.tail_cap)
+    return FlowMap(base_successor=base_successor, tail_cap=aug.params.N)
 
 
 def split(a) -> tuple[dict, dict]:

@@ -9,6 +9,12 @@ Every comparison inside the pipeline is between ints; a rational threshold q
 enters as floor(q * D) (``rational.floor_units``). ``Space.dist`` turns a
 distance back into the exact Fraction at the public boundary. Nothing here
 ever touches a float.
+
+``bfs_tree`` is the package's one breadth-first search of the S-Rips graph.
+``rips_components`` runs it from each component's basepoint and keeps the
+tree on the ``Component``; ``tailor.classify`` runs it again from a ray it
+accepts. The flow's successor map and the annulus markers read the stored
+tree and do not search the graph themselves.
 """
 from __future__ import annotations
 
@@ -322,6 +328,10 @@ class Component:
     basepoint: PointId
     cls: str = CLS_BOUNDED_SMALL
     ray: tuple[PointId, ...] | None = None
+    # BFS tree of the component's S-Rips graph (``bfs_tree``), child -> parent
+    # and root -> None: rooted at the basepoint, or seeded with the whole ray
+    # once classify accepts one
+    parent: dict = field(default_factory=dict, repr=False, compare=False)
     point_set: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -349,14 +359,36 @@ class Decomposition:
             raise UnknownPointError(f"unknown point id {x!r}") from None
 
 
+def bfs_tree(space: Space, seeds, scale) -> dict:
+    """Parent pointers of the breadth-first forest of the scale-Rips graph
+    grown from ``seeds``.
+
+    Seeds enter the queue in the order given and map to None; neighbors are
+    explored in lex order, and every other point's parent is whichever vertex
+    discovered it first. The map lists points in discovery order, so a parent
+    always comes before its children.
+    """
+    parent = dict.fromkeys(seeds)
+    queue = deque(parent)
+    near = space.metric.neighbors_within
+    while queue:
+        u = queue.popleft()
+        for v in sorted(near(u, scale)):
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
 def rips_components(space: Space, S) -> Decomposition:
     """Split the space into S-connected pieces (edges where d <= S).
 
     Components are indexed by their lexicographically smallest member, which
-    is also their basepoint. This only groups points: every component comes
-    out with no ray and the provisional class, and ``tailor.classify`` alone
-    reads the space's unbounded hints and decides rays, basepoints and
-    classes.
+    is also their basepoint. Each component is the ``bfs_tree`` grown from its
+    basepoint, and keeps that tree as ``parent``. This only groups points:
+    every component comes out with no ray and the provisional class, and
+    ``tailor.classify`` alone reads the space's unbounded hints and decides
+    rays, basepoints, classes and, for a ray, the ray-seeded tree.
     """
     S = Fraction(S)
     if S <= 0:
@@ -367,18 +399,10 @@ def rips_components(space: Space, S) -> Decomposition:
         if start in owner:
             continue
         idx = len(components)
-        group = []
-        owner[start] = idx
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            group.append(u)
-            for v in space.metric.neighbors_within(u, S):
-                if v not in owner:
-                    owner[v] = idx
-                    queue.append(v)
-        pts = tuple(sorted(group))
-        components.append(Component(index=idx, points=pts, basepoint=pts[0]))
+        parent = bfs_tree(space, [start], S)
+        owner.update(dict.fromkeys(parent, idx))
+        pts = tuple(sorted(parent))
+        components.append(Component(index=idx, points=pts, basepoint=pts[0], parent=parent))
     decomp = Decomposition(scale=S, components=tuple(components), owner=owner)
     _assert_separated(space, decomp)
     return decomp

@@ -9,7 +9,7 @@ differences exactly while pulling everything back into the space.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -35,6 +35,7 @@ from .space import (
     Component,
     Decomposition,
     Space,
+    bfs_tree,
     rips_components,
 )
 
@@ -42,8 +43,6 @@ from .space import (
 @dataclass(frozen=True)
 class TailorPlan:
     z_points: dict
-    inner: int  # floor((3S+3SN) * D), compared with int distances
-    outer: int  # floor((3S+4SN) * D)
     warnings: tuple
 
 
@@ -122,13 +121,14 @@ def classify(space: Space, decomp: Decomposition, params: InstanceParams):
     Unbounded hints are read here and counted per component: two hints on
     one component, even on one point of it, are malformed input. A single
     hint with a valid ray makes its component emulate an unbounded one, with
-    the ray's first point as basepoint; an invalid one falls back to the
-    bounded path with a recorded warning.
+    the ray's first point as basepoint and the ``bfs_tree`` seeded with the
+    whole ray as its tree; an invalid one falls back to the bounded path with
+    a recorded warning, keeping the basepoint tree of ``rips_components``.
     """
     if params.N is None:
         raise InternalInvariantError("classify needs completed params (N unset)")
     S = params.S
-    inner, outer = _annulus(space, params)
+    _, outer = _annulus(space, params)
     dist = space.metric.dist
     hints = defaultdict(list)  # component index -> the hints naming a point of it
     for hint in space.hints:
@@ -145,7 +145,15 @@ def classify(space: Space, decomp: Decomposition, params: InstanceParams):
             ray = mine[0].ray
             problem = _ray_problem(space, comp, ray, S)
             if problem is None:
-                comps.append(replace(comp, cls=CLS_UNBOUNDED, basepoint=ray[0], ray=ray))
+                tree = bfs_tree(space, ray, decomp.scale)
+                missing = comp.point_set - tree.keys()
+                if missing:
+                    raise InternalInvariantError(
+                        f"component not S-connected at {min(missing)!r}"
+                    )
+                comps.append(
+                    replace(comp, cls=CLS_UNBOUNDED, basepoint=ray[0], ray=ray, parent=tree)
+                )
                 continue
             warnings.append(
                 f"ignoring unbounded hint for the component of {comp.points[0]!r}: {problem}"
@@ -157,36 +165,26 @@ def classify(space: Space, decomp: Decomposition, params: InstanceParams):
     for comp in decomp.components:
         if comp.cls == CLS_BOUNDED_LARGE:
             z_points[comp.index] = annulus_points(space, comp, params)
-    plan = TailorPlan(
-        z_points=z_points,
-        inner=inner,
-        outer=outer,
-        warnings=tuple(warnings),
-    )
-    return decomp, plan
+    return decomp, TailorPlan(z_points=z_points, warnings=tuple(warnings))
 
 
 def annulus_points(space: Space, comp: Component, params: InstanceParams) -> tuple:
     """N distinct markers with 3S+3SN < d(basepoint, .) <= 3S+4SN.
 
     Taken along a shortest S-Rips path from the basepoint to the lex-smallest
-    point beyond the outer radius; the path is pinned down by walking backward
-    from the target, always via the predecessor farthest from the basepoint
-    (ties to the lex-smallest). Steps change the distance by at most S, so the
-    path meets the annulus at least N times.
+    point beyond the outer radius; hop counts are depths in the component's
+    BFS tree (``comp.parent``, rooted at the basepoint). The path is pinned
+    down by walking backward from the target, always via the predecessor
+    farthest from the basepoint (ties to the lex-smallest). Steps change the
+    distance by at most S, so the path meets the annulus at least N times.
     """
     S, N = params.S, params.N
     inner, outer = _annulus(space, params)
     dist = space.metric.dist
     bp = comp.basepoint
-    level = {bp: 0}
-    queue = deque([bp])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(space.metric.neighbors_within(u, S)):
-            if v in comp.point_set and v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
+    level = {}
+    for v, u in comp.parent.items():  # parents come before their children
+        level[v] = 0 if u is None else level[u] + 1
     target = None
     for p in comp.points:  # sorted, so the first hit is the lex-smallest
         if dist(bp, p) > outer:

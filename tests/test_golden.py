@@ -2,9 +2,10 @@
 
 Criterion 7 only compares reruns of the same code. These sha256 values pin
 the exact bytes, so a refactor that changes any output fails here. The
-instances cover the positions and graph backends and cases 1, 2, 3a and 3b,
-with integer distances and with non-integer rational ones: steps of 1/3 and
-2/5, edge weights with denominators 2 to 6, and a tail spacing S = 3/4 on a
+instances cover the positions, graph and matrix backends and cases 1, 2, 3a
+and 3b (3a and 3b on a line and on a grid, whose BFS trees branch), with
+integer distances and with non-integer rational ones: steps of 1/3 and 2/5,
+edge weights with denominators 2 to 6, and a tail spacing S = 3/4 on a
 1/2-step line, which is not a whole number of the line's units. Unbounded
 hints cover a ray that starts mid-component and one that falls back to the
 bounded path with a warning. A deliberate format change must update the
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -81,6 +83,44 @@ HINTS_DOC = {
         {"component_of": "a03", "ray": [f"a{i}" for i in range(10, 20)]},
         {"component_of": "b00", "ray": ["b00", "b05"]},
     ],
+}
+
+# The matrix backend, entries listed in a non-sorted point order: a 2x3 grid
+# with L1 spacing 1/2 (its S-Rips tree at S = 1 branches) and a 1/3-step line
+# whose ray hint starts at b1, so b0 hangs off the ray-seeded tree; the two
+# groups sit 5 apart. Chains are the ball sums B(x, 1) + B(x, 1/2).
+GRID6 = {f"a{r}_{c}": (r, c) for r in range(2) for c in range(3)}
+LINE4 = {f"b{i}": i for i in range(4)}
+MATRIX_POINTS = sorted(LINE4) + sorted(GRID6)
+
+
+def matrix_dist(x, y):
+    if x in GRID6 and y in GRID6:
+        (r, c), (s, t) = GRID6[x], GRID6[y]
+        return Fraction(abs(r - s) + abs(c - t), 2)
+    if x in LINE4 and y in LINE4:
+        return Fraction(abs(LINE4[x] - LINE4[y]), 3)
+    return Fraction(5)
+
+
+MATRIX_DOC = {
+    "space": {
+        "points": MATRIX_POINTS,
+        "metric": {
+            "type": "matrix",
+            "entries": [[str(matrix_dist(x, y)) for y in MATRIX_POINTS] for x in MATRIX_POINTS],
+        },
+    },
+    "params": {"R": "1/2", "epsilon": "1", "S": "1"},
+    "chains": {
+        x: {
+            y: (matrix_dist(x, y) <= 1) + (matrix_dist(x, y) <= Fraction(1, 2))
+            for y in MATRIX_POINTS
+            if matrix_dist(x, y) <= 1
+        }
+        for x in MATRIX_POINTS
+    },
+    "unbounded_hints": [{"component_of": "b0", "ray": ["b1", "b2", "b3"]}],
 }
 
 # name, generate arguments (or an instance document), trace point, case counts,
@@ -200,6 +240,29 @@ GOLDEN = [
         "5ca24a022a5b77da5f992e200e3ff3a6f83499df8e248194b9f453736a20037b",
         "8bce233b1d2b5b6b3f126d17ab3fa72d9ae8576b27e7c23f95066a93ed4277cb",
         "e76f283c3a7efd7ec4cb14f57c48cfe9157e3c63a3fc172f802536fe0ea986b3",
+    ),
+    (
+        "matrix10",
+        MATRIX_DOC,
+        "a0_1",
+        {"1": 4, "2": 6},
+        "a344eb5b31dba4e7f135fcf2813cd54076b437835a8ec15af778062f170c93ed",
+        "e5aad335e39de92e0c421e7018232fc6446fbcf7af5d803d52024a0a5c7595fc",
+        "a3469704996439c9e9e5bd94b49322932ceffc787e93b4e15badc80b8d9f8448",
+        "c03a8d0bfcc0a35bce1eb27fba8e97d1b16c8322d6b809789f468472dc70d0ad",
+        "9755fa9dd038ba5220a93235424191bced1e6f8c8ef58b946ff838cac0a74cfa",
+    ),
+    (
+        "grid2x340",
+        ["grid", "--rows", "2", "--cols", "340", "--radii", "1,1", "--R", "1/2",
+         "--epsilon", "1"],
+        "n0_005",
+        {"3a": 672, "3b": 8},
+        "cb950b4fe847a75f3b5b61e61e9e19386bc4a576b2a465aa5289b1aa15f0aca8",
+        "e4a01781e4bbe102cbe0bc64766eecd9f0de333a3fd6085664be33a86c91eb23",
+        "cc884c5477bc8fb4203381a477e4b82f67e724f0ca65b4b401e697b446025349",
+        "be202e9ef970baef4b45a12414488032b7755f564326b85008b04881cca17bc5",
+        "1c059e7582a7805d4080749bbd7462b98b96826cfe71e1a89c30585620112a00",
     ),
 ]
 

@@ -17,7 +17,14 @@ from naivea.space import (
     build_space,
     rips_components,
 )
-from naivea.tailor import annulus_points, classify, prepare, run_pipeline, tailor_subset
+from naivea.tailor import (
+    _annulus,
+    annulus_points,
+    classify,
+    prepare,
+    run_pipeline,
+    tailor_subset,
+)
 
 SMALL_PARAMS = InstanceParams(R=Fraction(1), epsilon=Fraction(1), S=Fraction(2), L=2, N=6)
 
@@ -36,7 +43,7 @@ def test_classify_small_vs_large():
     assert small.components[0].cls == CLS_BOUNDED_SMALL
     large, plan = classify(unit_line(60), rips_components(unit_line(60), 2), SMALL_PARAMS)
     assert large.components[0].cls == CLS_BOUNDED_LARGE
-    assert plan.inner == 42 and plan.outer == 54
+    assert _annulus(unit_line(60), SMALL_PARAMS) == (42, 54)
     assert 0 in plan.z_points
 
 
