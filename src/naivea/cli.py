@@ -30,24 +30,13 @@ def _format_chain(chain) -> str:
     return " ".join(f"{format_aug(p)}:{chain[p]}" for p in sorted(chain, key=aug_sort_key))
 
 
+# generate flags passed to the generator as given, under their own names
+_GEN_FLAGS = ("count", "step", "rows", "cols", "min_len", "max_len", "gap", "n",
+              "folner_radius", "unbounded", "emulate_unbounded")
+
+
 def _gen_params(args) -> dict:
-    params = {}
-    simple = {
-        "count": args.count,
-        "step": args.step,
-        "rows": args.rows,
-        "cols": args.cols,
-        "min_len": args.min_len,
-        "max_len": args.max_len,
-        "gap": args.gap,
-        "n": args.n,
-        "folner_radius": args.folner_radius,
-    }
-    for key, value in simple.items():
-        if value is not None:
-            params[key] = value
-    if args.radii is not None:
-        params["radii"] = [r.strip() for r in args.radii.split(",") if r.strip()]
+    params = {k: getattr(args, k) for k in _GEN_FLAGS if getattr(args, k) is not None}
     if args.generators is not None:
         try:
             params["generators"] = [int(g) for g in args.generators.split(",") if g.strip()]
@@ -55,22 +44,12 @@ def _gen_params(args) -> dict:
             raise MalformedInputError(
                 f"--generators must be comma-separated ints, got {args.generators!r}"
             ) from None
-    if args.unbounded:
-        params["unbounded"] = True
-    if args.no_emulate_unbounded:
-        params["emulate_unbounded"] = False
+    if args.kind == "weighted_ball":
+        params = {"space": {"kind": args.space_kind or "disjoint_union_paths", "params": params}}
+    if args.radii is not None:
+        params["radii"] = [r.strip() for r in args.radii.split(",") if r.strip()]
     params["R"] = args.R
     params["epsilon"] = args.epsilon
-    if args.kind == "weighted_ball":
-        space_kind = args.space_kind or "disjoint_union_paths"
-        inner = {k: v for k, v in params.items() if k not in ("radii", "R", "epsilon")}
-        params = {
-            "space": {"kind": space_kind, "params": inner},
-            "R": args.R,
-            "epsilon": args.epsilon,
-        }
-        if args.radii is not None:
-            params["radii"] = [r.strip() for r in args.radii.split(",") if r.strip()]
     return params
 
 
@@ -84,17 +63,9 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     instance = load_instance(args.instance)
-    trace_lines = []
-    tracer = None
-    if args.trace:
-        tracer = lambda x, n, chain: trace_lines.append(f"{x} {n} {_format_chain(chain)}")
+    params = instance.params
     subsets, certificate = run_pipeline(
-        instance.space,
-        instance.family,
-        instance.params.R,
-        instance.params.epsilon,
-        instance.params.S,
-        tracer=tracer,
+        instance.space, instance.family, params.R, params.epsilon, params.S
     )
     for warning in certificate.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -104,8 +75,10 @@ def cmd_run(args) -> int:
 
     write_canonical(args.out, output_to_jsonable(subsets, certificate))
     if args.trace:
+        flow_map, chains = _prepare(instance).flow_map, instance.family.chains
         with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(trace_lines) + ("\n" if trace_lines else ""))
+            for x in instance.space.points:
+                fh.writelines(f"{x} {line}\n" for line in _flow_lines(flow_map, chains[x]))
     print(
         f"wrote {args.out}: worst ratio {format_ratio(certificate.worst_ratio)}, "
         f"worst radius {format_rational(certificate.worst_radius)}"
@@ -117,7 +90,9 @@ def cmd_verify(args) -> int:
     instance = load_instance(args.instance)
     subsets_raw, certificate_raw = load_output(args.output)
     subsets = parse_subsets(subsets_raw)
-    anchors = {h.ray[-1] for h in instance.space.hints}
+    # a tail may hang only at the ray end of a hint whose component is case 1
+    cases = certificate_raw["cases"] if isinstance(certificate_raw["cases"], dict) else {}
+    anchors = {h.ray[-1] for h in instance.space.hints if cases.get(h.component_of) == "1"}
     naive = verify_naive(
         instance.space,
         subsets,
@@ -146,6 +121,13 @@ def _prepare(instance):
     return prepare(instance.space, instance.family, params.R, params.epsilon, params.S)
 
 
+def _flow_lines(flow_map, chain) -> list:
+    """One ``"n chain"`` line per synchronous step of the flow of ``chain``."""
+    lines = []
+    stabilize(flow_map, chain, on_iterate=lambda n, c: lines.append(f"{n} {_format_chain(c)}"))
+    return lines
+
+
 def cmd_trace(args) -> int:
     instance = load_instance(args.instance)
     if args.point not in instance.space.point_set:
@@ -154,11 +136,7 @@ def cmd_trace(args) -> int:
     if not prep.report.ok:
         raise PreconditionError("instance fails admission", report=prep.report)
     chain = instance.family.chains[args.point]
-    lines = [f"0 {_format_chain(chain)}"]
-    stabilize(
-        prep.flow_map, chain, on_iterate=lambda n, c: lines.append(f"{n} {_format_chain(c)}")
-    )
-    for line in lines:
+    for line in [f"0 {_format_chain(chain)}", *_flow_lines(prep.flow_map, chain)]:
         print(line)
     return 0
 
@@ -213,8 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--k", "--folner-radius", dest="folner_radius", type=int)
     gen.add_argument("--generators")
     gen.add_argument("--radii", help="comma-separated, non-increasing")
-    gen.add_argument("--unbounded", action="store_true")
-    gen.add_argument("--no-emulate-unbounded", action="store_true")
+    gen.add_argument("--unbounded", action="store_const", const=True)
+    gen.add_argument(
+        "--no-emulate-unbounded", dest="emulate_unbounded", action="store_const", const=False
+    )
     gen.add_argument("--space-kind", choices=SPACE_KINDS)
     gen.add_argument("--R", default="1")
     gen.add_argument("--epsilon", default="1")

@@ -92,7 +92,9 @@ def stabilize(flow: FlowMap, a, on_iterate=None) -> tuple[dict, int]:
 
     The iteration count is bounded by ||a|| * ||excess(a)||; exceeding it
     means the successor map loops or the window overflowed, which is a hard
-    failure. The result always occupies exactly ||a|| points.
+    failure. The result always occupies exactly ||a|| points. ``on_iterate``,
+    if given, is called with (count, chain) after every step; the CLI's flow
+    replay for ``trace`` and ``run --trace`` is its only user.
     """
     mass = l1_norm(a)
     _, excess = split(a)

@@ -292,13 +292,14 @@ def prepare(space: Space, family: ChainFamily, R, epsilon, S) -> Prepared:
     )
 
 
-def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S, tracer=None):
+def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S):
     """Full conversion: admission check, decomposition, flow, tailoring.
 
     Returns (SubsetFamily, Certificate). Raises PreconditionError when the
     instance fails admission and InternalInvariantError if any guaranteed
     bound fails to hold (which would mean the machinery is wrong, not the
-    input).
+    input). Each point's flow is one plain ``stabilize`` call; ``trace`` and
+    ``run --trace`` watch the steps by replaying the flow in the CLI.
     """
     prep = prepare(space, family, R, epsilon, S)
     report = prep.report
@@ -317,11 +318,7 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S, tracer=None):
 
     def handle(x):
         comp = decomp.component_of(x)
-        on_iter = None
-        if tracer is not None:
-            on_iter = lambda n, c: tracer(x, n, c)
-        flowed, _ = stabilize(prep.flow_map, chains[x], on_iterate=on_iter)
-        support = set(flowed)
+        support = set(stabilize(prep.flow_map, chains[x])[0])
         has_tail = False
         reach = 0  # the largest distance from x to a support point
         for p in support:

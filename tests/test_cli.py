@@ -71,18 +71,37 @@ def test_run_trace_file_matches_command(line_files, tmp_path, capsys):
     out = tmp_path / "o.json"
     trace = tmp_path / "t.txt"
     assert run_cli("run", str(inst), "--out", str(out), "--trace", str(trace)) == 0
+    in_file = {}
+    for line in trace.read_text().splitlines():
+        x, rest = line.split(" ", 1)
+        in_file.setdefault(x, []).append(rest)
+    points = read_json(inst)["space"]["points"]
+    assert list(in_file) == points  # every chain has excess, listed in point order
+    assert len(in_file["p00"]) == 3
     capsys.readouterr()
-    assert run_cli("trace", str(inst), "--point", "p05") == 0
-    printed = [
-        line.split(" ", 1)[1]
-        for line in capsys.readouterr().out.strip().splitlines()[1:]
-    ]
-    in_file = [
-        line.split(" ", 2)[2]
-        for line in trace.read_text().splitlines()
-        if line.startswith("p05 ")
-    ]
-    assert printed == in_file
+    for x in points:
+        assert run_cli("trace", str(inst), "--point", x) == 0
+        assert capsys.readouterr().out.strip().splitlines()[1:] == in_file[x]
+        counts = [int(line.split(" ", 1)[0]) for line in in_file[x]]
+        assert counts == list(range(1, len(counts) + 1))
+
+
+def test_verify_rejects_tail_at_a_rejected_hint(tmp_path, capsys):
+    # in the golden hints_mixed document, the b-line's hint ['b00', 'b05']
+    # falls back to the bounded path, so b05 carries no tail
+    from test_golden import HINTS_DOC
+
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    write_canonical(inst, HINTS_DOC)
+    assert run_cli("run", str(inst), "--out", str(out)) == 0
+    for anchor in ("b05", "b07"):
+        doc = read_json(out)
+        doc["subsets"]["b03"].append(f"{anchor}#1")
+        bad = tmp_path / f"bad_{anchor}.json"
+        write_canonical(bad, doc)
+        capsys.readouterr()
+        assert run_cli("verify", str(inst), str(bad)) == 2
+        assert f"unknown tail anchor {anchor!r}" in capsys.readouterr().err
 
 
 def test_inspect_summarizes(line_files, capsys):

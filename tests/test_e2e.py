@@ -1,0 +1,124 @@
+"""End to end on random instance documents: `run` either rejects the
+document (exit 2 or 3) or writes an output that `verify` accepts.
+
+Documents are small: 2-12 points on the positions, graph (rational edge
+weights) or matrix backend (a graph's shortest-path distances), with
+denominators up to 6, ball-sum chains and 0-2 ray hints. Exit 4 (an internal
+invariant) and any traceback fail the test. A 60-point unit line whose chains
+each put mass 2 on their own point is pinned as an example: its components
+are large, so it reaches cases 3a and 3b, which random documents this small
+do not.
+"""
+from __future__ import annotations
+
+from collections import Counter
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from naivea.cli import main
+from naivea.instance_io import read_json, write_canonical
+
+RATIONALS = sorted({Fraction(a, b) for a in range(1, 13) for b in range(1, 7)})
+rationals = st.sampled_from(RATIONALS)
+
+LONG_LINE = [f"p{i:02d}" for i in range(60)]
+LONG_LINE_DOC = {
+    "space": {
+        "points": LONG_LINE,
+        "metric": {"type": "positions", "values": {p: i for i, p in enumerate(LONG_LINE)}},
+    },
+    "params": {"R": "1/2", "epsilon": "1", "S": "1"},
+    "chains": {p: {p: 2} for p in LONG_LINE},
+}
+
+
+def shortest_paths(ids, edges):
+    dist = {(p, q): Fraction(0) if p == q else None for p in ids for q in ids}
+    for u, v, w in edges:
+        for a, b in ((u, v), (v, u)):
+            if dist[a, b] is None or w < dist[a, b]:
+                dist[a, b] = w
+    for k in ids:
+        for p in ids:
+            for q in ids:
+                if dist[p, k] is not None and dist[k, q] is not None:
+                    through = dist[p, k] + dist[k, q]
+                    if dist[p, q] is None or through < dist[p, q]:
+                        dist[p, q] = through
+    return dist
+
+
+@st.composite
+def documents(draw):
+    n = draw(st.integers(2, 12))
+    # ids are shuffled against the geometry, so lex-order tie breaks matter;
+    # ``ids`` is in line order (positions) or tree-growth order (graphs)
+    ids = [f"x{i:02d}" for i in draw(st.permutations(range(n)))]
+    radii = sorted(draw(st.lists(rationals, min_size=1, max_size=2)), reverse=True)
+    # most gaps and edge weights are at most the larger radius, so components
+    # hold several points; the others can split them
+    near = st.sampled_from([q for q in RATIONALS if q <= radii[0]])
+    gaps = st.one_of(near, near, near, near, rationals)
+    kind = draw(st.sampled_from(["positions", "graph", "matrix"]))
+    if kind == "positions":
+        values, at = {}, Fraction(0)
+        for p in ids:
+            values[p] = at
+            at += draw(gaps)
+        metric = {"type": "positions", "values": {p: str(v) for p, v in values.items()}}
+        dist = {(p, q): abs(values[p] - values[q]) for p in ids for q in ids}
+    else:
+        edges = [(ids[draw(st.integers(0, j - 1))], ids[j], draw(gaps)) for j in range(1, n)]
+        for _ in range(draw(st.integers(0, n // 2))):
+            u, v = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+            edges.append((u, v, draw(gaps)))
+        dist = shortest_paths(ids, edges)
+        metric = {"type": "graph", "edges": [[u, v, str(w)] for u, v, w in edges]}
+        if kind == "matrix":
+            metric = {"type": "matrix", "entries": [[str(dist[p, q]) for q in ids] for p in ids]}
+    chains = {
+        x: {y: sum(dist[x, y] <= r for r in radii) for y in ids if dist[x, y] <= radii[0]}
+        for x in ids
+    }
+    hints = []
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        i = draw(st.integers(0, n - 1))
+        ray = ids[i:draw(st.integers(i + 1, n))]
+        if draw(st.booleans()):
+            ray.reverse()
+        hints.append({"component_of": draw(st.sampled_from(ids)), "ray": ray})
+    # mostly S >= radii[0] > R; S = radii[0]/2 and R = S are drawn too, which admission may reject
+    S = radii[0] * draw(st.sampled_from([1, 1, 1, 2, Fraction(1, 2)]))
+    R = S * draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(5, 6), 1]))
+    doc = {
+        "space": {"points": ids, "metric": metric},
+        "params": {"R": str(R), "epsilon": draw(st.sampled_from(["1/2", "1", "2"])), "S": str(S)},
+        "chains": chains,
+    }
+    if hints:
+        doc["unbounded_hints"] = hints
+    return doc
+
+
+def run_and_verify(directory, doc):
+    inst, out = directory / "inst.json", directory / "out.json"
+    write_canonical(inst, doc)
+    code = main(["run", str(inst), "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert main(["verify", str(inst), str(out)]) == 0
+        return Counter(read_json(out)["certificate"]["cases"].values())
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=documents())
+@example(doc=LONG_LINE_DOC)
+def test_run_rejects_or_verifies(tmp_path_factory, doc):
+    run_and_verify(tmp_path_factory.mktemp("e2e"), doc)
+
+
+def test_long_line_reaches_case_3(tmp_path):
+    assert run_and_verify(tmp_path, LONG_LINE_DOC) == {"3a": 59, "3b": 1}

@@ -1,4 +1,4 @@
-"""Golden bytes: `run`, `verify`, `inspect` and `trace` output pinned across versions.
+"""Golden bytes: `run`, `run --trace`, `verify`, `inspect` and `trace` output pinned.
 
 Criterion 7 only compares reruns of the same code. These sha256 values pin
 the exact bytes, so a refactor that changes any output fails here. The
@@ -124,8 +124,8 @@ MATRIX_DOC = {
 }
 
 # name, generate arguments (or an instance document), trace point, case counts,
-# sha256 of the run output file, and of the run (output path as OUT), verify,
-# inspect and trace stdout
+# sha256 of the run output file, of the run (output path as OUT), verify,
+# inspect and trace stdout, and of the run --trace file
 GOLDEN = [
     (
         "line40",
@@ -137,6 +137,7 @@ GOLDEN = [
         "46e37325acc1a1e9cee15cc0b00df5b4199c50bba9527d6d393f1c0f567aae28",
         "16edab0723800df9fb0666aa84fba9cd8b45e3128cc84f397b25db85e7c38f2b",
         "da40b6a115c0f17c0fd2403cb7fbfc7d6060fd18bc7ca54015262b1ed39ed2c0",
+        "bad0d69bca7f6642f90e7cc594ecc785a12ed78f59c1c23c8402217587d9e336",
     ),
     (
         "line700",
@@ -148,6 +149,7 @@ GOLDEN = [
         "a00a7afa0b1bdbf8633c7a6b70a3b6d196b07ef1207279a72595e50239371e95",
         "c8d0bd107198b55d597e3e6565fff736d491cc7c1446abb35cc721dc7e29f8f6",
         "b8558f93f5c94001e5e90bce74f08a57b41ad0c2598a92aa16df953180539258",
+        "df89e71b2fb272fe7111bede8f4ee78e48ecfec19e0874395193c28b2fb79a8d",
     ),
     (
         "line20u",
@@ -159,6 +161,7 @@ GOLDEN = [
         "1d4d7dda297d2511278446d85ee6d3004956e7da75547c26b9c1b532da2e32be",
         "7f785d1345677431fe24b2e984792284fd68c7b6280b6ded8a5735a387dbf6e2",
         "f63bbb21e90ab27e6bd22273fbe69500d0791a07b935a4d28cdb7252d6d8b6e2",
+        "3578f7f7a0615a031fcae16aebfb2cbe34ae608fd0e0012e4ab136e4e21df950",
     ),
     (
         "cayley24",
@@ -170,6 +173,7 @@ GOLDEN = [
         "12fa13ecb5dc0939d5d53f8b4d217ce1031ce3c29fb3ed6770ae8e0242b7e772",
         "12d85339fbf3a8225e71db28e7a5e14677219542e3042665156b6a9b27401fb8",
         "690232b73fa648b6bcc911be74c3ee803a111c622a5eb8e8c1b92ad912c09531",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     (
         "line60_third",
@@ -182,6 +186,7 @@ GOLDEN = [
         "2c3810ba16cd48b2c8b75937cfe22a5686aed23d1b79e49d71904ee088b0bfa1",
         "52f9681ebe348a81775af73787e2fd55636cc3acbbcfd6a48a1f4e55fa1622fd",
         "9331b95420c55404ec3508b91cf9ef02fb7c728ddba81a4e9ed24116ad968a6c",
+        "9a2e350033016f17a48be8711e70e75702c4880557c8e9ab07249d3bb72dfc7c",
     ),
     (
         "line700_third",
@@ -194,6 +199,7 @@ GOLDEN = [
         "821e158ac7b8f45870ca4cd24aaf874d715f13936c39a0e78074c372da8a63f0",
         "c6fcbaa0240e89d26342eb4e3af87dd25788be92e21ca7a63fedc01d20e38cc5",
         "b8558f93f5c94001e5e90bce74f08a57b41ad0c2598a92aa16df953180539258",
+        "df89e71b2fb272fe7111bede8f4ee78e48ecfec19e0874395193c28b2fb79a8d",
     ),
     (
         "line30_fifth_u",
@@ -206,6 +212,7 @@ GOLDEN = [
         "d3eb138cd3ab1972bd55a13a5d254d7adeddf36515674dec83a6923b3bf38981",
         "163bf799a04d7ca25d55adc91ce3c79e535ba527d93491bec93b10bc1ad4b879",
         "b900e528eed76169d65595270be3cb5a666410137c56b1ec4ed0d5382451e8a8",
+        "3af962cd1919e2188853a6d90cceaa77bbc04a740b8785ffd3acc28762e900d5",
     ),
     (
         "line20_half_u",
@@ -218,6 +225,7 @@ GOLDEN = [
         "348450170b02dff29260f573698bdc127f6a252ec43051dcb568aa1a740f4322",
         "697def94751e043e8e492b3f0c613b79a413d1badd465921ab7db54f722fbe4c",
         "ac1a76b6374789794b7052ba57d396a9f0aa4e4372f3e30d150b98922bfef716",
+        "15220b6a63bf855f7abce66acdc730670e445ca01e946fe8c1cb328cd853171f",
     ),
     (
         "graph11_weights",
@@ -229,6 +237,7 @@ GOLDEN = [
         "edcead03f81f432907dc9281de2f0ce1f1f9deee2382590434df3a1c35e974d3",
         "466d7c13f4d0c82591facfe0155991051e65a4c761a2b9aa4070a823d39fc691",
         "11d4109067d9110b55cd46fae7acb176401718d869f1a32b42e8b0f99cfbd127",
+        "d969eaa266db34eeb4a847936c549f888b42b84ef5fc1b6bb95b1c3274b012a6",
     ),
     (
         "hints_mixed",
@@ -240,6 +249,7 @@ GOLDEN = [
         "5ca24a022a5b77da5f992e200e3ff3a6f83499df8e248194b9f453736a20037b",
         "8bce233b1d2b5b6b3f126d17ab3fa72d9ae8576b27e7c23f95066a93ed4277cb",
         "e76f283c3a7efd7ec4cb14f57c48cfe9157e3c63a3fc172f802536fe0ea986b3",
+        "3e3f370689d65bd7ba204c0b6465caa7a113cafd9c92c89768b08b11d65cb377",
     ),
     (
         "matrix10",
@@ -251,6 +261,7 @@ GOLDEN = [
         "a3469704996439c9e9e5bd94b49322932ceffc787e93b4e15badc80b8d9f8448",
         "c03a8d0bfcc0a35bce1eb27fba8e97d1b16c8322d6b809789f468472dc70d0ad",
         "9755fa9dd038ba5220a93235424191bced1e6f8c8ef58b946ff838cac0a74cfa",
+        "f40602145cc00e8791c327bbc8658bf63dbf8ad56faa5bbae48a194b55167024",
     ),
     (
         "grid2x340",
@@ -263,6 +274,7 @@ GOLDEN = [
         "cc884c5477bc8fb4203381a477e4b82f67e724f0ca65b4b401e697b446025349",
         "be202e9ef970baef4b45a12414488032b7755f564326b85008b04881cca17bc5",
         "1c059e7582a7805d4080749bbd7462b98b96826cfe71e1a89c30585620112a00",
+        "bd00c04016f97948ea51057402cf0fa28a9b8e7fc53e700100f48e50aed2d791",
     ),
 ]
 
@@ -274,25 +286,29 @@ def sha256(data) -> str:
 
 
 @pytest.mark.parametrize(
-    "name, gen, point, cases, out_sha, run_sha, verify_sha, inspect_sha, trace_sha",
+    "name, gen, point, cases, out_sha, run_sha, verify_sha, inspect_sha, trace_sha, "
+    "trace_file_sha",
     GOLDEN,
     ids=[row[0] for row in GOLDEN],
 )
 def test_golden_bytes(
     tmp_path, capsys, name, gen, point, cases, out_sha, run_sha, verify_sha, inspect_sha,
-    trace_sha,
+    trace_sha, trace_file_sha,
 ):
     inst = tmp_path / f"{name}.json"
     out = tmp_path / f"{name}_out.json"
+    trace_file = tmp_path / f"{name}_trace.txt"
     if isinstance(gen, dict):
         write_canonical(inst, gen)
     else:
         assert main(["generate", *gen, "--out", str(inst)]) == 0
     capsys.readouterr()
-    assert main(["run", str(inst), "--out", str(out)]) == 0  # exit 0: admission passed
+    # exit 0: admission passed
+    assert main(["run", str(inst), "--out", str(out), "--trace", str(trace_file)]) == 0
     assert sha256(capsys.readouterr().out.replace(str(out), "OUT")) == run_sha
     assert Counter(read_json(out)["certificate"]["cases"].values()) == cases
     assert sha256(out.read_bytes()) == out_sha
+    assert sha256(trace_file.read_bytes()) == trace_file_sha
 
     assert main(["verify", str(inst), str(out)]) == 0
     assert sha256(capsys.readouterr().out) == verify_sha

@@ -264,15 +264,3 @@ def test_pipeline_rejects_bad_instances(two):
     prep = prepare(two, ChainFamily(chains=chains), 1, "1/2", 2)
     assert not prep.report.ok and len(prep.decomposition.components) == 2
     assert set(prep.flow_map.base_successor) == set(two.points)
-
-
-def test_pipeline_tracer_sees_every_iteration():
-    space, family, _ = gen_instance("line", {"count": 10, "radii": ["2", "1"]})
-    events = []
-    run_pipeline(space, family, 1, 1, 2, tracer=lambda x, n, c: events.append((x, n)))
-    by_point = {}
-    for x, n in events:
-        by_point.setdefault(x, []).append(n)
-    assert by_point["p0"] == [1, 2, 3]
-    for counts in by_point.values():
-        assert counts == list(range(1, len(counts) + 1))
