@@ -12,7 +12,7 @@ import sys
 from .augment import aug_sort_key, format_aug
 from .chains import format_ratio
 from .errors import InternalInvariantError, MalformedInputError, PreconditionError
-from .flow import stabilize
+from .flow import iterate
 from .generators import KINDS, SPACE_KINDS, gen_instance
 from .instance_io import (
     instance_to_doc,
@@ -53,6 +53,15 @@ def _gen_params(args) -> dict:
     return params
 
 
+def _load(path):
+    """The instance at ``path``; each check its metric source skipped is a
+    warning on stderr."""
+    instance = load_instance(path)
+    for check in instance.space.unchecked:
+        print(f"warning: {check}", file=sys.stderr)
+    return instance
+
+
 def cmd_generate(args) -> int:
     space, family, params = gen_instance(args.kind, _gen_params(args), args.seed)
     doc = instance_to_doc(space, family, params)
@@ -62,7 +71,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    instance = load_instance(args.instance)
+    instance = _load(args.instance)
     params = instance.params
     subsets, certificate = run_pipeline(
         instance.space, instance.family, params.R, params.epsilon, params.S
@@ -87,11 +96,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance = load_instance(args.instance)
+    instance = _load(args.instance)
     subsets_raw, certificate_raw = load_output(args.output)
     subsets = parse_subsets(subsets_raw)
     # a tail may hang only at the ray end of a hint whose component is case 1
-    cases = certificate_raw["cases"] if isinstance(certificate_raw["cases"], dict) else {}
+    cases = certificate_raw["cases"]
     anchors = {h.ray[-1] for h in instance.space.hints if cases.get(h.component_of) == "1"}
     naive = verify_naive(
         instance.space,
@@ -123,13 +132,11 @@ def _prepare(instance):
 
 def _flow_lines(flow_map, chain) -> list:
     """One ``"n chain"`` line per synchronous step of the flow of ``chain``."""
-    lines = []
-    stabilize(flow_map, chain, on_iterate=lambda n, c: lines.append(f"{n} {_format_chain(c)}"))
-    return lines
+    return [f"{n} {_format_chain(c)}" for n, c in enumerate(iterate(flow_map, chain), 1)]
 
 
 def cmd_trace(args) -> int:
-    instance = load_instance(args.instance)
+    instance = _load(args.instance)
     if args.point not in instance.space.point_set:
         raise MalformedInputError(f"unknown point {args.point!r}")
     prep = _prepare(instance)
@@ -142,7 +149,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    instance = load_instance(args.instance)
+    instance = _load(args.instance)
     prep = _prepare(instance)
     report, decomp, plan = prep.report, prep.decomposition, prep.plan
     params = report.params

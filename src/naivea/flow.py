@@ -1,15 +1,22 @@
 """Mass redistribution along a successor map.
 
-Each point keeps one unit of whatever it holds; the excess moves one hop
-along the successor map per step. Successors follow a breadth-first spanning
-tree of the S-Rips graph toward the component's escape route (the tail for
-bounded components, the ray and its continuation for unbounded ones), so
-repeated steps spread any chain into a set indicator of the same mass. The
-tree is not searched here: it is ``Component.parent``, grown from the
+A point fires by keeping one unit of whatever it holds and forwarding the
+excess one hop along the successor map. Successors follow a breadth-first
+spanning tree of the S-Rips graph toward the component's escape route (the
+tail for bounded components, the ray and its continuation for unbounded
+ones), so firing spreads any chain into a set indicator of the same mass.
+The tree is not searched here: it is ``Component.parent``, grown from the
 basepoint by ``space.rips_components`` or from the ray by ``tailor.classify``.
+
+``stabilize`` settles a chain in one deepest-first pass, firing each point at
+most once; the pipeline uses it. ``iterate`` fires every occupied point at
+once, step after step, and yields each step: ``trace``, ``run --trace`` and
+the flow law monitor watch it, and it is the reference ``stabilize`` is
+tested against.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .augment import AugmentedSpace
@@ -21,10 +28,20 @@ from .space import CLS_UNBOUNDED
 
 @dataclass(frozen=True)
 class FlowMap:
-    """Successor map: explicit for base points, arithmetic on tail indices."""
+    """Successor map: explicit for base points, arithmetic on tail indices.
+
+    ``depth`` holds each base point's hop depth: a tail point ``(anchor, i)``
+    sits at depth ``-i`` and every successor edge lowers the depth by one.
+    Computing it walks every successor path once, so a loop or a missing
+    successor is caught when the map is built.
+    """
 
     base_successor: dict = field(repr=False)
     tail_cap: int
+    depth: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth", _depths(self.base_successor))
 
     def successor(self, p):
         if isinstance(p, tuple):
@@ -38,6 +55,26 @@ class FlowMap:
         if nxt is None:
             raise InternalInvariantError(f"no successor defined for {p!r}")
         return nxt
+
+
+def _depths(successor: dict) -> dict:
+    depth = {}
+    for start in successor:
+        path = []
+        p = start
+        while not isinstance(p, tuple) and p not in depth:
+            if successor.get(p) is None:
+                raise InternalInvariantError(f"no successor defined for {p!r}")
+            depth[p] = None  # on the path being walked
+            path.append(p)
+            p = successor[p]
+        d = -p[1] if isinstance(p, tuple) else depth[p]
+        if d is None:
+            raise InternalInvariantError(f"successor map loops through {p!r}")
+        for q in reversed(path):
+            d += 1
+            depth[q] = d
+    return depth
 
 
 def build_flow(aug: AugmentedSpace) -> FlowMap:
@@ -87,14 +124,12 @@ def step(flow: FlowMap, a) -> dict:
     return out
 
 
-def stabilize(flow: FlowMap, a, on_iterate=None) -> tuple[dict, int]:
-    """Iterate step() until the chain is an indicator; returns (result, count).
+def iterate(flow: FlowMap, a):
+    """Apply step() until the chain is an indicator, yielding each new chain.
 
-    The iteration count is bounded by ||a|| * ||excess(a)||; exceeding it
+    The number of steps is bounded by ||a|| * ||excess(a)||; exceeding it
     means the successor map loops or the window overflowed, which is a hard
-    failure. The result always occupies exactly ||a|| points. ``on_iterate``,
-    if given, is called with (count, chain) after every step; the CLI's flow
-    replay for ``trace`` and ``run --trace`` is its only user.
+    failure. The last chain always occupies exactly ||a|| points.
     """
     mass = l1_norm(a)
     _, excess = split(a)
@@ -108,10 +143,62 @@ def stabilize(flow: FlowMap, a, on_iterate=None) -> tuple[dict, int]:
             )
         current = step(flow, current)
         count += 1
-        if on_iterate is not None:
-            on_iterate(count, current)
+        yield current
     if len(current) != mass:
         raise InternalInvariantError(
             f"stabilized support has {len(current)} points, expected {mass}"
         )
-    return current, count
+
+
+def stabilize(flow: FlowMap, a) -> tuple[dict, int]:
+    """The indicator ``iterate`` ends at, in one pass; returns (result, firings).
+
+    Keep-one/forward-the-rest is an abelian network (Dhar, PRL 64:1613, 1990;
+    Bond & Levine, "Abelian networks I", SIAM J. Discrete Math. 2016): the
+    stable indicator does not depend on the order in which points fire, so
+    any order reaches the result of synchronous stepping. Points with excess
+    fire deepest first, bucketed by ``FlowMap.depth``. A point receives mass
+    only from points one level deeper, so it fires after all of them, once,
+    with everything it will ever hold.
+
+    Firing bound: no point fires twice, so the points of supp(a) fire at most
+    |supp(a)| times. A point outside supp(a) that fires keeps one unit of the
+    excess, a different unit for each point, so at most ||a|| - |supp(a)| of
+    them fire. Hence firings <= ||a||_1, and more is a hard failure. The tail
+    cap is enforced by ``FlowMap.successor``, and the result always occupies
+    exactly ||a|| points.
+    """
+    mass = l1_norm(a)
+    depth, succ = flow.depth, flow.successor
+    held = dict(a)
+    levels = {}  # depth -> the points there that hold more than one unit
+    for p, v in a.items():
+        if v > 1:
+            d = -p[1] if isinstance(p, tuple) else depth.get(p)
+            if d is None:
+                raise InternalInvariantError(f"no successor defined for {p!r}")
+            levels.setdefault(d, []).append(p)
+    heap = [-d for d in levels]
+    heapq.heapify(heap)
+    firings = 0
+    while heap:
+        d = -heapq.heappop(heap)
+        for p in levels.pop(d):
+            q = succ(p)
+            before = held.get(q, 0)
+            after = held[q] = before + held[p] - 1
+            held[p] = 1
+            firings += 1
+            if before <= 1 < after:  # q, one level shallower, is not queued yet
+                if d - 1 in levels:
+                    levels[d - 1].append(q)
+                else:
+                    levels[d - 1] = [q]
+                    heapq.heappush(heap, 1 - d)
+    if firings > mass:
+        raise InternalInvariantError(f"flow fired {firings} times, more than its mass {mass}")
+    if len(held) != mass:
+        raise InternalInvariantError(
+            f"stabilized support has {len(held)} points, expected {mass}"
+        )
+    return held, firings

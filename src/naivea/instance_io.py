@@ -164,6 +164,10 @@ def load_output(path) -> tuple[dict, dict]:
     for key in ("worst_ratio", "worst_radius", "bound_radius", "cases", "pairs"):
         if key not in certificate:
             raise MalformedInputError(f"certificate is missing the {key!r} field")
+    if not isinstance(certificate["cases"], dict):
+        raise MalformedInputError("certificate field 'cases' must be a JSON object")
+    if not isinstance(certificate["pairs"], list):
+        raise MalformedInputError("certificate field 'pairs' must be a list")
     return subsets, certificate
 
 

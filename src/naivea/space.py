@@ -31,7 +31,8 @@ from .rational import floor_units, parse_rational
 PointId = str
 
 # Exhaustive triangle-inequality validation is cubic; beyond this many points
-# a matrix source is accepted on symmetry/positivity alone.
+# a matrix source is accepted on symmetry/positivity alone, and the space
+# records the skipped check in ``Space.unchecked``.
 TRIANGLE_CHECK_LIMIT = 200
 
 
@@ -144,6 +145,7 @@ class Space:
     metric: MatrixMetric | GraphMetric | PositionMetric
     hints: tuple[UnboundedHint, ...] = ()
     metric_spec: dict | None = None
+    unchecked: tuple[str, ...] = ()  # checks of the source that were skipped
     point_set: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -203,6 +205,7 @@ def parse_hints(raw, point_set) -> tuple[UnboundedHint, ...]:
 
 
 def _build_matrix(points_in_order, entries):
+    """The metric and the checks skipped on it (empty, or the triangle check)."""
     n = len(points_in_order)
     if not isinstance(entries, list) or len(entries) != n or any(
         not isinstance(row, list) or len(row) != n for row in entries
@@ -227,7 +230,13 @@ def _build_matrix(points_in_order, entries):
                     "metric axiom violation: non-positive distance for pair "
                     f"({points_in_order[i]}, {points_in_order[j]})"
                 )
-    if n <= TRIANGLE_CHECK_LIMIT:
+    unchecked = ()
+    if n > TRIANGLE_CHECK_LIMIT:
+        unchecked = (
+            f"triangle inequality not checked: the matrix has {n} points, "
+            f"more than {TRIANGLE_CHECK_LIMIT}",
+        )
+    else:
         for k in range(n):
             row_k = m[k]
             for i in range(n):
@@ -243,7 +252,7 @@ def _build_matrix(points_in_order, entries):
         p: {q: m[i][j] for j, q in enumerate(points_in_order)}
         for i, p in enumerate(points_in_order)
     }
-    return MatrixMetric(rows, denominator)
+    return MatrixMetric(rows, denominator), unchecked
 
 
 def _build_graph(point_set, edges):
@@ -304,8 +313,9 @@ def build_space(points, metric_source, hints=()) -> Space:
         raise MalformedInputError("metric source must be a dict with a 'type' field")
     sorted_points = check_points(points)
     kind = metric_source["type"]
+    unchecked = ()
     if kind == "matrix":
-        metric = _build_matrix(list(points), metric_source.get("entries"))
+        metric, unchecked = _build_matrix(list(points), metric_source.get("entries"))
     elif kind == "graph":
         metric = _build_graph(set(sorted_points), metric_source.get("edges", []))
     elif kind == "positions":
@@ -313,7 +323,13 @@ def build_space(points, metric_source, hints=()) -> Space:
     else:
         raise MalformedInputError(f"unknown metric type {kind!r}")
     parsed_hints = parse_hints(hints, set(sorted_points))
-    return Space(points=sorted_points, metric=metric, hints=parsed_hints, metric_spec=dict(metric_source))
+    return Space(
+        points=sorted_points,
+        metric=metric,
+        hints=parsed_hints,
+        metric_spec=dict(metric_source),
+        unchecked=unchecked,
+    )
 
 
 CLS_BOUNDED_SMALL = "BOUNDED_SMALL"

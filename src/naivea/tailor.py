@@ -298,8 +298,8 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S):
     Returns (SubsetFamily, Certificate). Raises PreconditionError when the
     instance fails admission and InternalInvariantError if any guaranteed
     bound fails to hold (which would mean the machinery is wrong, not the
-    input). Each point's flow is one plain ``stabilize`` call; ``trace`` and
-    ``run --trace`` watch the steps by replaying the flow in the CLI.
+    input). Each point's flow is settled by one ``stabilize`` call; ``trace``
+    and ``run --trace`` replay its synchronous steps in the CLI.
     """
     prep = prepare(space, family, R, epsilon, S)
     report = prep.report

@@ -5,7 +5,8 @@ and the proposed subsets alone; verify_certificate reruns the deterministic
 pipeline and demands that the parsed output equal the recomputed one, field
 by field and with the same JSON types (so the file's whitespace does not
 matter). The flow monitor brute-forces every small chain on a successor path
-and checks the redistribution laws exhaustively.
+and checks the redistribution laws exhaustively, and the one-pass settler
+against synchronous stepping.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .errors import (
     PreconditionError,
     UnknownPointError,
 )
-from .flow import FlowMap, split, stabilize, step
+from .flow import FlowMap, iterate, split, stabilize, step
 from .space import Space
 
 
@@ -194,8 +195,8 @@ class FlowSuiteSpec:
     """Exhaustive suite over every chain on a successor path.
 
     Chains live on the first ``points`` vertices with entries up to
-    ``max_value``; the path itself is long enough that no flow ever needs a
-    successor beyond it.
+    ``max_value``; the path itself, which ends on a tail, is long enough that
+    no flow ever needs a successor beyond it.
     """
 
     points: int
@@ -230,15 +231,17 @@ def flow_monitor(suite: FlowSuiteSpec) -> MonitorReport:
 
     Checks, for every chain: l1 preservation, the fixed-point
     characterization (one step is the identity exactly when there is no
-    excess), the stabilization bound and final support size, and support
-    drift by at most one successor hop. For every ordered pair: meet growth,
-    difference contraction, and monotonicity.
+    excess), the stabilization bound and final support size, support drift
+    by at most one successor hop, and that ``stabilize`` ends where
+    synchronous stepping ends, within ||a|| firings. For every ordered pair:
+    meet growth, difference contraction, and monotonicity.
     """
     if suite.points < 1 or suite.max_value < 0:
         raise MalformedInputError("suite needs >= 1 point and a nonnegative max value")
     width = len(str(suite.window() - 1))
     ids = [f"w{i:0{width}d}" for i in range(suite.window())]
     successor = {ids[i]: ids[i + 1] for i in range(len(ids) - 1)}
+    successor[ids[-1]] = (ids[-1], 1)
     flow = FlowMap(base_successor=successor, tail_cap=0)
     failures = []
 
@@ -264,11 +267,18 @@ def flow_monitor(suite: FlowSuiteSpec) -> MonitorReport:
         allowed = set(a) | {successor[p] for p in a}
         if not set(s1) <= allowed:
             fail(f"support drifted more than one hop for {a}")
-        final, count = stabilize(flow, a)
+        final, count = a, 0
+        for final in iterate(flow, a):
+            count += 1
         if count > mass * l1_norm(excess):
             fail(f"stabilization bound exceeded for {a}")
         if len(final) != mass or any(v != 1 for v in final.values()):
             fail(f"stabilized result is not an indicator of mass {mass} for {a}")
+        settled, firings = stabilize(flow, a)
+        if settled != final:
+            fail(f"one-pass settling differs from synchronous stepping for {a}")
+        if firings > mass:
+            fail(f"{firings} firings exceed the mass {mass} for {a}")
 
     pairs = 0
     for i, a in enumerate(all_chains):

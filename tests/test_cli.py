@@ -181,6 +181,58 @@ def test_generated_unbounded_instance_runs(tmp_path, capsys):
     assert set(cases.values()) == {"1"}
 
 
+def test_verify_rejects_malformed_certificate_fields(tmp_path, capsys):
+    from test_golden import HINTS_DOC
+
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    write_canonical(inst, HINTS_DOC)
+    assert run_cli("run", str(inst), "--out", str(out)) == 0
+    for field, value, shape in (
+        ("cases", [1], "a JSON object"),
+        ("cases", "1", "a JSON object"),
+        ("pairs", {}, "a list"),
+    ):
+        doc = read_json(out)
+        doc["certificate"][field] = value
+        bad = tmp_path / f"bad_{field}.json"
+        write_canonical(bad, doc)
+        capsys.readouterr()
+        assert run_cli("verify", str(inst), str(bad)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: certificate field {field!r} must be {shape}\n"
+
+
+def test_large_matrix_warns_that_the_triangle_check_was_skipped(tmp_path, capsys):
+    # the same 201-point unit line as a matrix and as positions: only stderr differs
+    ids = [f"m{i:03d}" for i in range(201)]
+    params = {"R": "1/2", "epsilon": "1", "S": "1"}
+    chains = {x: {x: 1} for x in ids}
+    sources = {
+        "matrix": {
+            "type": "matrix",
+            "entries": [[abs(i - j) for j in range(201)] for i in range(201)],
+        },
+        "positions": {"type": "positions", "values": {x: i for i, x in enumerate(ids)}},
+    }
+    warning = "warning: triangle inequality not checked: the matrix has 201 points, more than 200\n"
+    seen = {}
+    for kind, source in sources.items():
+        inst, out = tmp_path / f"{kind}.json", tmp_path / f"{kind}_out.json"
+        write_canonical(inst, {"space": {"points": ids, "metric": source},
+                               "params": params, "chains": chains})
+        capsys.readouterr()
+        streams = []
+        for argv in (["run", str(inst), "--out", str(out)], ["verify", str(inst), str(out)],
+                     ["inspect", str(inst)]):
+            assert run_cli(*argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == (warning if kind == "matrix" else "")
+            streams.append(captured.out.replace(str(out), "OUT"))
+        seen[kind] = streams, out.read_bytes()
+    assert seen["matrix"] == seen["positions"]
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

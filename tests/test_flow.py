@@ -1,7 +1,8 @@
 """Successor maps and the redistribution dynamics.
 
-stabilize() is compared against literal repeated application of the one-step
-rule, and small cases are pinned to hand-computed trajectories.
+iterate() is compared against literal repeated application of the one-step
+rule, stabilize() against the end of iterate(), and small cases are pinned to
+hand-computed trajectories.
 """
 from __future__ import annotations
 
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 from naivea.augment import augment
 from naivea.chains import InstanceParams, l1_norm
 from naivea.errors import InternalInvariantError
-from naivea.flow import FlowMap, build_flow, split, stabilize, step
+from naivea.flow import FlowMap, build_flow, iterate, split, stabilize, step
 from naivea.generators import gen_instance
 from naivea.space import rips_components
 from naivea.tailor import classify
 
-PATH = FlowMap(base_successor={f"c{i}": f"c{i+1}" for i in range(30)}, tail_cap=0)
+PATH = FlowMap(
+    base_successor={**{f"c{i}": f"c{i+1}" for i in range(30)}, "c30": ("c30", 1)}, tail_cap=0
+)
 
 
 def build_line_flow(count, unbounded=False, S=2):
@@ -48,23 +51,35 @@ def test_step_hand_case():
 
 
 def test_stabilize_hand_case():
-    final, count = stabilize(PATH, {"c0": 2, "c1": 2})
+    final, firings = stabilize(PATH, {"c0": 2, "c1": 2})
     assert final == {f"c{i}": 1 for i in range(4)}
-    assert count == 3
+    assert firings == 3  # c0, then c1 with 3 units, then c2 with 2
+    assert len(list(iterate(PATH, {"c0": 2, "c1": 2}))) == 3
+
+
+def test_stabilize_fires_each_point_once():
+    # synchronous stepping fires c1 in steps 1 and 2; settling fires c0 first,
+    # so c1 fires once with all 3 units
+    a = {"c0": 2, "c1": 2}
+    fired = []
+    for chain in [a, *iterate(PATH, a)]:
+        fired.extend(p for p, v in chain.items() if v > 1)
+    assert sorted(fired) == ["c0", "c1", "c1", "c2"]
+    assert stabilize(PATH, a)[1] == len(set(fired)) == 3
 
 
 def test_stabilize_indicator_is_fixed():
     a = {"c0": 1, "c5": 1}
     final, count = stabilize(PATH, a)
     assert final == a and count == 0
+    assert list(iterate(PATH, a)) == []
 
 
-def test_stabilize_reports_iterations_in_order():
-    seen = []
-    stabilize(PATH, {"c0": 4}, on_iterate=lambda n, c: seen.append((n, dict(c))))
-    assert [n for n, _ in seen] == list(range(1, len(seen) + 1))
+def test_iterate_yields_every_step_in_order():
     replay = {"c0": 4}
-    for _, chain in seen:
+    seen = list(iterate(PATH, replay))
+    assert len(seen) == 3
+    for chain in seen:
         replay = step(PATH, replay)
         assert replay == chain
 
@@ -80,20 +95,49 @@ chains_st = st.dictionaries(
 @given(chains_st)
 def test_step_preserves_mass_and_stabilize_matches_iteration(a):
     assert l1_norm(step(PATH, a)) == l1_norm(a)
-    final, count = stabilize(PATH, a)
+    steps = list(iterate(PATH, a))
     current = dict(a)
-    for _ in range(count):
+    for chain in steps:
         current = step(PATH, current)
+        assert current == chain
+    final, firings = stabilize(PATH, a)
     assert current == final
     assert set(final.values()) <= {1}
     assert len(final) == l1_norm(a)
     _, excess = split(a)
-    assert count <= l1_norm(a) * l1_norm(excess)
+    assert len(steps) <= l1_norm(a) * l1_norm(excess)
+    assert firings <= l1_norm(a)
 
 
-def test_stabilize_detects_cycles():
+def test_flow_map_rejects_loops_and_missing_successors():
+    with pytest.raises(InternalInvariantError, match="loops"):
+        FlowMap(base_successor={"a": "b", "b": "a"}, tail_cap=0)
+    with pytest.raises(InternalInvariantError, match="loops"):
+        FlowMap(base_successor={"c": "a", "a": "b", "b": "a"}, tail_cap=0)
+    with pytest.raises(InternalInvariantError, match="no successor defined for 'b'"):
+        FlowMap(base_successor={"a": "b"}, tail_cap=0)
+    with pytest.raises(InternalInvariantError, match="no successor defined for 'a'"):
+        FlowMap(base_successor={"a": None}, tail_cap=0)
+
+
+def test_iterate_detects_cycles():
+    flow = FlowMap(base_successor={"a": ("a", 1), "b": "a"}, tail_cap=5)
+    flow.base_successor["a"] = "b"  # a loop the constructor would refuse
     with pytest.raises(InternalInvariantError, match="failed to stabilize"):
-        stabilize(FlowMap(base_successor={"a": "b", "b": "a"}, tail_cap=0), {"a": 2, "b": 1})
+        list(iterate(flow, {"a": 2, "b": 1}))
+
+
+def test_flow_depths_count_hops_to_the_tail():
+    fm = FlowMap(base_successor={"a": ("a", 1), "b": "a", "c": "b", "d": "a"}, tail_cap=3)
+    assert fm.depth == {"a": 0, "b": 1, "c": 2, "d": 1}
+
+
+def test_stabilize_and_iterate_enforce_the_tail_cap():
+    fm = FlowMap(base_successor={"a": ("a", 1)}, tail_cap=2)
+    assert stabilize(fm, {"a": 3}) == ({"a": 1, ("a", 1): 1, ("a", 2): 1}, 2)
+    for settle in (stabilize, lambda f, a: list(iterate(f, a))):
+        with pytest.raises(InternalInvariantError, match="tail cap 2"):
+            settle(fm, {"a": 4})
 
 
 def test_flow_map_tail_arithmetic():
@@ -129,10 +173,10 @@ def test_unbounded_tree_follows_the_ray():
 
 def test_flow_on_component_stabilizes_within_window():
     space, family, flow = build_line_flow(10)
-    final, count = stabilize(flow, family.chains["p0"])
+    final, firings = stabilize(flow, family.chains["p0"])
     # mass 5 chain at the basepoint: three units stay, two escape to the tail
     assert final == {"p0": 1, "p1": 1, "p2": 1, ("p0", 1): 1, ("p0", 2): 1}
-    assert count == 3
+    assert firings == 3  # p1, p0, then the first tail point
 
 
 def test_missing_ray_is_internal_error(two, two_params):

@@ -58,6 +58,8 @@ def test_traced_cycle_reaches_every_count(layers, tmp_path):
     for name, op in ops.items():
         assert op["calls"]["tailor.run_pipeline"] == 1, name
         assert op["calls"]["instance_io.to_jsonable"] == 1, name
+        # one settling pass per point: flow.steps counts its firings
+        assert op["calls"]["flow.stabilize"] == 12, name
         # the S-Rips search is split between these stages: each must stay traced
         for stage in ("space.rips", "tailor.classify", "flow.build"):
             assert op["calls"][stage] == 1, (name, stage)

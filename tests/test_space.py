@@ -17,6 +17,7 @@ from naivea.errors import InternalInvariantError, MalformedInputError, UnknownPo
 from naivea.space import (
     CLS_BOUNDED_SMALL,
     CLS_UNBOUNDED,
+    TRIANGLE_CHECK_LIMIT,
     Component,
     Decomposition,
     _assert_separated,
@@ -92,6 +93,19 @@ def test_matrix_rejects_triangle_violation():
     entries = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]  # d(a,c)=5 > 1+1
     with pytest.raises(MalformedInputError, match="triangle"):
         build_space(["a", "b", "c"], {"type": "matrix", "entries": entries})
+
+
+def test_matrix_records_a_skipped_triangle_check():
+    small = build_space(["a", "b"], {"type": "matrix", "entries": [[0, 1], [1, 0]]})
+    assert small.unchecked == ()
+    # above the limit a violation goes undetected, but not unrecorded
+    ids = [f"m{i:03d}" for i in range(TRIANGLE_CHECK_LIMIT + 1)]
+    entries = [[abs(i - j) for j in range(len(ids))] for i in range(len(ids))]
+    entries[0][-1] = entries[-1][0] = 10 * len(ids)
+    big = build_space(ids, {"type": "matrix", "entries": entries})
+    assert big.unchecked == (
+        "triangle inequality not checked: the matrix has 201 points, more than 200",
+    )
 
 
 def test_matrix_entries_align_with_given_point_order():
