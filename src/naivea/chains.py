@@ -65,6 +65,8 @@ def variation_ratio(a, b):
 
 def set_ratio(A, B):
     """|A ^ B| / |A & B| for two sets or frozensets, with the same conventions."""
+    if A is B:
+        return Fraction(0)
     sym = len(A ^ B)
     if sym == 0:
         return Fraction(0)

@@ -3,11 +3,19 @@
 Everything is canonical JSON: sorted keys, two-space indent, a trailing
 newline, rationals as strings. Rerunning any command with the same inputs
 must reproduce files byte for byte.
+
+``canonical_dumps`` writes the bytes of ``json.dumps(obj, sort_keys=True,
+indent=2)`` plus the newline without the stdlib's pure-Python indenting
+encoder. Strings go through the C ``encode_basestring_ascii``, and a list
+object that occurs more than once at one depth is rendered once: every case-2
+point of a component shares one subset list (``output_to_jsonable``), so that
+subset is sorted, formatted and encoded once.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 from .augment import format_aug, parse_aug
 from .chains import ChainFamily, InstanceParams, SetFamily, from_sets, make_chain
@@ -18,7 +26,75 @@ from .tailor import Certificate, SubsetFamily
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+    for trees of str-keyed dicts, lists, tuples, str, int, float, bool and
+    None; anything else raises TypeError."""
+    parts = []
+    _emit(obj, 0, parts, {})
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _emit(obj, depth, parts, seen):
+    """Append the pieces of ``obj`` at indent level ``depth`` to ``parts``.
+
+    ``seen`` maps (id(list), depth) to the (start, end) of the list's pieces
+    after its first rendering, and to their joined text once it recurs;
+    every list stays alive in the tree meanwhile, so no id is reused.
+    """
+    append = parts.append
+    if isinstance(obj, str):
+        append(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            append("{}")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        sep = "{" + inner
+        # sorted by the raw key, not its escaped form; the encoder raises
+        # TypeError on a key that is not a str
+        for key in sorted(obj):
+            value = obj[key]
+            head = sep + encode_basestring_ascii(key) + ": "
+            # int and str values and str items are the bulk: inline them
+            if type(value) is int:
+                append(head + int.__repr__(value))
+            elif type(value) is str:
+                append(head + encode_basestring_ascii(value))
+            else:
+                append(head)
+                _emit(value, depth + 1, parts, seen)
+            sep = "," + inner
+        append("\n" + "  " * depth + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            append("[]")
+            return
+        slot = (id(obj), depth)
+        done = seen.get(slot)
+        if done is not None:
+            if not isinstance(done, str):
+                done = seen[slot] = "".join(parts[done[0]:done[1]])
+            append(done)
+            return
+        start = len(parts)
+        inner = "\n" + "  " * (depth + 1)
+        sep = "[" + inner
+        for item in obj:
+            if type(item) is str:
+                append(sep + encode_basestring_ascii(item))
+            else:
+                append(sep)
+                _emit(item, depth + 1, parts, seen)
+            sep = "," + inner
+        append("\n" + "  " * depth + "]")
+        seen[slot] = (start, len(parts))
+    elif obj is None or isinstance(obj, (bool, float)):  # bool before int
+        append(json.dumps(obj))
+    elif isinstance(obj, int):
+        append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_canonical(path, obj):
@@ -32,6 +108,8 @@ def read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path} is not valid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from None
 
@@ -144,11 +222,18 @@ def instance_to_doc(space: Space, family: ChainFamily, params: InstanceParams) -
 
 
 def output_to_jsonable(subsets: SubsetFamily, certificate: Certificate) -> dict:
+    """The output document; points that share one subset object share its
+    member list, which ``canonical_dumps`` then renders once."""
+    members = {}  # id(subset) -> its sorted member list; subsets stay alive meanwhile
+
+    def listed(pts):
+        out = members.get(id(pts))
+        if out is None:
+            out = members[id(pts)] = sorted(format_aug(p) for p in pts)
+        return out
+
     return {
-        "subsets": {
-            x: sorted(format_aug(p) for p in pts)
-            for x, pts in sorted(subsets.subsets.items())
-        },
+        "subsets": {x: listed(pts) for x, pts in sorted(subsets.subsets.items())},
         "certificate": certificate.to_jsonable(),
     }
 
@@ -172,12 +257,29 @@ def load_output(path) -> tuple[dict, dict]:
 
 
 def parse_subsets(raw) -> dict:
-    """Decode the serialized subsets into sets of augmented points."""
+    """Decode the serialized subsets into frozensets of augmented points.
+
+    Points whose member lists are equal get one shared frozenset, so a pair
+    of them is ``A is B`` in ``set_ratio``.
+    """
     out = {}
+    # hash of a member list -> (that list, its frozenset); keyed by the hash,
+    # so no list is copied into a key that outlives its point
+    shared = {}
     for x, members in raw.items():
         if not isinstance(members, list):
             raise MalformedInputError(f"subset for {x!r} must be a list")
-        out[x] = {parse_aug(m) for m in members}
-        if len(out[x]) != len(members):
+        if not set(map(type, members)) <= {str}:
+            for m in members:
+                parse_aug(m)  # raises at the first bad member, before any hashing
+        h = hash(tuple(members))
+        earlier = shared.get(h)
+        if earlier is not None and earlier[0] == members:
+            parsed = earlier[1]
+        else:
+            parsed = frozenset(map(parse_aug, members))
+            shared[h] = (members, parsed)
+        if len(parsed) != len(members):
             raise MalformedInputError(f"subset for {x!r} has duplicate members")
+        out[x] = parsed
     return out

@@ -15,6 +15,12 @@ ever touches a float.
 tree on the ``Component``; ``tailor.classify`` runs it again from a ray it
 accepts. The flow's successor map and the annulus markers read the stored
 tree and do not search the graph themselves.
+
+Each backend's ``eccentricity(x, points)`` is the int ``max(dist(x, p) for p
+in points)`` without a ``dist`` call per point: one row maximum on a matrix
+or graph, and on the line the farther of the two extreme positions, which are
+found once per points collection. A case-2 radius is such an eccentricity
+over the component.
 """
 from __future__ import annotations
 
@@ -54,6 +60,10 @@ class MatrixMetric:
 
     def dist(self, x, y) -> int:
         return self.rows[x][y]
+
+    def eccentricity(self, x, points) -> int:
+        row = self.rows[x]
+        return max(map(row.__getitem__, points))
 
     def neighbors_within(self, x, r):
         t = floor_units(r, self.denominator)
@@ -98,6 +108,10 @@ class GraphMetric:
     def dist(self, x, y) -> int:
         return self.row(x)[y]
 
+    def eccentricity(self, x, points) -> int:
+        row = self.row(x)
+        return max(map(row.__getitem__, points))
+
     def neighbors_within(self, x, r):
         t = floor_units(r, self.denominator)
         return [y for y, d in self.row(x).items() if d <= t]
@@ -115,9 +129,20 @@ class PositionMetric:
         self.denominator = denominator
         self._order = sorted((q, pid) for pid, q in positions.items())
         self._keys = [q for q, _ in self._order]
+        # id(points) -> (points, lowest, highest position); holding the
+        # collection keeps its id from being reused
+        self._extents: dict[int, tuple] = {}
 
     def dist(self, x, y) -> int:
         return abs(self.positions[x] - self.positions[y])
+
+    def eccentricity(self, x, points) -> int:
+        extent = self._extents.get(id(points))
+        if extent is None:
+            at = [self.positions[p] for p in points]
+            extent = self._extents[id(points)] = (points, min(at), max(at))
+        q = self.positions[x]
+        return max(q - extent[1], extent[2] - q)
 
     def neighbors_within(self, x, r):
         t = floor_units(r, self.denominator)

@@ -312,7 +312,7 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S):
     N = params.N
     decomp, plan, aug, bounds = prep.decomposition, prep.plan, prep.aug, prep.bounds
     # distances below are ints in units of 1/aug.unit; base ones count k times
-    dist, k = space.metric.dist, aug.k
+    dist, eccentricity, k = space.metric.dist, space.metric.eccentricity, aug.k
     locality = aug.step + 2 * N * aug.step
     chains = family.chains
 
@@ -338,7 +338,7 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S):
         elif comp.cls == CLS_BOUNDED_SMALL:
             # the subset is the whole component (tailor_subset): no tail points
             case, limit = "2", bounds["case2"]
-            radius = k * max(dist(x, p) for p in comp.points)
+            radius = k * eccentricity(x, comp.points)
         elif not has_tail:
             case, radius, limit = "3a", reach, bounds["case3"]
         else:

@@ -322,6 +322,15 @@ def test_exit_codes(tmp_path, capsys):
         assert run_cli("inspect", str(shaped)) == 2, doc
         assert capsys.readouterr().err.startswith("error: ")
 
+    # bytes that are not UTF-8, as an instance or as an output to verify
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    capsys.readouterr()
+    assert run_cli("run", str(utf16), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {utf16} is not valid UTF-8")
+    assert run_cli("verify", str(good_inst), str(utf16)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {utf16} is not valid UTF-8")
+
 
 def test_precondition_failure_prints_violations(tmp_path, capsys):
     inst = tmp_path / "v.json"

@@ -1,4 +1,5 @@
-"""Golden bytes: `run`, `run --trace`, `verify`, `inspect` and `trace` output pinned.
+"""Golden bytes: instance files and `run`, `run --trace`, `verify`, `inspect`
+and `trace` output pinned.
 
 Criterion 7 only compares reruns of the same code. These sha256 values pin
 the exact bytes, so a refactor that changes any output fails here. The
@@ -124,14 +125,16 @@ MATRIX_DOC = {
 }
 
 # name, generate arguments (or an instance document), trace point, case counts,
-# sha256 of the run output file, of the run (output path as OUT), verify,
-# inspect and trace stdout, and of the run --trace file
+# sha256 of the instance file (written by generate or write_canonical), of the
+# run output file, of the run (output path as OUT), verify, inspect and trace
+# stdout, and of the run --trace file
 GOLDEN = [
     (
         "line40",
         ["line", "--count", "40", "--radii", "2,1"],
         "p20",
         {"2": 40},
+        "eeccc6bbafcbdb813ded6f20a6c8fbeb1a7f640a7daf4ec0c3b42cca654bafb8",
         "94b7337d5d40d0da50cc54b4ef3ae9841bd48943e40117ea97447ecfc208a7a9",
         "a5fda7270c5d783172fdce851477683077b41c12fa0681b7957eeb3e638cdcce",
         "46e37325acc1a1e9cee15cc0b00df5b4199c50bba9527d6d393f1c0f567aae28",
@@ -144,6 +147,7 @@ GOLDEN = [
         ["line", "--count", "700", "--radii", "2,1"],
         "p003",
         {"3a": 695, "3b": 5},
+        "e05751c77ecfe51014513eea69fddb414ace58aadcf7e7327d20e1f856839b48",
         "eecc5c99f86da7ca951e736c7d4cdde191ea2c703de8a5375f407680cc7f3dea",
         "f1bd1430a187856873018c25047bf56a108b88fe96f52446d29e18a7ac2f1cb0",
         "a00a7afa0b1bdbf8633c7a6b70a3b6d196b07ef1207279a72595e50239371e95",
@@ -156,6 +160,7 @@ GOLDEN = [
         ["line", "--count", "20", "--radii", "2,1", "--unbounded"],
         "p10",
         {"1": 20},
+        "bfb442a31e7d826c76215a52840f826f3f9e18601f27bec2b545c678f5b915b7",
         "ffdc907ded40c94f8a497dc7f50263ba04307ca01569f6e60e92f121eeb47ac8",
         "75b6d72826628264b2997d54d05b4f87c1d2d7ea10ff6700951799bf1ea60361",
         "1d4d7dda297d2511278446d85ee6d3004956e7da75547c26b9c1b532da2e32be",
@@ -168,6 +173,7 @@ GOLDEN = [
         ["cayley_cyclic", "--n", "24", "--k", "2", "--R", "1", "--epsilon", "1"],
         "g05",
         {"1": 24},
+        "cc2c34c3777c4b776a05061cd728a64de97cb1d91e8657aba7d67dc78c0d6128",
         "bb77b75a3e59a56f2d658e5ef0f2d45475cc531a3bf8f45114cc8c9a30a53f17",
         "2bf1ffbb06ea396560a486a197a506dd9c6783b9773ce57e3f719e2c8708c701",
         "12fa13ecb5dc0939d5d53f8b4d217ce1031ce3c29fb3ed6770ae8e0242b7e772",
@@ -181,6 +187,7 @@ GOLDEN = [
          "--epsilon", "1"],
         "p30",
         {"2": 60},
+        "136e14c1f9b6be75cb48d31f59caa6312eed0c3c5828782cb86513d3e7a6bdca",
         "f2392126ab59d4915a13cf052dbfab283f8f8f7be143cd285c1c44f5ea917895",
         "086b163fc64c0d90c9d146b276bafe0f90d365dae086a2b2e049c1e1c74deb8b",
         "2c3810ba16cd48b2c8b75937cfe22a5686aed23d1b79e49d71904ee088b0bfa1",
@@ -194,6 +201,7 @@ GOLDEN = [
          "--epsilon", "1"],
         "p003",
         {"3a": 695, "3b": 5},
+        "20020b355d7f5e3de2cd7a4b751d7a286609ad85b4c6c8d0a30662765030fb80",
         "41cb5161d5d337f063cacdf6cace533fe9d6ec0a745cc7e635e6f5a2fa4462e6",
         "72530e084ef56abdf300cb48eb0326997af3393ee29d336a797586ebe93f622e",
         "821e158ac7b8f45870ca4cd24aaf874d715f13936c39a0e78074c372da8a63f0",
@@ -207,6 +215,7 @@ GOLDEN = [
          "--epsilon", "1", "--unbounded"],
         "p15",
         {"1": 30},
+        "f61db9bc222b895a51d66d48417cee8ca92dae46d16e9fdc39ab337614726915",
         "8d8d179162e15e18d9481969498520e147e2a13f8b14439af912a585078cde0e",
         "0a69419a30b5589230692278cc67d61517d3f4f19aefb08e312c31f7000aa6c4",
         "d3eb138cd3ab1972bd55a13a5d254d7adeddf36515674dec83a6923b3bf38981",
@@ -220,6 +229,7 @@ GOLDEN = [
          "--epsilon", "2", "--unbounded"],
         "p10",
         {"1": 20},
+        "54e9a062ee3576117be819fd00f3a2a3e89a10dc32fa86623b6e8a59f65b469b",
         "f605d2ffacf962b730bce6fc8396fdb9279fcff3884be18b411d7f15a650244b",
         "9887dffce81723dea77e07c79ff6520bb598769f39f8a51a1dc3be6bee566d49",
         "348450170b02dff29260f573698bdc127f6a252ec43051dcb568aa1a740f4322",
@@ -232,6 +242,7 @@ GOLDEN = [
         GRAPH_DOC,
         "b1",
         {"1": 5, "2": 6},
+        "210072174385f0e304c340b90ca8d912cd2890e13614b3df772989adca1fdac5",
         "bab80397853bb76ec0d54baaf2aabbb22e28f5e877bcfa4a262ecf7b3e44da9f",
         "d8d7d269736a8506e351dfb19f7d17d71ccddf11101c2ed91485482a93ae272f",
         "edcead03f81f432907dc9281de2f0ce1f1f9deee2382590434df3a1c35e974d3",
@@ -244,6 +255,7 @@ GOLDEN = [
         HINTS_DOC,
         "a12",
         {"1": 20, "2": 20},
+        "ab5e4fcc9c423121b439a4e2ca933b84b380cc954e060c463f9487d264a84b95",
         "95c1dea07aa05d12a76cdcc4df77a23ce76da6919678ae9788d89556c91a8161",
         "d9dc458959f17cd181d179be7069540cdd31d1d7b8ebe2932d1714b9254f82a6",
         "5ca24a022a5b77da5f992e200e3ff3a6f83499df8e248194b9f453736a20037b",
@@ -256,6 +268,7 @@ GOLDEN = [
         MATRIX_DOC,
         "a0_1",
         {"1": 4, "2": 6},
+        "365534c61e26951d6c6cbd30642a67722aeb427cb86fd7f3caadf76dcfa33859",
         "a344eb5b31dba4e7f135fcf2813cd54076b437835a8ec15af778062f170c93ed",
         "e5aad335e39de92e0c421e7018232fc6446fbcf7af5d803d52024a0a5c7595fc",
         "a3469704996439c9e9e5bd94b49322932ceffc787e93b4e15badc80b8d9f8448",
@@ -269,6 +282,7 @@ GOLDEN = [
          "--epsilon", "1"],
         "n0_005",
         {"3a": 672, "3b": 8},
+        "065427d90b90fedc0a3278d43c77b36487bcf70be74eed2684b78f5055acc1db",
         "cb950b4fe847a75f3b5b61e61e9e19386bc4a576b2a465aa5289b1aa15f0aca8",
         "e4a01781e4bbe102cbe0bc64766eecd9f0de333a3fd6085664be33a86c91eb23",
         "cc884c5477bc8fb4203381a477e4b82f67e724f0ca65b4b401e697b446025349",
@@ -286,14 +300,14 @@ def sha256(data) -> str:
 
 
 @pytest.mark.parametrize(
-    "name, gen, point, cases, out_sha, run_sha, verify_sha, inspect_sha, trace_sha, "
+    "name, gen, point, cases, inst_sha, out_sha, run_sha, verify_sha, inspect_sha, trace_sha, "
     "trace_file_sha",
     GOLDEN,
     ids=[row[0] for row in GOLDEN],
 )
 def test_golden_bytes(
-    tmp_path, capsys, name, gen, point, cases, out_sha, run_sha, verify_sha, inspect_sha,
-    trace_sha, trace_file_sha,
+    tmp_path, capsys, name, gen, point, cases, inst_sha, out_sha, run_sha, verify_sha,
+    inspect_sha, trace_sha, trace_file_sha,
 ):
     inst = tmp_path / f"{name}.json"
     out = tmp_path / f"{name}_out.json"
@@ -302,6 +316,7 @@ def test_golden_bytes(
         write_canonical(inst, gen)
     else:
         assert main(["generate", *gen, "--out", str(inst)]) == 0
+    assert sha256(inst.read_bytes()) == inst_sha
     capsys.readouterr()
     # exit 0: admission passed
     assert main(["run", str(inst), "--out", str(out), "--trace", str(trace_file)]) == 0

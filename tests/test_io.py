@@ -4,6 +4,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from naivea.errors import MalformedInputError
 from naivea.generators import gen_instance
@@ -34,6 +36,58 @@ def base_doc():
 def test_canonical_dumps_is_sorted_and_newline_terminated():
     text = canonical_dumps({"b": 1, "a": [2, 1]})
     assert text == '{\n  "a": [\n    2,\n    1\n  ],\n  "b": 1\n}\n'
+
+
+# quotes, backslashes, control characters, non-ASCII text and lone surrogates
+TRICKY = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u00e9", "\u2028", "\U0001f600",
+          "\ud800", "\udfff", "#", "a", "A", "~"]
+texts = st.text(
+    st.one_of(st.sampled_from(TRICKY), st.characters(exclude_categories=())), max_size=6
+)
+leaves = st.one_of(
+    texts,
+    st.integers(),
+    st.integers(-(10**30), 10**30),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+)
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(texts, children, max_size=4),
+    )
+
+
+@st.composite
+def json_trees(draw):
+    """Random JSON trees in which one list object may recur at any depths."""
+    shared = draw(st.lists(st.one_of(leaves, st.dictionaries(texts, leaves, max_size=2)),
+                           min_size=1, max_size=3))
+    return draw(st.recursive(st.one_of(leaves, st.just(shared)), containers, max_leaves=25))
+
+
+SHARED = ["x", 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_trees())
+@example({})
+@example([])
+@example({"b": SHARED, "a": [SHARED, {"c": SHARED}], "d": SHARED})
+@example({"\u00e9": 1, "z": 2, "\x00": [True, False, None, -(10**40)]})
+def test_canonical_dumps_matches_the_stdlib(tree):
+    assert canonical_dumps(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+def test_canonical_dumps_rejects_non_json_values():
+    # a non-str key too, which json.dumps would have turned into a string
+    for bad in ({1: "a"}, {"a": {1, 2}}, [object()], {"a": [b"x"]}):
+        with pytest.raises(TypeError):
+            canonical_dumps(bad)
 
 
 def test_instance_round_trip(tmp_path):
@@ -166,6 +220,10 @@ def test_read_json_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(MalformedInputError, match="not valid JSON"):
         read_json(bad)
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(MalformedInputError, match="not valid UTF-8"):
+        read_json(utf16)
 
 
 def test_load_output_validation(tmp_path):
@@ -181,6 +239,13 @@ def test_load_output_validation(tmp_path):
 def test_parse_subsets():
     parsed = parse_subsets({"x": ["a", "b#2"]})
     assert parsed == {"x": {"a", ("b", 2)}}
+    # equal member lists share one frozenset
+    parsed = parse_subsets({"x": ["a", "b#2"], "y": ["a", "b#2"], "z": ["b#2", "a"]})
+    assert parsed["x"] is parsed["y"]
+    assert parsed["z"] == parsed["x"]
+    for bad in (["a", ["b"]], [{"a": 1}], ["a", "b#0"], [5]):
+        with pytest.raises(MalformedInputError, match="augmented point|tail index"):
+            parse_subsets({"x": ["a"], "y": bad})
     with pytest.raises(MalformedInputError, match="duplicate"):
         parse_subsets({"x": ["a", "a"]})
     with pytest.raises(MalformedInputError, match="must be a list"):

@@ -2,6 +2,7 @@
 
 Graph distances are checked against a Floyd-Warshall oracle and components
 against a union-find oracle, both written independently of the package.
+Each backend's ``eccentricity`` is checked against a maximum over ``dist``.
 """
 from __future__ import annotations
 
@@ -11,6 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_e2e import documents
+from test_trees import S as TREE_S
+from test_trees import clustered_spaces
 
 from naivea.chains import InstanceParams
 from naivea.errors import InternalInvariantError, MalformedInputError, UnknownPointError
@@ -319,3 +323,29 @@ def test_int_metric_matches_fraction_oracle(source, data):
     for x in pts:
         expected = sorted(y for y in pts if oracle[(x, y)] <= r)
         assert sorted(sp.metric.neighbors_within(x, r)) == expected
+
+
+# the clustered spaces of test_trees and the instance documents of test_e2e:
+# positions with mixed denominators, graphs with rational weights, matrices
+eccentricity_spaces = st.one_of(
+    clustered_spaces().map(lambda drawn: drawn[0]),
+    documents().map(lambda doc: build_space(doc["space"]["points"], doc["space"]["metric"])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(eccentricity_spaces, st.data())
+def test_eccentricity_matches_brute_force(space, data):
+    metric = space.metric
+    # components as the case-2 radius reads them, the whole space, then
+    # fresh lists: the line caches extents per collection object, so a
+    # reused object must not carry another collection's extents
+    collections = [comp.points for comp in rips_components(space, TREE_S).components]
+    collections.append(space.points)
+    for _ in range(4):
+        collections.append(data.draw(st.lists(st.sampled_from(space.points), min_size=1)))
+    for points in collections:
+        for x in space.points:
+            expected = max(metric.dist(x, p) for p in points)
+            assert metric.eccentricity(x, points) == expected
+            assert type(metric.eccentricity(x, points)) is int
