@@ -21,6 +21,20 @@ in points)`` without a ``dist`` call per point: one row maximum on a matrix
 or graph, and on the line the farther of the two extreme positions, which are
 found once per points collection. A case-2 radius is such an eccentricity
 over the component.
+
+The graph backend settles each source's Dijkstra only as far as the queries
+on that source reach (``GraphMetric``). The pipeline's queries are local:
+chain supports lie within S, pairs within R and Rips edges within S, so on a
+space of bounded geometry most rows stay a small ball, and only an
+eccentricity or the connectivity check settles a row in full.
+
+``neighbors_within(x, r)`` returns the points within r of x in an order that
+is unspecified on every backend (the graph backend returns them in settle
+order). Every caller must sort them or not depend on their order:
+``bfs_tree`` and ``chains.qualifying_pairs`` sort, ``tailor.annulus_points``
+picks by max/min, ``_assert_separated`` only tests membership, and the key
+order of ``generators._ball_sum_chains``'s chains reaches no output (chains
+are summed, looked up, and written with sorted keys).
 """
 from __future__ import annotations
 
@@ -70,51 +84,93 @@ class MatrixMetric:
         return [y for y, d in self.rows[x].items() if d <= t]
 
 
+class _Row:
+    """One source's Dijkstra, resumable: it settles only as far as asked.
+
+    ``settled`` maps each settled point to its distance from the source, in
+    settle order, so its values never decrease and every ball around the
+    source is a prefix of it. Every point nearer than the top of ``heap`` is
+    settled. ``tentative`` holds the best distance found so far for each
+    discovered point. Once the heap runs empty the row is complete, and only
+    ``settled`` is kept.
+    """
+
+    __slots__ = ("adjacency", "settled", "tentative", "heap")
+
+    def __init__(self, adjacency, source):
+        self.adjacency = adjacency
+        self.settled = {}
+        self.tentative = {source: 0}
+        self.heap = [(0, source)]
+
+    def settle(self, limit=math.inf, target=None):
+        """Settle every point within ``limit`` units of the source (all of
+        them by default), or stop early once ``target`` is settled."""
+        heap = self.heap
+        if heap is None:
+            return
+        settled, tentative, adjacency = self.settled, self.tentative, self.adjacency
+        pop, push = heapq.heappop, heapq.heappush
+        while heap and heap[0][0] <= limit:
+            d, u = pop(heap)
+            if u in settled:
+                continue
+            settled[u] = d
+            for v, w in adjacency[u]:
+                nd = d + w
+                if v not in tentative or nd < tentative[v]:
+                    tentative[v] = nd
+                    push(heap, (nd, v))
+            if target is not None and u == target:
+                break
+        if not heap:
+            self.tentative = self.heap = None
+
+
 class GraphMetric:
     """Shortest-path metric of a connected positive-weight graph.
 
-    Weights are ints in units of 1/denominator. Rows are computed by Dijkstra
-    on demand and cached, so distance queries stay exact without
-    materializing all pairs up front.
+    Weights are ints in units of 1/denominator. Each source gets one
+    resumable Dijkstra (``row``), which settles points only as far as the
+    queries on it reach: a ball of radius r settles the points within r, a
+    distance settles up to its target, and an eccentricity settles the whole
+    row. On a space of bounded geometry most rows therefore stay a small ball.
     """
 
     def __init__(self, adjacency: dict[str, list[tuple[str, int]]], denominator: int = 1):
         self.adjacency = adjacency
         self.denominator = denominator
-        self._rows: dict[str, dict[str, int]] = {}
+        self._rows: dict[str, _Row] = {}
 
-    def row(self, x):
-        cached = self._rows.get(x)
-        if cached is None:
-            cached = self._rows[x] = self._dijkstra(x)
-        return cached
-
-    def _dijkstra(self, source):
-        dist = {source: 0}
-        done = set()
-        heap = [(0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            for v, w in self.adjacency[u]:
-                nd = d + w
-                if v not in dist or nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return dist
+    def row(self, x) -> _Row:
+        """The Dijkstra state of source ``x``; every query goes through here."""
+        state = self._rows.get(x)
+        if state is None:
+            state = self._rows[x] = _Row(self.adjacency, x)
+        return state
 
     def dist(self, x, y) -> int:
-        return self.row(x)[y]
+        row = self.row(x)
+        settled = row.settled
+        if y not in settled:
+            row.settle(target=y)
+        return settled[y]
 
     def eccentricity(self, x, points) -> int:
         row = self.row(x)
-        return max(map(row.__getitem__, points))
+        row.settle()
+        return max(map(row.settled.__getitem__, points))
 
     def neighbors_within(self, x, r):
         t = floor_units(r, self.denominator)
-        return [y for y, d in self.row(x).items() if d <= t]
+        row = self.row(x)
+        row.settle(t)
+        ball = []
+        for y, d in row.settled.items():
+            if d > t:
+                break
+            ball.append(y)
+        return ball
 
 
 class PositionMetric:
@@ -306,8 +362,9 @@ def _build_graph(point_set, edges):
     metric = GraphMetric(adjacency, denominator)
     # all distances must be finite: reject disconnected graphs outright
     row = metric.row(min(point_set))
-    if len(row) != len(point_set):
-        missing = min(point_set - row.keys())
+    row.settle()
+    if len(row.settled) != len(point_set):
+        missing = min(point_set - row.settled.keys())
         raise MalformedInputError(
             f"graph source is disconnected ({missing!r} unreachable); all distances must be finite"
         )

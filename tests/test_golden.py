@@ -11,6 +11,10 @@ edge weights with denominators 2 to 6, and a tail spacing S = 3/4 on a
 hints cover a ray that starts mid-component and one that falls back to the
 bounded path with a warning. A deliberate format change must update the
 hashes in the same commit.
+
+``neighbors_within`` returns its points in no specified order, so every row
+must come out the same when each backend returns them reversed, and so must
+small Cayley graphs with two generators, whose balls are not intervals.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ import pytest
 
 from naivea.cli import main
 from naivea.instance_io import read_json, write_canonical
+from naivea.space import GraphMetric, MatrixMetric, PositionMetric
 
 # Two S-Rips components at S = 1, joined by a 7/2 edge: the a-group is case 2
 # and the b-group follows its ray hint (case 1). Chains are the ball sums
@@ -331,3 +336,57 @@ def test_golden_bytes(
     assert sha256(capsys.readouterr().out) == inspect_sha
     assert main(["trace", str(inst), "--point", point]) == 0
     assert sha256(capsys.readouterr().out) == trace_sha
+
+
+def reverse_neighbors(monkeypatch):
+    """Make every backend's ``neighbors_within`` return its points reversed."""
+    for cls in (MatrixMetric, GraphMetric, PositionMetric):
+        forward = cls.neighbors_within
+        monkeypatch.setattr(
+            cls, "neighbors_within", lambda self, x, r, forward=forward: forward(self, x, r)[::-1]
+        )
+
+
+@pytest.mark.parametrize("row", GOLDEN, ids=[row[0] for row in GOLDEN])
+def test_golden_bytes_under_reversed_neighbors(monkeypatch, tmp_path, capsys, row):
+    reverse_neighbors(monkeypatch)
+    test_golden_bytes(tmp_path, capsys, *row)
+
+
+def cli_transcript(capsys, workdir, gen, point):
+    """Exit code, stdout and stderr of generate, run --trace, verify, inspect
+    and trace, then the bytes of every file they wrote."""
+    inst, out, trace = workdir / "inst.json", workdir / "out.json", workdir / "trace.txt"
+    capsys.readouterr()
+    transcript = []
+    for argv in (
+        ["generate", *gen, "--out", str(inst)],
+        ["run", str(inst), "--out", str(out), "--trace", str(trace)],
+        ["verify", str(inst), str(out)],
+        ["inspect", str(inst)],
+        ["trace", str(inst), "--point", point],
+    ):
+        code = main(argv)
+        out_text, err_text = (text.replace(str(workdir), "DIR") for text in capsys.readouterr())
+        transcript.append((code, out_text, err_text))
+    transcript.extend(p.read_bytes() if p.exists() else None for p in (inst, out, trace))
+    return transcript
+
+
+# case 1 along the ray hint, case 2 without it, and an admission failure
+SMALL_CAYLEYS = {
+    "ray": ["--k", "3"],
+    "bounded": ["--k", "3", "--no-emulate-unbounded"],
+    "inadmissible": ["--k", "2"],
+}
+
+
+@pytest.mark.parametrize("extra", SMALL_CAYLEYS.values(), ids=SMALL_CAYLEYS)
+def test_small_cayley_under_reversed_neighbors(monkeypatch, tmp_path, capsys, extra):
+    gen = ["cayley_cyclic", "--n", "40", "--generators", "1,7", "--R", "1", "--epsilon", "1",
+           *extra]
+    (tmp_path / "forward").mkdir()
+    (tmp_path / "reversed").mkdir()
+    forward = cli_transcript(capsys, tmp_path / "forward", gen, "g05")
+    reverse_neighbors(monkeypatch)
+    assert cli_transcript(capsys, tmp_path / "reversed", gen, "g05") == forward

@@ -1,7 +1,8 @@
 """Metric backends, validation, and the S-Rips decomposition.
 
-Graph distances are checked against a Floyd-Warshall oracle and components
-against a union-find oracle, both written independently of the package.
+Graph distances are checked against a Floyd-Warshall oracle, also while rows
+are only partly settled, and components against a union-find oracle, both
+written independently of the package.
 Each backend's ``eccentricity`` is checked against a maximum over ``dist``.
 """
 from __future__ import annotations
@@ -349,3 +350,64 @@ def test_eccentricity_matches_brute_force(space, data):
             expected = max(metric.dist(x, p) for p in points)
             assert metric.eccentricity(x, points) == expected
             assert type(metric.eccentricity(x, points)) is int
+
+
+@st.composite
+def graph_queries(draw):
+    """A connected graph with rational weights, its Floyd-Warshall table, and
+    a random interleaving of queries against one metric."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    pts = [f"v{i}" for i in range(n)]
+    weights = st.one_of(st.integers(1, 3), rationals(3))  # ties and exact radii are common
+    edges = [(pts[i], pts[draw(st.integers(0, i - 1))], draw(weights)) for i in range(1, n)]
+    for u, v in draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), max_size=12)):
+        if u != v:
+            edges.append((u, v, draw(weights)))
+    oracle = floyd_warshall(pts, edges)
+    point = st.sampled_from(pts)
+    distance = st.sampled_from(sorted(set(oracle.values())))
+    # radii on a distance, a hair either side of one, and arbitrary ones
+    radius = st.one_of(
+        distance,
+        st.builds(lambda d, s: max(d + s, Fraction(0)), distance,
+                  st.sampled_from([Fraction(1, 1000003), Fraction(-1, 1000003)])),
+        rationals(10),
+    )
+    query = st.one_of(
+        st.tuples(st.just("dist"), point, point),
+        st.tuples(st.just("near"), point, radius),
+        st.tuples(st.just("ecc"), point, st.lists(point, min_size=1)),
+        st.tuples(st.just("row"), point),
+    )
+    queries = draw(st.lists(query, min_size=1, max_size=40))
+    return pts, [[u, v, str(w)] for u, v, w in edges], oracle, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_queries())
+def test_lazy_graph_rows_match_full_oracle(drawn):
+    """Rows settle only as far as each query reaches; every answer must still
+    be the one a full all-pairs computation gives, in any query order."""
+    pts, edges, oracle, queries = drawn
+    metric = build_space(pts, {"type": "graph", "edges": edges}).metric
+    D = metric.denominator
+    for op, x, *args in queries:
+        if op == "dist":
+            d = metric.dist(x, args[0])
+            assert type(d) is int and Fraction(d, D) == oracle[(x, args[0])]
+        elif op == "near":
+            r = args[0]
+            ball = metric.neighbors_within(x, r)
+            assert len(ball) == len(set(ball))
+            assert set(ball) == {y for y in pts if oracle[(x, y)] <= r}
+        elif op == "ecc":
+            e = metric.eccentricity(x, args[0])
+            assert type(e) is int and Fraction(e, D) == max(oracle[(x, p)] for p in args[0])
+            # a complete row keeps its settled map and nothing else
+            row = metric.row(x)
+            assert row.tentative is None and row.heap is None
+            assert len(row.settled) == len(pts)
+        else:
+            settled = metric.row(x).settled
+            assert all(Fraction(d, D) == oracle[(x, y)] for y, d in settled.items())
+            assert list(settled.values()) == sorted(settled.values())
