@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .chains import InstanceParams
 from .errors import InternalInvariantError, MalformedInputError, UnknownPointError
-from .space import Component, Decomposition, Space
+from .space import Decomposition, Space
 
 AugPoint = "str | tuple[str, int]"
 
@@ -71,14 +71,6 @@ class AugmentedSpace:
         object.__setattr__(self, "step", spacing.numerator)
         object.__setattr__(self, "unit", self.space.metric.denominator * spacing.denominator)
 
-    def component_of(self, p) -> Component:
-        if isinstance(p, tuple):
-            comp = self._by_anchor.get(p[0])
-            if comp is None:
-                raise UnknownPointError(f"no component anchored at {p[0]!r}")
-            return comp
-        return self.decomposition.component_of(p)
-
     def _check_tail(self, p):
         anchor, index = p
         if anchor not in self._by_anchor:
@@ -118,24 +110,21 @@ class AugmentedSpace:
         return self.space.dist(u, v[0]) + v[1] * S
 
     def dist_units(self, u, v) -> int:
-        """dist(u, v) * unit, computed on ints; the pipeline compares these."""
+        """dist(u, v) * unit, computed on ints; the pipeline compares these.
+
+        Trusts its arguments: it checks neither that a base id is in the space
+        nor a tail's anchor and index. ``dist`` validates both.
+        """
         base = self.space.metric.dist
         ut, vt = isinstance(u, tuple), isinstance(v, tuple)
         if not ut and not vt:
-            self.space.require(u)
-            self.space.require(v)
             return self.k * base(u, v)
-        if ut:
-            self._check_tail(u)
-        if vt:
-            self._check_tail(v)
         if ut and vt:
             if u[0] == v[0]:
                 return abs(u[1] - v[1]) * self.step
             return (u[1] + v[1]) * self.step + self.k * base(u[0], v[0])
         if ut:
             u, v = v, u  # now u is the base point, v the tail
-        self.space.require(u)
         return self.k * base(u, v[0]) + v[1] * self.step
 
     def materialize(self, max_index: int) -> list:

@@ -98,7 +98,7 @@ class ChainFamily:
 def from_sets(family: SetFamily) -> ChainFamily:
     """Collapse levels: a_x(z) = number of levels at which (z, level) sits in A_x."""
     M = family.multiplicity_bound
-    if not isinstance(M, int) or M < 1:
+    if not isinstance(M, int) or isinstance(M, bool) or M < 1:
         raise MalformedInputError(f"multiplicity bound must be a positive int, got {M!r}")
     chains = {}
     for x, pairs in family.sets.items():

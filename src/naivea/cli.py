@@ -18,6 +18,7 @@ from .instance_io import (
     instance_to_doc,
     load_instance,
     load_output,
+    open_output,
     parse_subsets,
     write_canonical,
 )
@@ -85,7 +86,7 @@ def cmd_run(args) -> int:
     write_canonical(args.out, output_to_jsonable(subsets, certificate))
     if args.trace:
         flow_map, chains = _prepare(instance).flow_map, instance.family.chains
-        with open(args.trace, "w", encoding="utf-8") as fh:
+        with open_output(args.trace) as fh:
             for x in instance.space.points:
                 fh.writelines(f"{x} {line}\n" for line in _flow_lines(flow_map, chains[x]))
     print(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from .chains import ChainFamily, InstanceParams
@@ -152,13 +153,9 @@ def _ball_sum_chains(space: Space, radii) -> ChainFamily:
     return ChainFamily(chains=chains)
 
 
-def gen_instance(kind, params, seed=0) -> tuple[Space, ChainFamily, InstanceParams]:
-    """Build a full instance for one of the named generator kinds.
-
-    Chains are sums of ball indicators (for cayley_cyclic, the translates of
-    the radius-k ball in the word metric, which is the same thing); S is the
-    largest radius used, so supports sit exactly within distance S.
-    """
+def gen_space(kind, params, seed=0) -> tuple[Space, list, InstanceParams]:
+    """Space, ball radii and instance parameters of a generator spec; every
+    check on the spec is made here, so files that carry chains get them too."""
     if not isinstance(params, dict):
         raise MalformedInputError("generator params must be a dict")
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -187,17 +184,21 @@ def gen_instance(kind, params, seed=0) -> tuple[Space, ChainFamily, InstancePara
     else:
         raise MalformedInputError(f"unknown generator kind {kind!r}")
 
-    family = _ball_sum_chains(space, radii)
     instance_params = InstanceParams(
         R=parse_rational(params.get("R", "1")),
         epsilon=parse_rational(params.get("epsilon", "1")),
         S=max(radii),
     )
     spec = {"type": "generator", "kind": kind, "params": params, "seed": seed}
-    space = Space(
-        points=space.points,
-        metric=space.metric,
-        hints=space.hints,
-        metric_spec=spec,
-    )
-    return space, family, instance_params
+    return replace(space, metric_spec=spec), radii, instance_params
+
+
+def gen_instance(kind, params, seed=0) -> tuple[Space, ChainFamily, InstanceParams]:
+    """Build a full instance for one of the named generator kinds.
+
+    Chains are sums of ball indicators (for cayley_cyclic, the translates of
+    the radius-k ball in the word metric, which is the same thing); S is the
+    largest radius used, so supports sit exactly within distance S.
+    """
+    space, radii, instance_params = gen_space(kind, params, seed)
+    return space, _ball_sum_chains(space, radii), instance_params

@@ -97,8 +97,16 @@ def _emit(obj, depth, parts, seen):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def open_output(path):
+    """``path`` opened for writing text; failing to open it is malformed input."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise MalformedInputError(f"cannot write {path}: {exc}") from None
+
+
 def write_canonical(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(canonical_dumps(obj))
 
 
@@ -129,16 +137,19 @@ def _require(doc, key, where):
     return doc[key]
 
 
-def _generated(points, metric, hints):
-    """Space and chains of a generator metric; non-empty ``hints`` replace its own."""
+def _generated(points, metric, hints, with_chains):
+    """Space of a generator metric, and its ball-sum chains when
+    ``with_chains`` (else None); non-empty ``hints`` replace its own."""
     # imported at call time, so a tracer that wraps generators.gen_instance
     # sees this call; do not hoist
-    from .generators import gen_instance
+    from . import generators
 
     sorted_points = check_points(points)
-    space, family, _ = gen_instance(
-        metric.get("kind"), metric.get("params", {}), metric.get("seed", 0)
-    )
+    spec = (metric.get("kind"), metric.get("params", {}), metric.get("seed", 0))
+    if with_chains:
+        space, family, _ = generators.gen_instance(*spec)
+    else:
+        space, family = generators.gen_space(*spec)[0], None
     if space.points != sorted_points:
         raise MalformedInputError("generator metric does not reproduce the instance's point list")
     parsed_hints = parse_hints(hints, space.point_set)
@@ -154,9 +165,11 @@ def instance_from_doc(doc) -> Instance:
     points = _require(space_doc, "points", "instance space")
     metric = _require(space_doc, "metric", "instance space")
     hints = doc.get("unbounded_hints", ())
+    has_chains = "chains" in doc
+    has_sets = "sets" in doc
     generated = None
     if isinstance(metric, dict) and metric.get("type") == "generator":
-        space, generated = _generated(points, metric, hints)
+        space, generated = _generated(points, metric, hints, not (has_chains or has_sets))
     else:
         space = build_space(points, metric, hints=hints)
 
@@ -167,8 +180,6 @@ def instance_from_doc(doc) -> Instance:
         S=parse_rational(_require(params_doc, "S", "params")),
     )
 
-    has_chains = "chains" in doc
-    has_sets = "sets" in doc
     if has_chains and has_sets:
         raise MalformedInputError("instance has both 'chains' and 'sets'; provide one")
     if has_chains:

@@ -314,21 +314,28 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S):
     # distances below are ints in units of 1/aug.unit; base ones count k times
     dist, eccentricity, k = space.metric.dist, space.metric.eccentricity, aug.k
     locality = aug.step + 2 * N * aug.step
+    owner = decomp.owner
     chains = family.chains
 
     def handle(x):
-        comp = decomp.component_of(x)
+        comp = decomp.components[owner[x]]
         support = set(stabilize(prep.flow_map, chains[x])[0])
-        has_tail = False
-        reach = 0  # the largest distance from x to a support point
+        far = 0  # the largest base distance from x to a base point of the support
+        top = 0  # the largest tail index in the support
         for p in support:
-            if aug.component_of(p).index != comp.index:
-                raise InternalInvariantError(f"flow left the component at {x!r}")
             if isinstance(p, tuple):
-                has_tail = True
-                if p[1] > N:
+                if p[0] != comp.anchor:
+                    raise InternalInvariantError(f"flow left the component at {x!r}")
+                if not 1 <= p[1] <= N:
                     raise InternalInvariantError(f"tail index beyond N in the support of {x!r}")
-            reach = max(reach, aug.dist_units(x, p))
+                top = max(top, p[1])
+            elif owner.get(p) != comp.index:
+                raise InternalInvariantError(f"flow left the component at {x!r}")
+            else:
+                far = max(far, dist(x, p))
+        reach = k * far  # the largest distance from x to a support point
+        if top:
+            reach = max(reach, k * dist(x, comp.anchor) + top * aug.step)
         if reach > bounds["case1"]:
             raise InternalInvariantError(f"stabilized support of {x!r} escaped the radius bound")
         subset = tailor_subset(plan, comp, support)
@@ -339,7 +346,7 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S):
             # the subset is the whole component (tailor_subset): no tail points
             case, limit = "2", bounds["case2"]
             radius = k * eccentricity(x, comp.points)
-        elif not has_tail:
+        elif not top:
             case, radius, limit = "3a", reach, bounds["case3"]
         else:
             case, limit = "3b", bounds["case3"]
@@ -352,7 +359,7 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S):
                 raise InternalInvariantError(
                     f"support of {x!r} collides with the annulus markers"
                 )
-            radius = max(aug.dist_units(x, p) for p in subset)
+            radius = k * max(dist(x, p) for p in subset)  # markers replaced the tail
         if radius > limit:
             raise InternalInvariantError(
                 f"output radius {Fraction(radius, aug.unit)} for {x!r} exceeds "

@@ -120,14 +120,6 @@ def test_tail_validation(two, two_params):
         aug.materialize(12)
 
 
-def test_component_of_tail_points(two, two_params):
-    aug = make_aug(two, two_params)
-    assert aug.component_of(("r0", 5)).points == ("r0", "r1", "r2")
-    assert aug.component_of("q1").points == ("q0", "q1", "q2")
-    with pytest.raises(UnknownPointError):
-        aug.component_of(("q2", 1))
-
-
 def test_augment_needs_completed_params(two):
     params = InstanceParams(R=Fraction(1), epsilon=Fraction(1), S=Fraction(2))
     with pytest.raises(InternalInvariantError, match="N unset"):

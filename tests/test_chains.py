@@ -112,6 +112,8 @@ def test_from_sets_collapses_levels():
             from_sets(SetFamily(sets={"x": [item]}, multiplicity_bound=3))
     with pytest.raises(PreconditionError, match="empty"):
         from_sets(SetFamily(sets={"x": []}, multiplicity_bound=3))
+    with pytest.raises(MalformedInputError, match="multiplicity bound"):
+        from_sets(SetFamily(sets={"x": [("a", 0)]}, multiplicity_bound=True))  # bool is an int
 
 
 def test_params_validation():

@@ -322,6 +322,17 @@ def test_exit_codes(tmp_path, capsys):
         assert run_cli("inspect", str(shaped)) == 2, doc
         assert capsys.readouterr().err.startswith("error: ")
 
+    # an output path that cannot be opened is malformed input, never a traceback
+    missing = tmp_path / "missing" / "x.json"
+    for argv in (
+        ["generate", "line", "--count", "5", "--out", str(missing)],
+        ["run", str(good_inst), "--out", str(missing)],
+        ["run", str(good_inst), "--out", str(good_out), "--trace", str(missing)],
+    ):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: "), argv
+
     # bytes that are not UTF-8, as an instance or as an output to verify
     utf16 = tmp_path / "utf16.json"
     utf16.write_bytes(b"\xff\xfe{\x00}\x00")

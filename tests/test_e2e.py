@@ -3,14 +3,16 @@ document (exit 2 or 3) or writes an output that `verify` accepts.
 
 Documents are small: 2-12 points on the positions, graph (rational edge
 weights) or matrix backend (a graph's shortest-path distances), with
-denominators up to 6, ball-sum chains and 0-2 ray hints. Exit 4 (an internal
-invariant) and any traceback fail the test. A 60-point unit line whose chains
-each put mass 2 on their own point is pinned as an example: its components
-are large, so it reaches cases 3a and 3b, which random documents this small
-do not.
+denominators up to 6, ball-sum chains and 0-2 ray hints. Each document also
+runs with its chains written as leveled ``sets``, with the same exit code and
+output bytes. Exit 4 (an internal invariant) and any traceback fail the test.
+A 60-point unit line whose chains each put mass 2 on their own point is
+pinned as an example: its components are large, so it reaches cases 3a and
+3b, which random documents this small do not.
 """
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naivea.cli import main
-from naivea.instance_io import read_json, write_canonical
+from naivea.instance_io import write_canonical
 
 RATIONALS = sorted({Fraction(a, b) for a in range(1, 13) for b in range(1, 7)})
 rationals = st.sampled_from(RATIONALS)
@@ -102,14 +104,32 @@ def documents(draw):
     return doc
 
 
+def as_sets(doc):
+    """``doc`` with its chains as leveled sets: multiplicity m at y is (y, 0..m-1)."""
+    leveled = {key: value for key, value in doc.items() if key != "chains"}
+    leveled["sets"] = {
+        x: [[y, level] for y, m in chain.items() for level in range(m)]
+        for x, chain in doc["chains"].items()
+    }
+    return leveled
+
+
 def run_and_verify(directory, doc):
-    inst, out = directory / "inst.json", directory / "out.json"
-    write_canonical(inst, doc)
-    code = main(["run", str(inst), "--out", str(out)])
-    assert code in (0, 2, 3)
+    """Run ``doc`` and verify its output, then the same witness as leveled
+    sets, which must give the same exit code and the same output bytes."""
+    results = []
+    for name, form in (("chains", doc), ("sets", as_sets(doc))):
+        inst, out = directory / f"{name}.json", directory / f"{name}_out.json"
+        write_canonical(inst, form)
+        code = main(["run", str(inst), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert main(["verify", str(inst), str(out)]) == 0
+        results.append((code, out.read_bytes() if code == 0 else None))
+    assert results[0] == results[1]
+    code, output = results[0]
     if code == 0:
-        assert main(["verify", str(inst), str(out)]) == 0
-        return Counter(read_json(out)["certificate"]["cases"].values())
+        return Counter(json.loads(output)["certificate"]["cases"].values())
     return None
 
 

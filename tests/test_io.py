@@ -185,6 +185,22 @@ def test_thin_generator_instance_generates_once(monkeypatch):
     assert inst.family.chains == family.chains
 
 
+def test_generator_instance_with_chains_builds_no_chains(monkeypatch):
+    from naivea import generators
+
+    space, family, params = gen_instance("line", {"count": 8, "radii": ["2"]}, seed=1)
+    doc = instance_to_doc(space, family, params)
+    doc["chains"]["p0"] = {"p0": 3}  # the file's chains win over the generator's
+
+    def refuse(*args):
+        raise AssertionError("ball-sum chains built although the file carries chains")
+
+    monkeypatch.setattr(generators, "_ball_sum_chains", refuse)
+    inst = instance_from_doc(doc)
+    assert inst.family.chains == doc["chains"]
+    assert inst.space.points == space.points
+
+
 def test_generator_instance_hint_rule():
     space, family, params = gen_instance(
         "line", {"count": 8, "radii": ["2"], "unbounded": True}, seed=0

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naivea.chains import ChainFamily, InstanceParams, set_ratio, variation_ratio
+from naivea.cli import main
 from naivea.errors import InternalInvariantError, MalformedInputError, PreconditionError
 from naivea.generators import gen_instance
+from naivea.instance_io import load_instance, write_canonical
 from naivea.space import (
     CLS_BOUNDED_LARGE,
     CLS_BOUNDED_SMALL,
@@ -264,3 +266,39 @@ def test_pipeline_rejects_bad_instances(two):
     prep = prepare(two, ChainFamily(chains=chains), 1, "1/2", 2)
     assert not prep.report.ok and len(prep.decomposition.components) == 2
     assert set(prep.flow_map.base_successor) == set(two.points)
+
+
+def test_pipeline_rejects_supports_outside_their_reach(monkeypatch, tmp_path, capsys):
+    """Each support point is checked once, against x's own component: a base
+    point of another component, a tail at another anchor, a tail index outside
+    1..N and a point beyond the case-1 bound are invariant failures (exit 4)."""
+    ids = [f"p{i:02d}" for i in range(20)]
+    values = {p: i for i, p in enumerate(ids)}
+    values["q0"] = 100  # a second component, anchored at q0
+    doc = {
+        "space": {"points": sorted(values), "metric": {"type": "positions", "values": values}},
+        "params": {"R": "1/2", "epsilon": "1", "S": "2"},  # no pair is within R
+        "chains": {x: {x: 1} for x in values},
+    }
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    write_canonical(inst, doc)
+    instance = load_instance(inst)
+    space, family = instance.space, instance.family
+    N = prepare(space, family, "1/2", 1, 2).report.params.N
+    assert main(["run", str(inst), "--out", str(out)]) == 0
+    # p00 is flowed first; the case-1 bound is 2 + 2 * L^2 = 10 with L = 2
+    for support, message in [
+        ({"p00", "q0"}, "flow left the component at 'p00'"),
+        ({"p00", ("q0", 1)}, "flow left the component at 'p00'"),
+        ({"p00", ("p00", N + 1)}, "tail index beyond N in the support of 'p00'"),
+        ({"p00", ("p00", 0)}, "tail index beyond N in the support of 'p00'"),
+        ({"p00", "p19"}, "stabilized support of 'p00' escaped the radius bound"),
+    ]:
+        monkeypatch.setattr(
+            "naivea.tailor.stabilize", lambda flow, a, s=support: (dict.fromkeys(s, 1), 0)
+        )
+        with pytest.raises(InternalInvariantError, match=message):
+            run_pipeline(space, family, "1/2", 1, 2)
+        capsys.readouterr()
+        assert main(["run", str(inst), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"internal invariant violated: {message}\n"
