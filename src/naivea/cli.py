@@ -7,6 +7,7 @@ failure, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .augment import aug_sort_key, format_aug
@@ -72,6 +73,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.trace and os.path.realpath(args.trace) == os.path.realpath(args.out):
+        raise MalformedInputError(f"--trace and --out name the same file {args.out}")
     instance = _load(args.instance)
     params = instance.params
     subsets, certificate = run_pipeline(
@@ -83,10 +86,19 @@ def cmd_run(args) -> int:
     # instance_io.output_to_jsonable sees this call; do not hoist
     from .instance_io import output_to_jsonable
 
-    write_canonical(args.out, output_to_jsonable(subsets, certificate))
-    if args.trace:
+    # the trace opens first, so an unwritable trace leaves no output behind,
+    # and an output that cannot be written takes the new trace with it
+    trace = open_output(args.trace) if args.trace else None
+    try:
+        write_canonical(args.out, output_to_jsonable(subsets, certificate))
+    except BaseException:
+        if trace is not None:
+            trace.close()
+            os.remove(args.trace)
+        raise
+    if trace is not None:
         flow_map, chains = _prepare(instance).flow_map, instance.family.chains
-        with open_output(args.trace) as fh:
+        with trace as fh:
             for x in instance.space.points:
                 fh.writelines(f"{x} {line}\n" for line in _flow_lines(flow_map, chains[x]))
     print(

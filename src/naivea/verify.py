@@ -1,16 +1,21 @@
 """Independent verification.
 
 verify_naive re-derives every ratio and the support radius from the space
-and the proposed subsets alone; verify_certificate reruns the deterministic
-pipeline and demands that the parsed output equal the recomputed one, field
-by field and with the same JSON types (so the file's whitespace does not
-matter). The flow monitor brute-forces every small chain on a successor path
-and checks the redistribution laws exhaustively, and the one-pass settler
-against synchronous stepping.
+and the proposed subsets alone. It checks each distinct subset object once
+(points with equal member lists share one, see ``parse_subsets``); a shared
+subset's radius at a point is one ``metric.eccentricity`` over its base
+members, and a subset held by one point is measured member by member.
+verify_certificate reruns the deterministic pipeline and demands that the
+parsed output equal the recomputed one, field by field and with the same
+JSON types (so the file's whitespace does not matter). The flow monitor
+brute-forces every small chain on a successor path and checks the
+redistribution laws exhaustively, and the one-pass settler against
+synchronous stepping.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,24 +48,44 @@ class VerifyReport:
         return {"ok": self.ok, "violations": [dict(v) for v in self.violations], "stats": dict(self.stats)}
 
 
-def _resolve_units(space, hint_anchors, spacing, k, x, p) -> int:
-    """Distance from a base point to a subset member in units of 1/(D*k),
-    where the member may be a tail point (anchor, j) hanging at a known
-    anchor, ``spacing`` units apart (None when no spacing was supplied)."""
+def _tail_member(space, hint_anchors, spacing, p):
+    """The (anchor, index) of a tail member: it must hang at a known anchor,
+    with a positive int index and a spacing supplied (None when not)."""
+    anchor, index = p
+    if spacing is None:
+        raise MalformedInputError(
+            f"subset contains tail point {anchor}#{index} but no tail spacing was supplied"
+        )
+    if not space.has(anchor) or (hint_anchors is not None and anchor not in hint_anchors):
+        raise UnknownPointError(f"subset contains unknown tail anchor {anchor!r}")
+    if type(index) is not int or index < 1:
+        raise MalformedInputError(f"bad tail index in subset member {p!r}")
+    return anchor, index
+
+
+def _split(space, hint_anchors, spacing, subset):
+    """Check every member of ``subset`` in its iteration order, so the first
+    bad one raises; return its base members and, per tail anchor, the
+    largest tail index."""
+    base, tails = [], {}
+    for p in subset:
+        if isinstance(p, tuple):
+            anchor, index = _tail_member(space, hint_anchors, spacing, p)
+            if index > tails.get(anchor, 0):
+                tails[anchor] = index
+        elif space.has(p):
+            base.append(p)
+        else:
+            raise UnknownPointError(f"subset contains unknown point {p!r}")
+    return base, tails
+
+
+def _units(metric, spacing, k, x, p) -> int:
+    """Distance from a base point to a checked subset member in units of
+    1/(D*k); a tail point (anchor, j) hangs j*spacing beyond its anchor."""
     if isinstance(p, tuple):
-        anchor, index = p
-        if spacing is None:
-            raise MalformedInputError(
-                f"subset contains tail point {anchor}#{index} but no tail spacing was supplied"
-            )
-        if not space.has(anchor) or (hint_anchors is not None and anchor not in hint_anchors):
-            raise UnknownPointError(f"subset contains unknown tail anchor {anchor!r}")
-        if not isinstance(index, int) or index < 1:
-            raise MalformedInputError(f"bad tail index in subset member {p!r}")
-        return k * space.metric.dist(x, anchor) + index * spacing
-    if not space.has(p):
-        raise UnknownPointError(f"subset contains unknown point {p!r}")
-    return k * space.metric.dist(x, p)
+        return k * metric.dist(x, p[0]) + p[1] * spacing
+    return k * metric.dist(x, p)
 
 
 def verify_naive(
@@ -107,24 +132,43 @@ def verify_naive(
     if tail_spacing is not None:
         scaled = Fraction(tail_spacing) * D
         spacing, k = scaled.numerator, scaled.denominator
-    radius, witness = 0, None
+    # each distinct subset object is checked and split once; a subset that
+    # several points share takes one eccentricity per point, while a subset
+    # held once keeps a dist per member (an eccentricity settles a whole
+    # graph row)
+    metric = space.metric
+    holders = Counter(id(subsets[x]) for x in space.points)
+    parts = {}
+    radius, worst_x = 0, None
     for x in space.points:
-        for p in subsets[x]:
-            d = _resolve_units(space, hint_anchors, spacing, k, x, p)
-            if d > radius:
-                radius, witness = d, (x, p)
-    # report the radius as the rational distance of the pair that attains it,
-    # which checks the int scaling against the exact metric
+        A = subsets[x]
+        part = parts.get(id(A))
+        if part is None:
+            part = parts[id(A)] = _split(space, hint_anchors, spacing, A)
+        base, tails = part
+        if not base:
+            d = 0
+        elif holders[id(A)] > 1:
+            d = k * metric.eccentricity(x, base)
+        else:
+            d = k * max(map(metric.dist, itertools.repeat(x), base))
+        for anchor, index in tails.items():
+            d = max(d, k * metric.dist(x, anchor) + index * spacing)
+        if d > radius:
+            radius, worst_x = d, x
+    # report the radius as the rational distance of the first pair that
+    # attains it, which checks the int scaling against the exact metric
     support_radius = Fraction(0)
-    if witness is not None:
-        x, p = witness
+    if worst_x is not None:
+        x = worst_x
+        p = next(p for p in subsets[x] if _units(metric, spacing, k, x, p) == radius)
         if isinstance(p, tuple):
             support_radius = space.dist(x, p[0]) + p[1] * Fraction(tail_spacing)
         else:
             support_radius = space.dist(x, p)
         if support_radius * D * k != radius:
             raise InternalInvariantError(
-                f"support radius at {witness!r} is {support_radius}, "
+                f"support radius at {(x, p)!r} is {support_radius}, "
                 f"but {radius}/{D * k} in units"
             )
 
@@ -136,12 +180,23 @@ def verify_naive(
     return VerifyReport(ok=not violations, violations=tuple(violations), stats=stats)
 
 
+def _all_str(values) -> bool:
+    return set(map(type, values)) <= {str}
+
+
 def first_divergence(a, b, path=""):
     """First differing field between two JSON-like trees, depth-first in
-    sorted key order; None when equal."""
+    sorted key order; None when equal.
+
+    Equal lists whose items, and equal dicts whose values, are exactly
+    ``str`` on both sides return None without a walk. Anything else is
+    walked, since ``==`` alone takes ``true`` for ``1`` and ``39.0`` for
+    ``39``."""
     if type(a) is not type(b):
         return path or "<root>"
     if isinstance(a, dict):
+        if a == b and _all_str(a.values()) and _all_str(b.values()):
+            return None
         for key in sorted(set(a) | set(b)):
             here = f"{path}.{key}" if path else str(key)
             if key not in a or key not in b:
@@ -151,6 +206,8 @@ def first_divergence(a, b, path=""):
                 return sub
         return None
     if isinstance(a, list):
+        if a == b and _all_str(a) and _all_str(b):
+            return None
         for i in range(min(len(a), len(b))):
             sub = first_divergence(a[i], b[i], f"{path}[{i}]")
             if sub is not None:

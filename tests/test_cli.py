@@ -322,16 +322,27 @@ def test_exit_codes(tmp_path, capsys):
         assert run_cli("inspect", str(shaped)) == 2, doc
         assert capsys.readouterr().err.startswith("error: ")
 
-    # an output path that cannot be opened is malformed input, never a traceback
+    # an output path that cannot be opened is malformed input, never a traceback;
+    # the failed run leaves no file it created, and an earlier output keeps its bytes
     missing = tmp_path / "missing" / "x.json"
+    fresh_out, fresh_trace = tmp_path / "fresh_out.json", tmp_path / "fresh_trace.txt"
+    kept = good_out.read_bytes()
     for argv in (
         ["generate", "line", "--count", "5", "--out", str(missing)],
         ["run", str(good_inst), "--out", str(missing)],
         ["run", str(good_inst), "--out", str(good_out), "--trace", str(missing)],
+        ["run", str(good_inst), "--out", str(fresh_out), "--trace", str(missing)],
+        ["run", str(good_inst), "--out", str(missing), "--trace", str(fresh_trace)],
     ):
         capsys.readouterr()
         assert run_cli(*argv) == 2, argv
         assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: "), argv
+    assert good_out.read_bytes() == kept
+    assert not fresh_out.exists()
+    assert not fresh_trace.exists()
+    assert run_cli("run", str(good_inst), "--out", str(good_out), "--trace", str(good_out)) == 2
+    assert capsys.readouterr().err.startswith("error: --trace and --out name the same file")
+    assert good_out.read_bytes() == kept
 
     # bytes that are not UTF-8, as an instance or as an output to verify
     utf16 = tmp_path / "utf16.json"

@@ -63,3 +63,7 @@ def test_traced_cycle_reaches_every_count(layers, tmp_path):
         # the S-Rips search is split between these stages: each must stay traced
         for stage in ("space.rips", "tailor.classify", "flow.build"):
             assert op["calls"][stage] == 1, (name, stage)
+    # both halves of verify stay traced
+    for half in ("verify.naive", "verify.certificate"):
+        assert ops["verify"]["calls"][half] == 1, half
+        assert ops["run"]["calls"][half] == 0, half

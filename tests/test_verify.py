@@ -6,13 +6,20 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_e2e import documents
+from test_trees import clustered_spaces
 
+from naivea.chains import INFINITE, format_ratio, qualifying_pairs, set_ratio
 from naivea.errors import MalformedInputError, UnknownPointError
 from naivea.generators import gen_instance
 from naivea.instance_io import canonical_dumps, output_to_jsonable
+from naivea.space import build_space
 from naivea.tailor import run_pipeline
 from naivea.verify import (
     FlowSuiteSpec,
+    VerifyReport,
     first_divergence,
     flow_monitor,
     verify_certificate,
@@ -53,6 +60,10 @@ def test_verify_naive_tail_members(l10):
         verify_naive(l10, subsets, 1, 100)
     with pytest.raises(UnknownPointError, match="tail anchor"):
         verify_naive(l10, subsets, 1, 100, tail_spacing=Fraction(2), hint_anchors={"p3"})
+    # a bool is not a tail index, though True == 1
+    subsets["p0"] = {"p0", ("p3", True)}
+    with pytest.raises(MalformedInputError, match="bad tail index"):
+        verify_naive(l10, subsets, 1, 100, tail_spacing=Fraction(2), hint_anchors={"p3"})
 
 
 def test_verify_naive_input_validation(l10):
@@ -76,6 +87,24 @@ def test_first_divergence():
     assert first_divergence({"a": {"b": 1}}, {"a": {"b": 2}}) == "a.b"
     assert first_divergence([1], [1, 2]) == "[1]"
     assert first_divergence(1, "1") == "<root>"
+    # equal lists and dicts of str are equal; == alone would also take these
+    # type mismatches, at any depth
+    assert first_divergence(["p0", "p1#2"], ["p0", "p1#2"]) is None
+    assert first_divergence({"p0": "1", "p1": "2"}, {"p0": "1", "p1": "2"}) is None
+    assert first_divergence(["p0", "p1"], ["p0", "p2"]) == "[1]"
+    assert first_divergence([True], [1]) == "[0]"
+    assert first_divergence({"L": 39.0}, {"L": 39}) == "L"
+    assert first_divergence({"a": "1"}, {"a": 1}) == "a"
+    assert first_divergence([["p0", "p1"]], [["p0", "p1"]]) is None
+    assert first_divergence({"s": ["p0"]}, {"s": ["p0"]}) is None
+    assert first_divergence([[True]], [[1]]) == "[0][0]"
+    assert first_divergence({"c": {"L": 39.0}}, {"c": {"L": 39}}) == "c.L"
+
+    class Tagged(str):
+        pass
+
+    assert first_divergence([Tagged("p0")], ["p0"]) == "[0]"
+    assert first_divergence({"a": "p0"}, {"a": Tagged("p0")}) == "a"
 
 
 def pipeline_doc(space, family, params):
@@ -126,3 +155,123 @@ def test_flow_monitor_small_suite():
 def test_flow_monitor_validation():
     with pytest.raises(MalformedInputError):
         flow_monitor(FlowSuiteSpec(points=0, max_value=2))
+
+
+def reference_naive(space, subsets, R, epsilon, tail_spacing=None, hint_anchors=None):
+    """verify_naive with its radius pass as one check and one exact distance
+    per (point, member), in each subset's iteration order."""
+    epsilon = Fraction(epsilon)
+    pairs = qualifying_pairs(space, Fraction(R))
+    ratios = [(x, y, set_ratio(subsets[x], subsets[y])) for x, y in pairs]
+    violations = tuple(
+        {"condition": "set_ratio", "x": x, "y": y, "ratio": format_ratio(r)}
+        for x, y, r in ratios
+        if r >= epsilon
+    )
+    worst = max((r for *_, r in ratios if r != INFINITE), default=Fraction(0))
+    radius = Fraction(0)
+    for x in space.points:
+        for p in subsets[x]:
+            if isinstance(p, tuple):
+                anchor, index = p
+                if tail_spacing is None:
+                    raise MalformedInputError(
+                        f"subset contains tail point {anchor}#{index} "
+                        "but no tail spacing was supplied"
+                    )
+                if not space.has(anchor) or (
+                    hint_anchors is not None and anchor not in hint_anchors
+                ):
+                    raise UnknownPointError(f"subset contains unknown tail anchor {anchor!r}")
+                if type(index) is not int or index < 1:
+                    raise MalformedInputError(f"bad tail index in subset member {p!r}")
+                d = space.dist(x, anchor) + index * Fraction(tail_spacing)
+            elif not space.has(p):
+                raise UnknownPointError(f"subset contains unknown point {p!r}")
+            else:
+                d = space.dist(x, p)
+            radius = max(radius, d)
+    stats = {
+        "pairs_checked": len(pairs),
+        "worst_ratio": format_ratio(worst),
+        "support_radius": str(radius),
+    }
+    return violations, stats
+
+
+FAULTS = (None, "unknown point", "unknown anchor", "non-hint anchor", "bad index", "no spacing")
+
+
+@st.composite
+def families(draw):
+    """A space from the end-to-end or the tree documents, and a subset family
+    on it: groups of points that share one subset object, or hold one each,
+    with base and tail members, and at most one bad member placed in a
+    subset that several points share or in one that a single point holds."""
+    if draw(st.booleans()):
+        doc = draw(documents())
+        space = build_space(
+            doc["space"]["points"], doc["space"]["metric"], doc.get("unbounded_hints", ())
+        )
+    else:
+        space, _ = draw(clustered_spaces())
+    points = list(space.points)
+    anchors = draw(st.lists(st.sampled_from(points), max_size=3, unique=True))
+    member = st.sampled_from(points)
+    if anchors:
+        member = st.one_of(member, st.tuples(st.sampled_from(anchors), st.integers(1, 4)))
+    subset = st.lists(member, min_size=1, max_size=8).map(frozenset)
+    subsets, rest = {}, draw(st.permutations(points))
+    while rest:
+        cut = draw(st.integers(1, len(rest)))
+        group, rest = rest[:cut], rest[cut:]
+        if draw(st.booleans()):
+            subsets.update(dict.fromkeys(group, draw(subset)))
+        else:
+            subsets.update((x, draw(subset)) for x in group)
+    hint_anchors = set(anchors) if draw(st.booleans()) else None
+    tail_spacing = draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2)]))
+
+    fault = draw(st.sampled_from(FAULTS))
+    if fault is not None:
+        anchor = anchors[0] if anchors else points[0]
+        if fault == "unknown point":
+            bad = "zz"
+        elif fault == "unknown anchor":
+            bad = ("zz", 1)
+        elif fault == "non-hint anchor":
+            outside = [p for p in points if p not in anchors]
+            hint_anchors = set(anchors)
+            bad = (outside[0], 1) if outside else ("zz", 1)
+        elif fault == "bad index":
+            bad = (anchor, draw(st.sampled_from([0, -1, True])))
+            if hint_anchors is not None:
+                hint_anchors.add(anchor)
+        else:
+            bad = (anchor, 1)
+            tail_spacing = None
+        holders = draw(st.lists(st.sampled_from(points), min_size=1, max_size=2, unique=True))
+        faulty = subsets[holders[0]] | {bad}
+        subsets.update(dict.fromkeys(holders, faulty))
+    R = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]))
+    epsilon = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]))
+    return space, subsets, R, epsilon, tail_spacing, hint_anchors
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except (MalformedInputError, UnknownPointError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(families())
+def test_verify_naive_matches_per_member_reference(drawn):
+    expected = outcome(reference_naive, *drawn)
+    report = outcome(verify_naive, *drawn)
+    if isinstance(report, VerifyReport):
+        assert (report.violations, report.stats) == expected
+        assert report.ok == (not expected[0])
+    else:
+        assert report == expected
