@@ -31,6 +31,13 @@ def _int_param(params, key, default=None, minimum=1):
     return value
 
 
+def _bool_param(params, key, default):
+    value = params.get(key, default)
+    if not isinstance(value, bool):
+        raise MalformedInputError(f"generator param {key!r} must be a bool, got {value!r}")
+    return value
+
+
 def _radii_param(params):
     # default keeps S=2 above the default R=1
     radii = params.get("radii", ["2"])
@@ -55,7 +62,7 @@ def _space_line(params, seed):
     # positions i*step in units of 1/step.denominator
     positions = {pid: i * step.numerator for i, pid in enumerate(ids)}
     hints = ()
-    if params.get("unbounded", False):
+    if _bool_param(params, "unbounded", False):
         hints = (UnboundedHint(component_of=ids[0], ray=tuple(ids)),)
     return Space(
         points=tuple(ids), metric=PositionMetric(positions, step.denominator), hints=hints
@@ -84,8 +91,6 @@ def _space_disjoint_union_paths(params, seed):
     count = _int_param(params, "count")
     min_len = _int_param(params, "min_len", default=5)
     max_len = _int_param(params, "max_len", default=max(min_len, 300), minimum=min_len)
-    if max_len < min_len:
-        raise MalformedInputError("max_len must be >= min_len")
     gap = _int_param(params, "gap", default=1000)
     rng = random.Random(seed)
     lengths = [rng.randint(min_len, max_len) for _ in range(count)]
@@ -129,7 +134,7 @@ def _space_cayley_cyclic(params, seed):
             adjacency[ids[i]].append((ids[j], 1))
             adjacency[ids[j]].append((ids[i], 1))
     hints = ()
-    if params.get("emulate_unbounded", True):
+    if _bool_param(params, "emulate_unbounded", True):
         hints = (UnboundedHint(component_of=ids[0], ray=tuple(ids)),)
     return Space(points=tuple(ids), metric=GraphMetric(adjacency), hints=hints)
 

@@ -226,15 +226,13 @@ def annulus_points(space: Space, comp: Component, params: InstanceParams) -> tup
 def tailor_subset(plan: TailorPlan, comp: Component, pts) -> frozenset:
     """Map one stabilized support into the output subset for its component.
 
-    A BOUNDED_SMALL component's subset is the component itself: every point
-    of it gets the same ``comp.point_set`` object.
+    Cases 1 and 3 only: an unbounded component keeps the support, and a
+    large bounded one swaps its tail points for the annulus markers.
     """
     if not pts:
         raise InternalInvariantError("cannot tailor an empty support")
     if comp.cls == CLS_UNBOUNDED:
         return frozenset(pts)
-    if comp.cls == CLS_BOUNDED_SMALL:
-        return comp.point_set
     z = plan.z_points[comp.index]
     out = set()
     for p in pts:
@@ -298,8 +296,10 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S):
     Returns (SubsetFamily, Certificate). Raises PreconditionError when the
     instance fails admission and InternalInvariantError if any guaranteed
     bound fails to hold (which would mean the machinery is wrong, not the
-    input). Each point's flow is settled by one ``stabilize`` call; ``trace``
-    and ``run --trace`` replay its synchronous steps in the CLI.
+    input). A case-2 point is not flowed: its subset is its component, which
+    ``classify`` found within 3S+4SN of the basepoint. Every other point's
+    flow is settled by one ``stabilize`` call; ``trace`` and ``run --trace``
+    replay the synchronous steps of any point's flow in the CLI.
     """
     prep = prepare(space, family, R, epsilon, S)
     report = prep.report
@@ -316,9 +316,14 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S):
     locality = aug.step + 2 * N * aug.step
     owner = decomp.owner
     chains = family.chains
+    supports = {}  # case 3 only: the 3b pair check compares them with their subsets
 
     def handle(x):
+        """Case, subset, radius and case bound of x: only cases 1 and 3 flow."""
         comp = decomp.components[owner[x]]
+        if comp.cls == CLS_BOUNDED_SMALL:
+            # the subset is the component, with no tail points
+            return "2", comp.point_set, k * eccentricity(x, comp.points), bounds["case2"]
         support = set(stabilize(prep.flow_map, chains[x])[0])
         far = 0  # the largest base distance from x to a base point of the support
         top = 0  # the largest tail index in the support
@@ -341,38 +346,31 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S):
         subset = tailor_subset(plan, comp, support)
         # in cases 1 and 3a the subset is the support itself, so its reach is the radius
         if comp.cls == CLS_UNBOUNDED:
-            case, radius, limit = "1", reach, bounds["case1"]
-        elif comp.cls == CLS_BOUNDED_SMALL:
-            # the subset is the whole component (tailor_subset): no tail points
-            case, limit = "2", bounds["case2"]
-            radius = k * eccentricity(x, comp.points)
-        elif not top:
-            case, radius, limit = "3a", reach, bounds["case3"]
-        else:
-            case, limit = "3b", bounds["case3"]
-            if k * dist(x, comp.basepoint) > locality:
-                raise InternalInvariantError(
-                    f"tail mass for {x!r} although it sits far from the basepoint"
-                )
-            z = set(plan.z_points[comp.index])
-            if any(not isinstance(p, tuple) and p in z for p in support):
-                raise InternalInvariantError(
-                    f"support of {x!r} collides with the annulus markers"
-                )
-            radius = k * max(dist(x, p) for p in subset)  # markers replaced the tail
+            return "1", subset, reach, bounds["case1"]
+        supports[x] = support
+        if not top:
+            return "3a", subset, reach, bounds["case3"]
+        if k * dist(x, comp.basepoint) > locality:
+            raise InternalInvariantError(
+                f"tail mass for {x!r} although it sits far from the basepoint"
+            )
+        z = set(plan.z_points[comp.index])
+        if any(not isinstance(p, tuple) and p in z for p in support):
+            raise InternalInvariantError(f"support of {x!r} collides with the annulus markers")
+        # markers replaced the tail
+        return "3b", subset, k * max(dist(x, p) for p in subset), bounds["case3"]
+
+    cases = {}
+    subsets = {}
+    radii = {}
+    for x in space.points:
+        case, subset, radius, limit = handle(x)
         if radius > limit:
             raise InternalInvariantError(
                 f"output radius {Fraction(radius, aug.unit)} for {x!r} exceeds "
                 f"the case bound {Fraction(limit, aug.unit)}"
             )
-        return support, case, subset, radius
-
-    supports = {}
-    cases = {}
-    subsets = {}
-    radii = {}
-    for x in space.points:
-        supports[x], cases[x], subsets[x], radii[x] = handle(x)
+        cases[x], subsets[x], radii[x] = case, subset, radius
 
     pair_rows = []
     worst_ratio = Fraction(0)

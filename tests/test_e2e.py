@@ -8,7 +8,8 @@ runs with its chains written as leveled ``sets``, with the same exit code and
 output bytes. Exit 4 (an internal invariant) and any traceback fail the test.
 A 60-point unit line whose chains each put mass 2 on their own point is
 pinned as an example: its components are large, so it reaches cases 3a and
-3b, which random documents this small do not.
+3b, which random documents this small do not. `run` does not flow case-2
+points; the same documents check that their flows would stay in reach.
 """
 from __future__ import annotations
 
@@ -20,7 +21,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from naivea.cli import main
-from naivea.instance_io import write_canonical
+from naivea.errors import MalformedInputError, PreconditionError
+from naivea.flow import stabilize
+from naivea.instance_io import instance_from_doc, write_canonical
+from naivea.space import CLS_BOUNDED_SMALL
+from naivea.tailor import prepare
 
 RATIONALS = sorted({Fraction(a, b) for a in range(1, 13) for b in range(1, 7)})
 rationals = st.sampled_from(RATIONALS)
@@ -142,3 +147,32 @@ def test_run_rejects_or_verifies(tmp_path_factory, doc):
 
 def test_long_line_reaches_case_3(tmp_path):
     assert run_and_verify(tmp_path, LONG_LINE_DOC) == {"3a": 59, "3b": 1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=documents())
+def test_case_2_flows_stay_in_reach(doc):
+    """The flow of a case-2 point stays inside its component, uses tail
+    indices 1..N only, and reaches no farther than the case-1 bound. `run`
+    takes a case-2 subset to be the component and never flows the point."""
+    try:
+        instance = instance_from_doc(doc)
+        R, epsilon, S = (doc["params"][key] for key in ("R", "epsilon", "S"))
+        prep = prepare(instance.space, instance.family, R, epsilon, S)
+    except (MalformedInputError, PreconditionError):  # exit 2 or 3
+        return
+    if not prep.report.ok:
+        return
+    N, aug, decomp = prep.report.params.N, prep.aug, prep.decomposition
+    bound = Fraction(prep.bounds["case1"], aug.unit)
+    for comp in decomp.components:
+        if comp.cls != CLS_BOUNDED_SMALL:
+            continue
+        for x in comp.points:
+            support = stabilize(prep.flow_map, instance.family.chains[x])[0]
+            for p in support:
+                if isinstance(p, tuple):
+                    assert p[0] == comp.anchor and 1 <= p[1] <= N, (x, p)
+                else:
+                    assert decomp.owner[p] == comp.index, (x, p)
+                assert aug.dist(x, p) <= bound, (x, p)

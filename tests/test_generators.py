@@ -107,6 +107,14 @@ def test_param_validation():
         gen_instance("line", {"count": 3}, seed="zero")
     with pytest.raises(MalformedInputError, match="step must be positive"):
         gen_instance("line", {"count": 3, "step": "0"})
+    with pytest.raises(MalformedInputError, match="'max_len' must be >= 5, got 3"):
+        gen_instance("disjoint_union_paths", {"count": 2, "min_len": 5, "max_len": 3})
+    # only a JSON bool switches a hint on or off: "no" is not false
+    for value in ("no", 0, 1, None, "false"):
+        with pytest.raises(MalformedInputError, match="'unbounded' must be a bool"):
+            gen_instance("line", {"count": 3, "unbounded": value})
+        with pytest.raises(MalformedInputError, match="'emulate_unbounded' must be a bool"):
+            gen_instance("cayley_cyclic", {"n": 6, "folner_radius": 1, "emulate_unbounded": value})
 
 
 def test_generator_serialization_is_deterministic():

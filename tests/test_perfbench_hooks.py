@@ -36,7 +36,8 @@ def test_traced_names_resolve(layers):
 
 def test_traced_cycle_reaches_every_count(layers, tmp_path):
     inst, out = str(tmp_path / "inst.json"), str(tmp_path / "out.json")
-    assert main(["generate", "line", "--count", "12", "--out", inst]) == 0
+    # case 1 throughout, so every point is flowed and tailored
+    assert main(["generate", "line", "--count", "12", "--unbounded", "--out", inst]) == 0
     tracer = layers.Tracer()
     originals = [(owner, attr, vars(owner)[attr]) for owner, attr, _ in tracer.patches()]
     ops = {}
@@ -60,6 +61,8 @@ def test_traced_cycle_reaches_every_count(layers, tmp_path):
         assert op["calls"]["instance_io.to_jsonable"] == 1, name
         # one settling pass per point: flow.steps counts its firings
         assert op["calls"]["flow.stabilize"] == 12, name
+        # crit2-paths (all case 2) no longer reaches this hook; every flowed point does
+        assert op["calls"]["tailor.tailor_subset"] == 12, name
         # the S-Rips search is split between these stages: each must stay traced
         for stage in ("space.rips", "tailor.classify", "flow.build"):
             assert op["calls"][stage] == 1, (name, stage)

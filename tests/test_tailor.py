@@ -176,14 +176,6 @@ def test_tailor_subset_cases():
         tailor_subset(plan, comp, {"zz"})
 
 
-def test_tailor_subset_small_ignores_support_detail():
-    space = unit_line(10)
-    decomp, plan = classify(space, rips_components(space, 2), SMALL_PARAMS)
-    comp = decomp.components[0]
-    assert tailor_subset(plan, comp, {"p3"}) == set(space.points)
-    assert tailor_subset(plan, comp, {"p3"}) is comp.point_set
-
-
 def test_pipeline_small_two_components(two):
     whole = {
         x: {p: 1 for p in ("q0", "q1", "q2")} if x.startswith("q") else {p: 1 for p in ("r0", "r1", "r2")}
@@ -202,6 +194,19 @@ def test_pipeline_small_two_components(two):
     # one shared subset object per component, not one copy per point
     assert len(subsets.subsets) == 6
     assert len({id(s) for s in subsets.subsets.values()}) == 2
+
+
+def test_pipeline_does_not_flow_case_2(monkeypatch):
+    """A case-2 subset is its component, so no case-2 point is flowed."""
+
+    def refuse(flow, chain):
+        raise AssertionError("a case-2 point was flowed")
+
+    monkeypatch.setattr("naivea.tailor.stabilize", refuse)
+    space, family, params = gen_instance("line", {"count": 12, "radii": ["2", "1"]})
+    subsets, cert = run_pipeline(space, family, params.R, params.epsilon, params.S)
+    assert set(cert.cases.values()) == {"2"}
+    assert all(sub is subsets.subsets["p00"] for sub in subsets.subsets.values())
 
 
 def test_pipeline_case_3a_identity():
@@ -272,7 +277,7 @@ def test_pipeline_rejects_supports_outside_their_reach(monkeypatch, tmp_path, ca
     """Each support point is checked once, against x's own component: a base
     point of another component, a tail at another anchor, a tail index outside
     1..N and a point beyond the case-1 bound are invariant failures (exit 4)."""
-    ids = [f"p{i:02d}" for i in range(20)]
+    ids = [f"p{i:02d}" for i in range(60)]  # beyond the outer radius 54: BOUNDED_LARGE
     values = {p: i for i, p in enumerate(ids)}
     values["q0"] = 100  # a second component, anchored at q0
     doc = {
