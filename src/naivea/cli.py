@@ -16,6 +16,7 @@ from .errors import InternalInvariantError, MalformedInputError, PreconditionErr
 from .flow import iterate
 from .generators import KINDS, SPACE_KINDS, gen_instance
 from .instance_io import (
+    check_writable,
     instance_to_doc,
     load_instance,
     load_output,
@@ -75,6 +76,8 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     if args.trace and os.path.realpath(args.trace) == os.path.realpath(args.out):
         raise MalformedInputError(f"--trace and --out name the same file {args.out}")
+    for path in filter(None, (args.out, args.trace)):
+        check_writable(path)
     instance = _load(args.instance)
     params = instance.params
     subsets, certificate = run_pipeline(
@@ -124,7 +127,7 @@ def cmd_verify(args) -> int:
         hint_anchors=anchors,
     )
     cert = verify_certificate(
-        instance.space, instance.family, instance.params, subsets_raw, certificate_raw
+        instance.space, instance.family, instance.params, naive, certificate_raw
     )
     ok = naive.ok and cert.ok
     print(f"naive check: {'PASS' if naive.ok else 'FAIL'} {naive.stats}")

@@ -13,7 +13,9 @@ subset is sorted, formatted and encoded once.
 """
 from __future__ import annotations
 
+import errno
 import json
+import os
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 
@@ -103,6 +105,22 @@ def open_output(path):
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise MalformedInputError(f"cannot write {path}: {exc}") from None
+
+
+def check_writable(path):
+    """Raise what ``open_output(path)`` would for a path that names a
+    directory or sits in a missing or unwritable one, without creating or
+    truncating a file."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise MalformedInputError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
 def write_canonical(path, obj):

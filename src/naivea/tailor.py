@@ -70,6 +70,14 @@ class Certificate:
         def length(units):
             return format_rational(Fraction(units, self.unit))
 
+        texts = {}  # each distinct ratio is formatted once; INF is a float
+
+        def ratio(q):
+            key = q.as_integer_ratio() if isinstance(q, Fraction) else q
+            if key not in texts:
+                texts[key] = format_ratio(q)
+            return texts[key]
+
         return {
             "params": {
                 "R": format_rational(self.params.R),
@@ -84,8 +92,8 @@ class Certificate:
                 {
                     "x": x,
                     "y": y,
-                    "input_ratio": format_ratio(rin),
-                    "output_ratio": format_ratio(rout),
+                    "input_ratio": ratio(rin),
+                    "output_ratio": ratio(rout),
                 }
                 for x, y, rin, rout in self.pairs
             ],
@@ -255,7 +263,8 @@ class Prepared:
     """Everything built from an instance before any point is flowed.
 
     A failed admission is recorded in ``report`` rather than raised, so each
-    caller reports it in its own way.
+    caller reports it in its own way; ``require_admitted`` raises the
+    PreconditionError that ``run`` exits 3 on and ``verify`` reports.
     """
 
     report: InstanceReport  # its pairs carry every qualifying pair's input ratio
@@ -264,6 +273,13 @@ class Prepared:
     aug: AugmentedSpace
     flow_map: FlowMap
     bounds: dict  # case radius bounds, ints in units of 1/aug.unit
+
+    def require_admitted(self):
+        if not self.report.ok:
+            raise PreconditionError(
+                f"instance fails admission with {len(self.report.violations)} violation(s)",
+                report=self.report,
+            )
 
 
 def prepare(space: Space, family: ChainFamily, R, epsilon, S) -> Prepared:
@@ -302,12 +318,8 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S):
     replay the synchronous steps of any point's flow in the CLI.
     """
     prep = prepare(space, family, R, epsilon, S)
+    prep.require_admitted()
     report = prep.report
-    if not report.ok:
-        raise PreconditionError(
-            f"instance fails admission with {len(report.violations)} violation(s)",
-            report=report,
-        )
     params = report.params
     N = params.N
     decomp, plan, aug, bounds = prep.decomposition, prep.plan, prep.aug, prep.bounds

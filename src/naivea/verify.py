@@ -5,18 +5,19 @@ and the proposed subsets alone. It checks each distinct subset object once
 (points with equal member lists share one, see ``parse_subsets``); a shared
 subset's radius at a point is one ``metric.eccentricity`` over its base
 members, and a subset held by one point is measured member by member.
-verify_certificate reruns the deterministic pipeline and demands that the
-parsed output equal the recomputed one, field by field and with the same
-JSON types (so the file's whitespace does not matter). The flow monitor
-brute-forces every small chain on a successor path and checks the
-redistribution laws exhaustively, and the one-pass settler against
-synchronous stepping.
+verify_certificate checks each claim of the certificate against those
+facts and against ``prepare`` (admission, S-Rips components, classes and
+bounds), without flowing any point: the certificate must equal the one the
+facts make, field by field and with the same JSON types (so the file's
+whitespace does not matter). The flow monitor brute-forces every small
+chain on a successor path and checks the redistribution laws exhaustively,
+and the one-pass settler against synchronous stepping.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chains import (
@@ -35,7 +36,8 @@ from .errors import (
     UnknownPointError,
 )
 from .flow import FlowMap, iterate, split, stabilize, step
-from .space import Space
+from .space import CLS_BOUNDED_LARGE, CLS_BOUNDED_SMALL, CLS_UNBOUNDED, Space
+from .tailor import Certificate, prepare
 
 
 @dataclass(frozen=True)
@@ -43,9 +45,16 @@ class VerifyReport:
     ok: bool
     violations: tuple
     stats: dict
+    # facts for verify_certificate, not printed: the set ratio of each
+    # qualifying pair in order, each point's radius in units of 1/(D*k), and
+    # the largest radius re-derived as an exact rational
+    ratios: tuple = ()
+    radii: dict = field(default_factory=dict)
+    support_radius: Fraction = Fraction(0)
 
-    def to_jsonable(self) -> dict:
-        return {"ok": self.ok, "violations": [dict(v) for v in self.violations], "stats": dict(self.stats)}
+
+# the case label of each component class; a class-3 point may also claim 3b
+_LABELS = {CLS_UNBOUNDED: "1", CLS_BOUNDED_SMALL: "2", CLS_BOUNDED_LARGE: "3a"}
 
 
 def _tail_member(space, hint_anchors, spacing, p):
@@ -100,8 +109,8 @@ def verify_naive(
 
     (a) every pair at distance <= R has symmetric-difference/intersection
     ratio strictly below epsilon; (b) the uniform support radius S' is
-    reported. PASS means (a) holds; S' lands in stats for the caller to
-    compare against whatever bound they expect.
+    reported. PASS means (a) holds; S' lands in stats, and the ratios and
+    radii behind both on the report, for ``verify_certificate``.
     """
     R = Fraction(R)
     epsilon = Fraction(epsilon)
@@ -114,17 +123,13 @@ def verify_naive(
         if not A:
             raise MalformedInputError(f"empty subset for point {x!r}")
 
-    violations = []
-    worst = Fraction(0)
     pairs = qualifying_pairs(space, R)
-    for x, y in pairs:
-        ratio = set_ratio(subsets[x], subsets[y])
-        if ratio != INFINITE and ratio > worst:
-            worst = ratio
-        if ratio >= epsilon:
-            violations.append(
-                {"condition": "set_ratio", "x": x, "y": y, "ratio": format_ratio(ratio)}
-            )
+    ratios = tuple(set_ratio(subsets[x], subsets[y]) for x, y in pairs)
+    violations = [
+        {"condition": "set_ratio", "x": x, "y": y, "ratio": format_ratio(ratio)}
+        for (x, y), ratio in zip(pairs, ratios)
+        if ratio >= epsilon
+    ]
 
     # tail offsets j*S are whole in units of 1/(D*k), k the denominator of S*D
     D = space.metric.denominator
@@ -139,6 +144,7 @@ def verify_naive(
     metric = space.metric
     holders = Counter(id(subsets[x]) for x in space.points)
     parts = {}
+    radii = {}
     radius, worst_x = 0, None
     for x in space.points:
         A = subsets[x]
@@ -154,6 +160,7 @@ def verify_naive(
             d = k * max(map(metric.dist, itertools.repeat(x), base))
         for anchor, index in tails.items():
             d = max(d, k * metric.dist(x, anchor) + index * spacing)
+        radii[x] = d
         if d > radius:
             radius, worst_x = d, x
     # report the radius as the rational distance of the first pair that
@@ -174,10 +181,17 @@ def verify_naive(
 
     stats = {
         "pairs_checked": len(pairs),
-        "worst_ratio": format_ratio(worst if pairs else Fraction(0)),
+        "worst_ratio": format_ratio(max((r for r in ratios if r != INFINITE), default=0)),
         "support_radius": str(support_radius),
     }
-    return VerifyReport(ok=not violations, violations=tuple(violations), stats=stats)
+    return VerifyReport(
+        ok=not violations,
+        violations=tuple(violations),
+        stats=stats,
+        ratios=ratios,
+        radii=radii,
+        support_radius=support_radius,
+    )
 
 
 def _all_str(values) -> bool:
@@ -188,10 +202,10 @@ def first_divergence(a, b, path=""):
     """First differing field between two JSON-like trees, depth-first in
     sorted key order; None when equal.
 
-    Equal lists whose items, and equal dicts whose values, are exactly
-    ``str`` on both sides return None without a walk. Anything else is
-    walked, since ``==`` alone takes ``true`` for ``1`` and ``39.0`` for
-    ``39``."""
+    Equal dicts whose values are exactly ``str`` on both sides (a
+    certificate's cases, radii and bounds) return None without a walk.
+    Anything else is walked, since ``==`` alone takes ``true`` for ``1`` and
+    ``39.0`` for ``39``."""
     if type(a) is not type(b):
         return path or "<root>"
     if isinstance(a, dict):
@@ -206,8 +220,6 @@ def first_divergence(a, b, path=""):
                 return sub
         return None
     if isinstance(a, list):
-        if a == b and _all_str(a) and _all_str(b):
-            return None
         for i in range(min(len(a), len(b))):
             sub = first_divergence(a[i], b[i], f"{path}[{i}]")
             if sub is not None:
@@ -218,33 +230,53 @@ def first_divergence(a, b, path=""):
     return None if a == b else (path or "<root>")
 
 
-def verify_certificate(space, family, params, subsets_jsonable, certificate_jsonable) -> VerifyReport:
-    """Recompute the whole output deterministically and compare field by field."""
-    # imported at call time, so a tracer that wraps tailor.run_pipeline or
-    # instance_io.output_to_jsonable sees these calls; do not hoist
-    from .instance_io import output_to_jsonable
-    from .tailor import run_pipeline
+def verify_certificate(space, family, params, naive, certificate_jsonable) -> VerifyReport:
+    """Check the certificate's claims against facts recomputed from the instance.
 
+    ``naive`` is ``verify_naive``'s report on the output with tail spacing S,
+    whose set ratios and radii are facts of the output's subsets; one
+    ``prepare`` gives L, N, the bounds, the input ratios and the classes. The
+    certificate must equal the one these facts make, except that a class-3
+    label may be 3a or 3b, which only the flow decides; no output ratio may
+    exceed its input ratio, and no radius its case bound.
+    """
     try:
-        subsets, certificate = run_pipeline(
-            space, family, params.R, params.epsilon, params.S
-        )
+        prep = prepare(space, family, params.R, params.epsilon, params.S)
+        prep.require_admitted()
     except PreconditionError as exc:
-        return VerifyReport(
-            ok=False,
-            violations=({"condition": "recompute_failed", "detail": str(exc)},),
-            stats={},
-        )
-    recomputed = output_to_jsonable(subsets, certificate)
-    proposed = {"subsets": subsets_jsonable, "certificate": certificate_jsonable}
-    divergence = first_divergence(proposed, recomputed)
-    if divergence is None:
-        return VerifyReport(ok=True, violations=(), stats={"fields_compared": "all"})
-    return VerifyReport(
-        ok=False,
-        violations=({"condition": "certificate_mismatch", "field": divergence},),
-        stats={},
+        detail = {"condition": "recompute_failed", "detail": str(exc)}
+        return VerifyReport(ok=False, violations=(detail,), stats={})
+    report, decomp, bounds = prep.report, prep.decomposition, prep.bounds
+    claimed = certificate_jsonable["cases"]
+    cases, violations = {}, []
+    for x in space.points:
+        case = _LABELS[decomp.components[decomp.owner[x]].cls]
+        if case == "3a" and claimed.get(x) == "3b":
+            case = "3b"  # only the flow tells 3b from 3a
+        cases[x] = case
+        if naive.radii[x] > bounds["case" + case[0]]:
+            violations.append({"condition": "radius_above_bound", "x": x})
+    # the pairs of admission and of verify_naive are both qualifying_pairs
+    rows = [(*pair, rout) for pair, rout in zip(report.pairs, naive.ratios, strict=True)]
+    violations.extend(
+        {"condition": "output_ratio_above_input", "x": x, "y": y}
+        for x, y, rin, rout in rows
+        if rout > rin
     )
+    recomputed = Certificate(
+        params=report.params,
+        cases=cases,
+        radii=naive.radii,
+        pairs=tuple(rows),
+        worst_ratio=max(naive.ratios, default=Fraction(0)),
+        worst_radius=naive.support_radius,
+        bounds=bounds,
+        unit=prep.aug.unit,
+    ).to_jsonable()
+    divergence = first_divergence(certificate_jsonable, recomputed, "certificate")
+    if divergence is not None:
+        violations.insert(0, {"condition": "certificate_mismatch", "field": divergence})
+    return VerifyReport(ok=not violations, violations=tuple(violations), stats={})
 
 
 @dataclass(frozen=True)
@@ -269,14 +301,6 @@ class MonitorReport:
     chains_checked: int
     pairs_checked: int
     failures: tuple
-
-    def to_jsonable(self) -> dict:
-        return {
-            "ok": self.ok,
-            "chains_checked": self.chains_checked,
-            "pairs_checked": self.pairs_checked,
-            "failures": list(self.failures),
-        }
 
 
 def _leq(a, b):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from naivea import cli
 from naivea.cli import main
 from naivea.instance_io import read_json, write_canonical
 
@@ -233,7 +234,7 @@ def test_large_matrix_warns_that_the_triangle_check_was_skipped(tmp_path, capsys
     assert seen["matrix"] == seen["positions"]
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     out = tmp_path / "x.json"
@@ -323,10 +324,13 @@ def test_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
     # an output path that cannot be opened is malformed input, never a traceback;
-    # the failed run leaves no file it created, and an earlier output keeps its bytes
+    # the failed run leaves no file it created, and an earlier output keeps its bytes.
+    # run rejects such a path before any pipeline work
     missing = tmp_path / "missing" / "x.json"
     fresh_out, fresh_trace = tmp_path / "fresh_out.json", tmp_path / "fresh_trace.txt"
     kept = good_out.read_bytes()
+    pipelines = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda *args: pipelines.append(args))
     for argv in (
         ["generate", "line", "--count", "5", "--out", str(missing)],
         ["run", str(good_inst), "--out", str(missing)],
@@ -337,6 +341,16 @@ def test_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli(*argv) == 2, argv
         assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: "), argv
+    for argv in (
+        ["run", str(good_inst), "--out", str(tmp_path)],
+        ["run", str(good_inst), "--out", str(good_out), "--trace", str(tmp_path)],
+    ):
+        assert run_cli(*argv) == 2, argv
+        assert capsys.readouterr().err == (
+            f"error: cannot write {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+        ), argv
+    assert pipelines == []
+    monkeypatch.undo()
     assert good_out.read_bytes() == kept
     assert not fresh_out.exists()
     assert not fresh_trace.exists()

@@ -6,15 +6,22 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_e2e import documents
+from test_e2e import LONG_LINE_DOC, documents
 from test_trees import clustered_spaces
 
 from naivea.chains import INFINITE, format_ratio, qualifying_pairs, set_ratio
+from naivea.cli import main
 from naivea.errors import MalformedInputError, UnknownPointError
 from naivea.generators import gen_instance
-from naivea.instance_io import canonical_dumps, output_to_jsonable
+from naivea.instance_io import (
+    canonical_dumps,
+    output_to_jsonable,
+    parse_subsets,
+    read_json,
+    write_canonical,
+)
 from naivea.space import build_space
 from naivea.tailor import run_pipeline
 from naivea.verify import (
@@ -38,7 +45,7 @@ def test_verify_naive_pass_and_fail(l10):
     bad = verify_naive(l10, subsets, 1, 2)
     assert not bad.ok
     assert all(v["condition"] == "set_ratio" and v["ratio"] == "2" for v in bad.violations)
-    assert bad.to_jsonable()["ok"] is False
+    assert bad.ok is False
 
 
 def test_verify_naive_disjoint_pair_reports_infinite(l10):
@@ -112,34 +119,41 @@ def pipeline_doc(space, family, params):
     return json.loads(canonical_dumps(output_to_jsonable(subsets, cert)))
 
 
+def check_certificate(space, family, params, doc):
+    naive = verify_naive(
+        space, parse_subsets(doc["subsets"]), params.R, params.epsilon, tail_spacing=params.S
+    )
+    return verify_certificate(space, family, params, naive, doc["certificate"])
+
+
 def test_verify_certificate_round_trip():
     space, family, params = gen_instance("line", {"count": 12, "radii": ["2", "1"]})
     doc = pipeline_doc(space, family, params)
-    report = verify_certificate(space, family, params, doc["subsets"], doc["certificate"])
-    assert report.ok
+    assert check_certificate(space, family, params, doc).ok
 
+    # the subsets are not compared; the claims they no longer support are
     tampered = json.loads(json.dumps(doc))
     tampered["subsets"]["p00"] = ["p00"]
-    report = verify_certificate(
-        space, family, params, tampered["subsets"], tampered["certificate"]
-    )
+    report = check_certificate(space, family, params, tampered)
     assert not report.ok
-    assert report.violations[0]["field"].startswith("subsets.p00")
+    assert report.violations[0]["field"] == "certificate.pairs[0].output_ratio"
+    grew = {"condition": "output_ratio_above_input", "x": "p00", "y": "p01"}
+    assert grew in report.violations
 
     tampered = json.loads(json.dumps(doc))
     tampered["certificate"]["worst_ratio"] = "1/999"
-    report = verify_certificate(
-        space, family, params, doc["subsets"], tampered["certificate"]
-    )
+    report = check_certificate(space, family, params, tampered)
     assert not report.ok
-    assert report.violations[0]["field"] == "certificate.worst_ratio"
+    assert report.violations == (
+        {"condition": "certificate_mismatch", "field": "certificate.worst_ratio"},
+    )
 
 
 def test_verify_certificate_recompute_failure():
     space, family, params = gen_instance("line", {"count": 12, "radii": ["2", "1"]})
     doc = pipeline_doc(space, family, params)
     strict = replace(params, epsilon=Fraction(1, 1000))
-    report = verify_certificate(space, family, strict, doc["subsets"], doc["certificate"])
+    report = check_certificate(space, family, strict, doc)
     assert not report.ok
     assert report.violations[0]["condition"] == "recompute_failed"
 
@@ -149,7 +163,7 @@ def test_flow_monitor_small_suite():
     assert report.ok
     assert report.chains_checked == 9
     assert report.pairs_checked == 81
-    assert report.to_jsonable()["failures"] == []
+    assert report.failures == ()
 
 
 def test_flow_monitor_validation():
@@ -275,3 +289,89 @@ def test_verify_naive_matches_per_member_reference(drawn):
         assert report.ok == (not expected[0])
     else:
         assert report == expected
+
+
+def leaves(tree, path=()):
+    """(path, value) of every leaf of a JSON tree, in document order."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from leaves(value, (*path, key))
+        else:
+            yield (*path, key), value
+
+
+def replacements(value, points):
+    """Other values for a certificate leaf: nearby ints, rationals, labels and
+    point ids, and the same number as a JSON float (39 -> 39.0, "1/2" -> 0.5)."""
+    if isinstance(value, int):
+        return [value - 1, value + 1, float(value)]
+    try:
+        as_float = [float(Fraction(value))]
+    except ValueError:  # a label like "3a", a point id, or "INF"
+        as_float = []
+    return ["0", "1", "1/2", "2", "7/3", "INF", "3", "3a", "3b", *points, *as_float]
+
+
+def edit_certificate(data, cert, points):
+    """Apply one drawn edit to one field of ``cert``: a new value for one of
+    its leaves or, in ``pairs``, a row dropped, duplicated or swapped with
+    another. Returns the edited leaf's path with its old and new values, or
+    None for a row edit."""
+    field = data.draw(st.sampled_from([key for key in sorted(cert) if cert[key] != []]))
+    rows = cert["pairs"]
+    kinds = ["leaf", "drop", "duplicate", "swap"] if field == "pairs" else ["leaf"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        in_field = [leaf for leaf in leaves(cert) if leaf[0][0] == field]
+        path, old = data.draw(st.sampled_from(in_field))
+        new = data.draw(st.sampled_from(replacements(old, points)))
+        node = cert
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = new
+        return path, old, new
+    i = data.draw(st.integers(0, len(rows) - 1))
+    if kind == "drop":
+        del rows[i]
+    elif kind == "duplicate":
+        rows.insert(i, dict(rows[i]))
+    else:
+        j = data.draw(st.integers(0, len(rows) - 1))
+        rows[i], rows[j] = rows[j], rows[i]
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=st.one_of(documents(), st.just(LONG_LINE_DOC)), data=st.data())
+def test_verify_rejects_every_certificate_edit(tmp_path_factory, doc, data):
+    """Any single edit of a certificate field makes `verify` fail, unless it
+    leaves the file's bytes as they were. The one exception is a class-3
+    label swapped between 3a and 3b: only the flow tells them apart, and
+    `verify` runs no flow, so that relabel is exempt."""
+    directory = tmp_path_factory.mktemp("tamper")
+    inst, out, bad = (directory / name for name in ("inst.json", "out.json", "bad.json"))
+    write_canonical(inst, doc)
+    assume(main(["run", str(inst), "--out", str(out)]) == 0)  # else there is no certificate
+    tampered = read_json(out)
+    edit = edit_certificate(data, tampered["certificate"], doc["space"]["points"])
+    write_canonical(bad, tampered)
+    if bad.read_bytes() == out.read_bytes():
+        return
+    if edit is not None and edit[0][0] == "cases" and {edit[1], edit[2]} == {"3a", "3b"}:
+        return
+    assert main(["verify", str(inst), str(bad)]) in (1, 2), edit
+
+
+def test_verify_cannot_tell_3a_from_3b(tmp_path, capsys):
+    inst, out, bad = (tmp_path / name for name in ("inst.json", "out.json", "bad.json"))
+    write_canonical(inst, LONG_LINE_DOC)
+    assert main(["run", str(inst), "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert doc["certificate"]["cases"]["p10"] == "3a"
+    for label, code in (("3b", 0), ("3", 1), ("2", 1)):
+        doc["certificate"]["cases"]["p10"] = label
+        write_canonical(bad, doc)
+        capsys.readouterr()
+        assert main(["verify", str(inst), str(bad)]) == code, label
+    assert "'field': 'certificate.cases.p10'" in capsys.readouterr().out
