@@ -25,6 +25,7 @@ from .instance_io import (
     write_canonical,
 )
 from .rational import format_rational
+from .space import CLS_UNBOUNDED
 from .tailor import prepare, run_pipeline
 from .verify import verify_certificate, verify_naive
 
@@ -115,9 +116,10 @@ def cmd_verify(args) -> int:
     instance = _load(args.instance)
     subsets_raw, certificate_raw = load_output(args.output)
     subsets = parse_subsets(subsets_raw)
-    # a tail may hang only at the ray end of a hint whose component is case 1
-    cases = certificate_raw["cases"]
-    anchors = {h.ray[-1] for h in instance.space.hints if cases.get(h.component_of) == "1"}
+    # both checks read one preparation; a tail may hang only at the anchor of a
+    # component that classify found unbounded, whatever the file's labels say
+    prep = _prepare(instance)
+    anchors = {c.anchor for c in prep.decomposition.components if c.cls == CLS_UNBOUNDED}
     naive = verify_naive(
         instance.space,
         subsets,
@@ -126,9 +128,7 @@ def cmd_verify(args) -> int:
         tail_spacing=instance.params.S,
         hint_anchors=anchors,
     )
-    cert = verify_certificate(
-        instance.space, instance.family, instance.params, naive, certificate_raw
-    )
+    cert = verify_certificate(prep, naive, certificate_raw)
     ok = naive.ok and cert.ok
     print(f"naive check: {'PASS' if naive.ok else 'FAIL'} {naive.stats}")
     if not naive.ok:

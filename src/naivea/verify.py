@@ -6,12 +6,13 @@ and the proposed subsets alone. It checks each distinct subset object once
 subset's radius at a point is one ``metric.eccentricity`` over its base
 members, and a subset held by one point is measured member by member.
 verify_certificate checks each claim of the certificate against those
-facts and against ``prepare`` (admission, S-Rips components, classes and
-bounds), without flowing any point: the certificate must equal the one the
-facts make, field by field and with the same JSON types (so the file's
-whitespace does not matter). The flow monitor brute-forces every small
-chain on a successor path and checks the redistribution laws exhaustively,
-and the one-pass settler against synchronous stepping.
+facts and the instance's ``Prepared`` (admission, classes and bounds),
+without flowing any point or reading a label from the file: the certificate
+must equal the one the facts make, field by field and with the same JSON
+types (so the file's whitespace does not matter). The flow monitor
+brute-forces every small chain on a successor path and checks the
+redistribution laws exhaustively, and the one-pass settler against
+synchronous stepping.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .flow import FlowMap, iterate, split, stabilize, step
 from .space import CLS_BOUNDED_LARGE, CLS_BOUNDED_SMALL, CLS_UNBOUNDED, Space
-from .tailor import Certificate, prepare
+from .tailor import Certificate
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,8 @@ class VerifyReport:
     support_radius: Fraction = Fraction(0)
 
 
-# the case label of each component class; a class-3 point may also claim 3b
+# the case label of each component class; a class-3 point is 3b exactly when its
+# radius exceeds the case-1 bound, which a 3a support stays within and 3b markers pass
 _LABELS = {CLS_UNBOUNDED: "1", CLS_BOUNDED_SMALL: "2", CLS_BOUNDED_LARGE: "3a"}
 
 
@@ -122,6 +124,9 @@ def verify_naive(
             raise MalformedInputError(f"no subset for point {x!r}")
         if not A:
             raise MalformedInputError(f"empty subset for point {x!r}")
+    for x in subsets:
+        if not space.has(x):
+            raise UnknownPointError(f"subset for unknown point {x!r}")
 
     pairs = qualifying_pairs(space, R)
     ratios = tuple(set_ratio(subsets[x], subsets[y]) for x, y in pairs)
@@ -230,31 +235,28 @@ def first_divergence(a, b, path=""):
     return None if a == b else (path or "<root>")
 
 
-def verify_certificate(space, family, params, naive, certificate_jsonable) -> VerifyReport:
+def verify_certificate(prep, naive, certificate_jsonable) -> VerifyReport:
     """Check the certificate's claims against facts recomputed from the instance.
 
     ``naive`` is ``verify_naive``'s report on the output with tail spacing S,
-    whose set ratios and radii are facts of the output's subsets; one
-    ``prepare`` gives L, N, the bounds, the input ratios and the classes. The
-    certificate must equal the one these facts make, except that a class-3
-    label may be 3a or 3b, which only the flow decides; no output ratio may
-    exceed its input ratio, and no radius its case bound.
+    whose set ratios and radii are facts of the output's subsets; ``prep``,
+    the instance's ``Prepared``, gives L, N, the bounds, the input ratios and
+    the classes. The certificate must equal the one these facts make; no
+    output ratio may exceed its input ratio, and no radius its case bound.
     """
     try:
-        prep = prepare(space, family, params.R, params.epsilon, params.S)
         prep.require_admitted()
     except PreconditionError as exc:
         detail = {"condition": "recompute_failed", "detail": str(exc)}
         return VerifyReport(ok=False, violations=(detail,), stats={})
     report, decomp, bounds = prep.report, prep.decomposition, prep.bounds
-    claimed = certificate_jsonable["cases"]
     cases, violations = {}, []
-    for x in space.points:
+    for x, radius in naive.radii.items():
         case = _LABELS[decomp.components[decomp.owner[x]].cls]
-        if case == "3a" and claimed.get(x) == "3b":
-            case = "3b"  # only the flow tells 3b from 3a
+        if case == "3a" and radius > bounds["case1"]:
+            case = "3b"
         cases[x] = case
-        if naive.radii[x] > bounds["case" + case[0]]:
+        if radius > bounds["case" + case[0]]:
             violations.append({"condition": "radius_above_bound", "x": x})
     # the pairs of admission and of verify_naive are both qualifying_pairs
     rows = [(*pair, rout) for pair, rout in zip(report.pairs, naive.ratios, strict=True)]

@@ -84,6 +84,10 @@ def test_ratio_symmetry_and_sign(a, b):
     r = variation_ratio(a, b)
     assert r == INFINITE or r >= 0
     assert (r == 0) == (a == b)
+    # the one-walk ratio equals the two-walk one, with the same type
+    d, m = diff_l1(a, b), l1_norm(meet(a, b))
+    expected = Fraction(0) if d == 0 else INFINITE if m == 0 else Fraction(d, m)
+    assert r == expected and type(r) is type(expected)
 
 
 def test_set_ratio():

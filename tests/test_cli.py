@@ -178,8 +178,18 @@ def test_generated_unbounded_instance_runs(tmp_path, capsys):
     ) == 0
     assert run_cli("run", str(inst), "--out", str(out)) == 0
     assert run_cli("verify", str(inst), str(out)) == 0
-    cases = read_json(out)["certificate"]["cases"]
-    assert set(cases.values()) == {"1"}
+    doc = read_json(out)
+    assert set(doc["certificate"]["cases"].values()) == {"1"}
+    # tail anchors come from classify, not from the labels: relabelling the
+    # hinted point is a false claim (exit 1), not a bad subset (exit 2)
+    doc["certificate"]["cases"]["p00"] = "2"
+    bad = tmp_path / "bad.json"
+    write_canonical(bad, doc)
+    capsys.readouterr()
+    assert run_cli("verify", str(inst), str(bad)) == 1
+    captured = capsys.readouterr()
+    assert "'field': 'certificate.cases.p00'" in captured.out
+    assert captured.err == ""
 
 
 def test_verify_rejects_malformed_certificate_fields(tmp_path, capsys):
@@ -256,6 +266,23 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     good_out = tmp_path / "ok_out.json"
     assert run_cli("generate", "line", "--count", "8", "--out", str(good_inst)) == 0
     assert run_cli("run", str(good_inst), "--out", str(good_out)) == 0
+    # a subset for a point the space does not have
+    extra = tmp_path / "extra.json"
+    for key, members in (("zzz", ["p0"]), ("q#1", ["nonsense-point"])):
+        doc = read_json(good_out)
+        doc["subsets"][key] = members
+        write_canonical(extra, doc)
+        capsys.readouterr()
+        assert run_cli("verify", str(good_inst), str(extra)) == 2, key
+        assert capsys.readouterr().err == f"error: subset for unknown point {key!r}\n"
+    # verify prepares the instance first, so it exits 3 where run does
+    empty = tmp_path / "empty.json"
+    doc = read_json(good_inst)
+    doc["chains"]["p3"] = {}
+    write_canonical(empty, doc)
+    capsys.readouterr()
+    assert run_cli("verify", str(empty), str(good_out)) == 3
+    assert capsys.readouterr().err == "precondition failed: empty chain for point 'p3'\n"
     thin = read_json(good_out)
     del thin["certificate"]["worst_ratio"]
     write_canonical(good_out, thin)

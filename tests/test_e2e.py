@@ -8,8 +8,10 @@ runs with its chains written as leveled ``sets``, with the same exit code and
 output bytes. Exit 4 (an internal invariant) and any traceback fail the test.
 A 60-point unit line whose chains each put mass 2 on their own point is
 pinned as an example: its components are large, so it reaches cases 3a and
-3b, which random documents this small do not. `run` does not flow case-2
-points; the same documents check that their flows would stay in reach.
+3b, which random documents this small do not. Each output without tail
+points is also run back as 0/1 chains, the paper's converse direction. `run`
+does not flow case-2 points; the same documents check that their flows would
+stay in reach.
 """
 from __future__ import annotations
 
@@ -134,8 +136,31 @@ def run_and_verify(directory, doc):
     assert results[0] == results[1]
     code, output = results[0]
     if code == 0:
-        return Counter(json.loads(output)["certificate"]["cases"].values())
+        output = json.loads(output)
+        run_converse(directory, doc, output)
+        return Counter(output["certificate"]["cases"].values())
     return None
+
+
+def run_converse(directory, doc, output):
+    """The paper's converse direction: a subset witness, read as 0/1 chains,
+    is a weighted witness. On the same space, hints, R and epsilon, with S
+    raised to the output's worst radius where that is larger, `run` must
+    accept the output's subsets as chains and `verify` must accept its
+    output. An output with tail points is skipped: they are not points of
+    the space."""
+    points = set(doc["space"]["points"])
+    subsets = output["subsets"]
+    if not all(points.issuperset(members) for members in subsets.values()):
+        return
+    S = max(Fraction(output["certificate"]["worst_radius"]), Fraction(doc["params"]["S"]))
+    converse = {key: value for key, value in doc.items() if key != "chains"}
+    converse["params"] = dict(doc["params"], S=str(S))
+    converse["chains"] = {x: dict.fromkeys(members, 1) for x, members in subsets.items()}
+    inst, out = directory / "converse.json", directory / "converse_out.json"
+    write_canonical(inst, converse)
+    assert main(["run", str(inst), "--out", str(out)]) == 0
+    assert main(["verify", str(inst), str(out)]) == 0
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,7 +1,9 @@
 """Independent re-checking of outputs and the exhaustive flow monitor."""
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,7 +25,7 @@ from naivea.instance_io import (
     write_canonical,
 )
 from naivea.space import build_space
-from naivea.tailor import run_pipeline
+from naivea.tailor import prepare, run_pipeline
 from naivea.verify import (
     FlowSuiteSpec,
     VerifyReport,
@@ -85,6 +87,10 @@ def test_verify_naive_input_validation(l10):
     unknown = dict(subsets, p3={"qq"})
     with pytest.raises(UnknownPointError, match="unknown point"):
         verify_naive(l10, unknown, 1, 1)
+    # a subset for a point the space does not have
+    extra = dict(subsets, zzz={"p0"})
+    with pytest.raises(UnknownPointError, match="subset for unknown point 'zzz'"):
+        verify_naive(l10, extra, 1, 1)
 
 
 def test_first_divergence():
@@ -120,10 +126,11 @@ def pipeline_doc(space, family, params):
 
 
 def check_certificate(space, family, params, doc):
+    prep = prepare(space, family, params.R, params.epsilon, params.S)
     naive = verify_naive(
         space, parse_subsets(doc["subsets"]), params.R, params.epsilon, tail_spacing=params.S
     )
-    return verify_certificate(space, family, params, naive, doc["certificate"])
+    return verify_certificate(prep, naive, doc["certificate"])
 
 
 def test_verify_certificate_round_trip():
@@ -346,9 +353,8 @@ def edit_certificate(data, cert, points):
 @given(doc=st.one_of(documents(), st.just(LONG_LINE_DOC)), data=st.data())
 def test_verify_rejects_every_certificate_edit(tmp_path_factory, doc, data):
     """Any single edit of a certificate field makes `verify` fail, unless it
-    leaves the file's bytes as they were. The one exception is a class-3
-    label swapped between 3a and 3b: only the flow tells them apart, and
-    `verify` runs no flow, so that relabel is exempt."""
+    leaves the file's bytes as they were; a label edit fails with exit 1 and
+    names its field."""
     directory = tmp_path_factory.mktemp("tamper")
     inst, out, bad = (directory / name for name in ("inst.json", "out.json", "bad.json"))
     write_canonical(inst, doc)
@@ -358,20 +364,27 @@ def test_verify_rejects_every_certificate_edit(tmp_path_factory, doc, data):
     write_canonical(bad, tampered)
     if bad.read_bytes() == out.read_bytes():
         return
-    if edit is not None and edit[0][0] == "cases" and {edit[1], edit[2]} == {"3a", "3b"}:
+    if edit is not None and edit[0][0] == "cases":
+        with redirect_stdout(io.StringIO()) as printed:
+            assert main(["verify", str(inst), str(bad)]) == 1, edit
+        assert f"'field': 'certificate.cases.{edit[0][1]}'" in printed.getvalue(), edit
         return
     assert main(["verify", str(inst), str(bad)]) in (1, 2), edit
 
 
-def test_verify_cannot_tell_3a_from_3b(tmp_path, capsys):
+def test_verify_decides_3a_from_3b(tmp_path, capsys):
+    """The radius decides a class-3 label: a 3a support stays within the
+    case-1 bound, and a 3b subset's annulus marker lies beyond it."""
     inst, out, bad = (tmp_path / name for name in ("inst.json", "out.json", "bad.json"))
     write_canonical(inst, LONG_LINE_DOC)
     assert main(["run", str(inst), "--out", str(out)]) == 0
     doc = read_json(out)
-    assert doc["certificate"]["cases"]["p10"] == "3a"
-    for label, code in (("3b", 0), ("3", 1), ("2", 1)):
-        doc["certificate"]["cases"]["p10"] = label
-        write_canonical(bad, doc)
+    cases = doc["certificate"]["cases"]
+    assert (cases["p10"], cases["p00"]) == ("3a", "3b")
+    for x, label in (("p10", "3b"), ("p10", "3"), ("p10", "2"), ("p00", "3a")):
+        edited = json.loads(json.dumps(doc))
+        edited["certificate"]["cases"][x] = label
+        write_canonical(bad, edited)
         capsys.readouterr()
-        assert main(["verify", str(inst), str(bad)]) == code, label
-    assert "'field': 'certificate.cases.p10'" in capsys.readouterr().out
+        assert main(["verify", str(inst), str(bad)]) == 1, (x, label)
+        assert f"'field': 'certificate.cases.{x}'" in capsys.readouterr().out, (x, label)
