@@ -159,18 +159,7 @@ class InstanceReport:
     ok: bool
     violations: tuple
     params: InstanceParams
-    pairs: tuple = ()  # (x, y, variation ratio) per qualifying pair; not serialized
-
-    def to_jsonable(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [dict(v) for v in self.violations],
-            "L": self.params.L,
-            "N": self.params.N,
-            "R": format_rational(self.params.R),
-            "epsilon": format_rational(self.params.epsilon),
-            "S": format_rational(self.params.S),
-        }
+    pairs: tuple = ()  # (x, y, variation ratio) per qualifying pair
 
 
 def qualifying_pairs(space: Space, R):

@@ -80,12 +80,14 @@ def cmd_run(args) -> int:
     for path in filter(None, (args.out, args.trace)):
         check_writable(path)
     instance = _load(args.instance)
-    params = instance.params
-    subsets, certificate = run_pipeline(
-        instance.space, instance.family, params.R, params.epsilon, params.S
-    )
-    for warning in certificate.warnings:
+    prep = _prepare(instance)
+    subsets, certificate = run_pipeline(prep)
+    for warning in prep.plan.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    # only --trace reads the preparation again, so the rest of it is freed
+    # before the output is serialized, which is when run's memory peaks
+    flow_map = prep.flow_map if args.trace else None
+    del prep
     # imported at call time, so a tracer that wraps
     # instance_io.output_to_jsonable sees this call; do not hoist
     from .instance_io import output_to_jsonable
@@ -101,7 +103,7 @@ def cmd_run(args) -> int:
             os.remove(args.trace)
         raise
     if trace is not None:
-        flow_map, chains = _prepare(instance).flow_map, instance.family.chains
+        chains = instance.family.chains
         with trace as fh:
             for x in instance.space.points:
                 fh.writelines(f"{x} {line}\n" for line in _flow_lines(flow_map, chains[x]))
@@ -116,14 +118,15 @@ def cmd_verify(args) -> int:
     instance = _load(args.instance)
     subsets_raw, certificate_raw = load_output(args.output)
     subsets = parse_subsets(subsets_raw)
-    # both checks read one preparation; a tail may hang only at the anchor of a
-    # component that classify found unbounded, whatever the file's labels say
+    # both checks read one preparation: the naive check takes admission's
+    # qualifying pairs, and a tail may hang only at the anchor of a component
+    # that classify found unbounded, whatever the file's labels say
     prep = _prepare(instance)
     anchors = {c.anchor for c in prep.decomposition.components if c.cls == CLS_UNBOUNDED}
     naive = verify_naive(
         instance.space,
         subsets,
-        instance.params.R,
+        [(x, y) for x, y, _ in prep.report.pairs],
         instance.params.epsilon,
         tail_spacing=instance.params.S,
         hint_anchors=anchors,
@@ -142,6 +145,7 @@ def cmd_verify(args) -> int:
 
 
 def _prepare(instance):
+    """The instance's one preparation; every subcommand but generate starts here."""
     params = instance.params
     return prepare(instance.space, instance.family, params.R, params.epsilon, params.S)
 
@@ -156,8 +160,7 @@ def cmd_trace(args) -> int:
     if args.point not in instance.space.point_set:
         raise MalformedInputError(f"unknown point {args.point!r}")
     prep = _prepare(instance)
-    if not prep.report.ok:
-        raise PreconditionError("instance fails admission", report=prep.report)
+    prep.require_admitted()
     chain = instance.family.chains[args.point]
     for line in [f"0 {_format_chain(chain)}", *_flow_lines(prep.flow_map, chain)]:
         print(line)
@@ -259,7 +262,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         if exc.report is not None:
-            for v in exc.report.to_jsonable()["violations"][:20]:
+            for v in exc.report.violations[:20]:
                 print(f"  {v}", file=sys.stderr)
         return 3
     except InternalInvariantError as exc:

@@ -10,11 +10,12 @@ enters as floor(q * D) (``rational.floor_units``). ``Space.dist`` turns a
 distance back into the exact Fraction at the public boundary. Nothing here
 ever touches a float.
 
-``bfs_tree`` is the package's one breadth-first search of the S-Rips graph.
-``rips_components`` runs it from each component's basepoint and keeps the
-tree on the ``Component``; ``tailor.classify`` runs it again from a ray it
-accepts. The flow's successor map and the annulus markers read the stored
-tree and do not search the graph themselves.
+``bfs_tree`` is the package's one breadth-first search of the S-Rips graph,
+and it reads each point's S-ball once. ``rips_components`` runs it from each
+component's basepoint and keeps the tree on the ``Component``;
+``tailor.classify`` runs it again from a ray it accepts. The flow's successor
+map and the annulus markers read the stored tree and do not search the graph
+themselves.
 
 Each backend's ``eccentricity(x, points)`` is the int ``max(dist(x, p) for p
 in points)`` without a ``dist`` call per point: one row maximum on a matrix
@@ -32,9 +33,9 @@ eccentricity or the connectivity check settles a row in full.
 is unspecified on every backend (the graph backend returns them in settle
 order). Every caller must sort them or not depend on their order:
 ``bfs_tree`` and ``chains.qualifying_pairs`` sort, ``tailor.annulus_points``
-picks by max/min, ``_assert_separated`` only tests membership, and the key
-order of ``generators._ball_sum_chains``'s chains reaches no output (chains
-are summed, looked up, and written with sorted keys).
+picks by max/min, and the key order of ``generators._ball_sum_chains``'s
+chains reaches no output (chains are summed, looked up, and written with
+sorted keys).
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InternalInvariantError, MalformedInputError, UnknownPointError
+from .errors import MalformedInputError, UnknownPointError
 from .rational import floor_units, parse_rational
 
 PointId = str
@@ -464,7 +465,9 @@ def bfs_tree(space: Space, seeds, scale) -> dict:
     Seeds enter the queue in the order given and map to None; neighbors are
     explored in lex order, and every other point's parent is whichever vertex
     discovered it first. The map lists points in discovery order, so a parent
-    always comes before its children.
+    always comes before its children. Every point in the map is dequeued
+    once, and its whole scale-ball enters the map then, so the map is closed
+    under scale-neighbours.
     """
     parent = dict.fromkeys(seeds)
     queue = deque(parent)
@@ -483,7 +486,10 @@ def rips_components(space: Space, S) -> Decomposition:
 
     Components are indexed by their lexicographically smallest member, which
     is also their basepoint. Each component is the ``bfs_tree`` grown from its
-    basepoint, and keeps that tree as ``parent``. This only groups points:
+    basepoint, and keeps that tree as ``parent``. The search reads each
+    point's S-ball once and takes all of it into the component, so every
+    S-ball (and so every R-ball, R < S) lies inside one component, whatever
+    order the backend returns it in. This only groups points:
     every component comes out with no ray and the provisional class, and
     ``tailor.classify`` alone reads the space's unbounded hints and decides
     rays, basepoints, classes and, for a ray, the ray-seeded tree.
@@ -501,20 +507,4 @@ def rips_components(space: Space, S) -> Decomposition:
         owner.update(dict.fromkeys(parent, idx))
         pts = tuple(sorted(parent))
         components.append(Component(index=idx, points=pts, basepoint=pts[0], parent=parent))
-    decomp = Decomposition(scale=S, components=tuple(components), owner=owner)
-    _assert_separated(space, decomp)
-    return decomp
-
-
-def _assert_separated(space, decomp):
-    # inter-component gap > S is structural for a Rips decomposition; one
-    # component is separated from nothing, so only splits need the sweep
-    if len(decomp.components) == 1:
-        return
-    for comp in decomp.components:
-        for x in comp.points:
-            for y in space.metric.neighbors_within(x, decomp.scale):
-                if y not in comp.point_set:
-                    raise InternalInvariantError(
-                        f"components of {x!r} and {y!r} are not {decomp.scale}-separated"
-                    )
+    return Decomposition(scale=S, components=tuple(components), owner=owner)

@@ -6,6 +6,10 @@ basepoint. Large bounded components get N marker points chosen in the annulus
 between 3S+3SN and 3S+4SN; tail points of a stabilized support are swapped
 for those markers, which keeps cardinalities of intersections and symmetric
 differences exactly while pulling everything back into the space.
+
+``prepare`` builds everything an instance decides before any point is flowed,
+once per command (``cli._prepare`` is its one caller in the CLI), and
+``run_pipeline`` takes the ``Prepared`` it returns.
 """
 from __future__ import annotations
 
@@ -64,7 +68,6 @@ class Certificate:
     worst_radius: Fraction
     bounds: dict
     unit: int
-    warnings: tuple = ()  # classify fallbacks, for stderr; not serialized
 
     def to_jsonable(self) -> dict:
         def length(units):
@@ -264,9 +267,11 @@ class Prepared:
 
     A failed admission is recorded in ``report`` rather than raised, so each
     caller reports it in its own way; ``require_admitted`` raises the
-    PreconditionError that ``run`` exits 3 on and ``verify`` reports.
+    PreconditionError that ``run`` and ``trace`` exit 3 on and ``verify``
+    reports.
     """
 
+    family: ChainFamily  # the chains admission checked
     report: InstanceReport  # its pairs carry every qualifying pair's input ratio
     decomposition: Decomposition
     plan: TailorPlan
@@ -297,6 +302,7 @@ def prepare(space: Space, family: ChainFamily, R, epsilon, S) -> Prepared:
         "overall": 6 * S + 8 * S * N,
     }
     return Prepared(
+        family=family,
         report=report,
         decomposition=decomp,
         plan=plan,
@@ -306,28 +312,30 @@ def prepare(space: Space, family: ChainFamily, R, epsilon, S) -> Prepared:
     )
 
 
-def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S):
-    """Full conversion: admission check, decomposition, flow, tailoring.
+def run_pipeline(prep: Prepared):
+    """Full conversion of a prepared instance: flow, tailoring, certificate.
 
     Returns (SubsetFamily, Certificate). Raises PreconditionError when the
-    instance fails admission and InternalInvariantError if any guaranteed
+    instance failed admission and InternalInvariantError if any guaranteed
     bound fails to hold (which would mean the machinery is wrong, not the
     input). A case-2 point is not flowed: its subset is its component, which
     ``classify`` found within 3S+4SN of the basepoint. Every other point's
     flow is settled by one ``stabilize`` call; ``trace`` and ``run --trace``
-    replay the synchronous steps of any point's flow in the CLI.
+    replay the synchronous steps of any point's flow from ``prep.flow_map``.
+    Every qualifying pair lies in one component, since its R-ball lies in
+    the S-ball that ``bfs_tree`` swept whole.
     """
-    prep = prepare(space, family, R, epsilon, S)
     prep.require_admitted()
     report = prep.report
     params = report.params
     N = params.N
     decomp, plan, aug, bounds = prep.decomposition, prep.plan, prep.aug, prep.bounds
+    space = aug.space
     # distances below are ints in units of 1/aug.unit; base ones count k times
     dist, eccentricity, k = space.metric.dist, space.metric.eccentricity, aug.k
     locality = aug.step + 2 * N * aug.step
     owner = decomp.owner
-    chains = family.chains
+    chains = prep.family.chains
     supports = {}  # case 3 only: the 3b pair check compares them with their subsets
 
     def handle(x):
@@ -387,11 +395,6 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S):
     pair_rows = []
     worst_ratio = Fraction(0)
     for x, y, rin in report.pairs:
-        comp = decomp.component_of(x)
-        if decomp.component_of(y).index != comp.index:
-            raise InternalInvariantError(
-                f"qualifying pair ({x!r}, {y!r}) straddles two components"
-            )
         rout = set_ratio(subsets[x], subsets[y])
         if rout == INFINITE or rout > rin:
             raise InternalInvariantError(
@@ -427,6 +430,5 @@ def run_pipeline(space: Space, family: ChainFamily, R, epsilon, S):
         worst_radius=worst_radius,
         bounds=bounds,
         unit=aug.unit,
-        warnings=plan.warnings,
     )
     return SubsetFamily(subsets=subsets), certificate

@@ -1,10 +1,12 @@
 """Independent verification.
 
-verify_naive re-derives every ratio and the support radius from the space
-and the proposed subsets alone. It checks each distinct subset object once
-(points with equal member lists share one, see ``parse_subsets``); a shared
-subset's radius at a point is one ``metric.eccentricity`` over its base
-members, and a subset held by one point is measured member by member.
+verify_naive re-derives the ratio of every qualifying pair it is given
+(admission's, which come from the space alone) and the support radius from
+the space and the proposed subsets alone. It checks each distinct subset
+object once (points with equal member lists share one, see
+``parse_subsets``); a shared subset's radius at a point is one
+``metric.eccentricity`` over its base members, and a subset held by one
+point is measured member by member.
 verify_certificate checks each claim of the certificate against those
 facts and the instance's ``Prepared`` (admission, classes and bounds),
 without flowing any point or reading a label from the file: the certificate
@@ -21,15 +23,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chains import (
-    INFINITE,
-    diff_l1,
-    format_ratio,
-    l1_norm,
-    meet,
-    qualifying_pairs,
-    set_ratio,
-)
+from .chains import INFINITE, diff_l1, format_ratio, l1_norm, meet, set_ratio
+# Not called here: perfbench/layers.py looks this name up in this module.
+from .chains import qualifying_pairs  # noqa: F401
 from .errors import (
     InternalInvariantError,
     MalformedInputError,
@@ -102,22 +98,23 @@ def _units(metric, spacing, k, x, p) -> int:
 def verify_naive(
     space: Space,
     subsets,
-    R,
+    pairs,
     epsilon,
     tail_spacing=None,
     hint_anchors=None,
 ) -> VerifyReport:
     """Check a subset family directly against the two defining conditions.
 
-    (a) every pair at distance <= R has symmetric-difference/intersection
-    ratio strictly below epsilon; (b) the uniform support radius S' is
-    reported. PASS means (a) holds; S' lands in stats, and the ratios and
-    radii behind both on the report, for ``verify_certificate``.
+    (a) every pair in ``pairs``, the (x, y) pairs at distance <= R in
+    ``chains.qualifying_pairs`` order (admission's, in ``verify``), has
+    symmetric-difference/intersection ratio strictly below epsilon; (b) the
+    uniform support radius S' is reported. PASS means (a) holds; S' lands in
+    stats, and the ratios (in the order of ``pairs``) and radii behind both
+    on the report, for ``verify_certificate``.
     """
-    R = Fraction(R)
     epsilon = Fraction(epsilon)
-    if epsilon <= 0 or R <= 0:
-        raise MalformedInputError("R and epsilon must be positive")
+    if epsilon <= 0:
+        raise MalformedInputError("epsilon must be positive")
     for x in space.points:
         A = subsets.get(x)
         if A is None:
@@ -128,7 +125,6 @@ def verify_naive(
         if not space.has(x):
             raise UnknownPointError(f"subset for unknown point {x!r}")
 
-    pairs = qualifying_pairs(space, R)
     ratios = tuple(set_ratio(subsets[x], subsets[y]) for x, y in pairs)
     violations = [
         {"condition": "set_ratio", "x": x, "y": y, "ratio": format_ratio(ratio)}
@@ -238,11 +234,12 @@ def first_divergence(a, b, path=""):
 def verify_certificate(prep, naive, certificate_jsonable) -> VerifyReport:
     """Check the certificate's claims against facts recomputed from the instance.
 
-    ``naive`` is ``verify_naive``'s report on the output with tail spacing S,
-    whose set ratios and radii are facts of the output's subsets; ``prep``,
-    the instance's ``Prepared``, gives L, N, the bounds, the input ratios and
-    the classes. The certificate must equal the one these facts make; no
-    output ratio may exceed its input ratio, and no radius its case bound.
+    ``naive`` is ``verify_naive``'s report on the output with tail spacing S
+    and the pairs of ``prep.report``, whose set ratios and radii are facts of
+    the output's subsets; ``prep``, the instance's ``Prepared``, gives L, N,
+    the bounds, the input ratios and the classes. The certificate must equal
+    the one these facts make; no output ratio may exceed its input ratio, and
+    no radius its case bound.
     """
     try:
         prep.require_admitted()
@@ -258,7 +255,6 @@ def verify_certificate(prep, naive, certificate_jsonable) -> VerifyReport:
         cases[x] = case
         if radius > bounds["case" + case[0]]:
             violations.append({"condition": "radius_above_bound", "x": x})
-    # the pairs of admission and of verify_naive are both qualifying_pairs
     rows = [(*pair, rout) for pair, rout in zip(report.pairs, naive.ratios, strict=True)]
     violations.extend(
         {"condition": "output_ratio_above_input", "x": x, "y": y}

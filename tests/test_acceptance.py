@@ -19,7 +19,7 @@ from naivea.flow import build_flow, stabilize
 from naivea.generators import gen_instance
 from naivea.instance_io import read_json, write_canonical
 from naivea.space import rips_components
-from naivea.tailor import classify, run_pipeline, tailor_subset
+from naivea.tailor import classify, prepare, run_pipeline, tailor_subset
 from naivea.verify import FlowSuiteSpec, flow_monitor, verify_naive
 
 CRIT2_PARAMS = {
@@ -43,8 +43,9 @@ CRIT6_PARAMS = {"n": 240, "folner_radius": 30, "R": "2", "epsilon": "1/10"}
 def run_instance(kind, params):
     t0 = time.monotonic()
     space, family, ip = gen_instance(kind, params, seed=0)
-    report = check_instance(space, family, ip.R, ip.epsilon, ip.S)
-    subsets, cert = run_pipeline(space, family, ip.R, ip.epsilon, ip.S)
+    prep = prepare(space, family, ip.R, ip.epsilon, ip.S)
+    subsets, cert = run_pipeline(prep)
+    report = prep.report
     return SimpleNamespace(
         space=space,
         family=family,
@@ -85,12 +86,12 @@ def test_criterion_2_end_to_end(crit2, criterion):
     assert crit2.report.ok
     L, N, S = crit2.params.L, crit2.params.N, crit2.params.S
     assert (L, N, S) == (39, 1523, Fraction(12))
+    pairs = qualifying_pairs(crit2.space, 2)
     worst_in = max(
-        variation_ratio(crit2.family.chains[x], crit2.family.chains[y])
-        for x, y in qualifying_pairs(crit2.space, 2)
+        variation_ratio(crit2.family.chains[x], crit2.family.chains[y]) for x, y in pairs
     )
     assert worst_in == Fraction(4, 17)  # strictly below epsilon = 1/2
-    naive = verify_naive(crit2.space, crit2.subsets.subsets, 2, "1/2")
+    naive = verify_naive(crit2.space, crit2.subsets.subsets, pairs, "1/2")
     assert naive.ok and not naive.violations
     radius = Fraction(naive.stats["support_radius"])
     assert radius <= 6 * S + 8 * N * S
@@ -157,7 +158,7 @@ def test_criterion_4_case_3b_equalities(crit2, criterion):
     assert len(FA & FB) == len(A & B) == 2
     # a pipeline run that takes branch 3b re-asserts the equalities internally
     space7, family7, _ = gen_instance("line", {"count": 700, "radii": ["2", "1"]})
-    _, cert7 = run_pipeline(space7, family7, 1, 1, 2)
+    _, cert7 = run_pipeline(prepare(space7, family7, 1, 1, 2))
     assert "3b" in cert7.cases.values()
     # and the criterion 2 instance sails through with zero 3b violations
     assert set(crit2.cert.cases.values()) == {"2"}
@@ -208,7 +209,7 @@ def test_criterion_6_amenability_generator(criterion):
     naive = verify_naive(
         art.space,
         art.subsets.subsets,
-        2,
+        qualifying_pairs(art.space, 2),
         "1/10",
         tail_spacing=art.params.S,
         hint_anchors={"g239"},

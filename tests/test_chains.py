@@ -183,13 +183,11 @@ def test_check_instance_rejects_missing_and_unknown(l10):
         check_instance(l10, ChainFamily(chains=chains), 1, 1, 2)
 
 
-def test_check_instance_report_jsonable(l10):
+def test_check_instance_report(l10):
     _, family, _ = gen_instance("line", {"count": 10, "radii": ["2", "1"]})
     report = check_instance(l10, family, 1, 1, 2)
-    doc = report.to_jsonable()
-    assert doc["ok"] is True
-    assert "pairs" not in doc  # the scored pairs stay in memory only
+    assert report.ok is True and report.violations == ()
     assert [(x, y) for x, y, _ in report.pairs] == qualifying_pairs(l10, 1)
     assert report.pairs[0][2] == variation_ratio(family.chains["p0"], family.chains["p1"])
-    assert doc["L"] == 9 and doc["N"] == 83
-    assert doc["S"] == "2"
+    params = report.params
+    assert (params.L, params.N, params.S) == (9, 83, Fraction(2))

@@ -259,6 +259,23 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     write_canonical(inst, doc)
     assert run_cli("run", str(inst), "--out", str(out)) == 3
 
+    # a failed admission: trace exits 3 with run's message and violations
+    fails = tmp_path / "fails.json"
+    assert run_cli(
+        "generate", "line", "--count", "5", "--radii", "2,1", "--R", "1",
+        "--epsilon", "1/100", "--out", str(fails),
+    ) == 0
+    for argv in (["run", str(fails), "--out", str(out)], ["trace", str(fails), "--point", "p0"]):
+        capsys.readouterr()
+        assert run_cli(*argv) == 3, argv
+        assert capsys.readouterr().err == (
+            "precondition failed: instance fails admission with 4 violation(s)\n"
+            "  {'condition': 'variation_ratio', 'x': 'p0', 'y': 'p1', 'ratio': '2/5'}\n"
+            "  {'condition': 'variation_ratio', 'x': 'p1', 'y': 'p2', 'ratio': '1/2'}\n"
+            "  {'condition': 'variation_ratio', 'x': 'p2', 'y': 'p3', 'ratio': '1/2'}\n"
+            "  {'condition': 'variation_ratio', 'x': 'p3', 'y': 'p4', 'ratio': '2/5'}\n"
+        ), argv
+
     assert run_cli("nonsense") == 2  # argparse rejects unknown commands
     assert run_cli("generate", "weighted_ball", "--out", str(out)) == 2  # count missing
 

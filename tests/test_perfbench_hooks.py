@@ -36,13 +36,17 @@ def test_traced_names_resolve(layers):
 
 def test_traced_cycle_reaches_every_count(layers, tmp_path):
     inst, out = str(tmp_path / "inst.json"), str(tmp_path / "out.json")
+    trace = str(tmp_path / "trace.txt")
     # case 1 throughout, so every point is flowed and tailored
     assert main(["generate", "line", "--count", "12", "--unbounded", "--out", inst]) == 0
     tracer = layers.Tracer()
     originals = [(owner, attr, vars(owner)[attr]) for owner, attr, _ in tracer.patches()]
     ops = {}
     with layers.installed(tracer):
-        for name, argv in (("run", ["run", inst, "--out", out]), ("verify", ["verify", inst, out])):
+        for name, argv in (
+            ("run", ["run", inst, "--out", out, "--trace", trace]),
+            ("verify", ["verify", inst, out]),
+        ):
             with tracer.op(f"cli.{name}"):
                 assert main(argv) == 0
             ops[name] = tracer.take()
@@ -67,9 +71,12 @@ def test_traced_cycle_reaches_every_count(layers, tmp_path):
         # crit2-paths (all case 2) no longer reaches this hook; every flowed point does
         assert calls["tailor.tailor_subset"] == flowed, name
     for name, op in ops.items():
-        # one prepare per operation; the S-Rips search is split between these
-        # stages: each must stay traced
-        for stage in ("space.rips", "tailor.classify", "flow.build"):
+        # one prepare per operation, also when run replays the flow for
+        # --trace, and verify takes admission's qualifying pairs; the S-Rips
+        # search is split between space.rips and tailor.classify, and each
+        # stage must stay traced
+        for stage in ("chains.admission", "space.rips", "tailor.classify", "flow.build",
+                      "chains.pairs"):
             assert op["calls"][stage] == 1, (name, stage)
     # both halves of verify stay traced
     for half in ("verify.naive", "verify.certificate"):

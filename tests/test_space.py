@@ -1,8 +1,8 @@
 """Metric backends, validation, and the S-Rips decomposition.
 
 Graph distances are checked against a Floyd-Warshall oracle, also while rows
-are only partly settled, and components against a union-find oracle, both
-written independently of the package.
+are only partly settled, and components on every backend against a union-find
+oracle, both written independently of the package.
 Each backend's ``eccentricity`` is checked against a maximum over ``dist``.
 """
 from __future__ import annotations
@@ -18,14 +18,12 @@ from test_trees import S as TREE_S
 from test_trees import clustered_spaces
 
 from naivea.chains import InstanceParams
-from naivea.errors import InternalInvariantError, MalformedInputError, UnknownPointError
+from naivea.errors import MalformedInputError, UnknownPointError
 from naivea.space import (
     CLS_BOUNDED_SMALL,
     CLS_UNBOUNDED,
     TRIANGLE_CHECK_LIMIT,
     Component,
-    Decomposition,
-    _assert_separated,
     build_space,
     rips_components,
 )
@@ -151,28 +149,6 @@ def test_point_id_validation():
         build_space(["a", "b"], {"type": "positions", "values": {"a": 1, "b": 1}})
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.integers(min_value=0, max_value=40), min_size=2, max_size=12, unique=True),
-    st.integers(min_value=1, max_value=8),
-)
-def test_rips_matches_union_find_oracle(coords, S):
-    ids = {f"x{c:02d}": c for c in coords}
-    sp = build_space(sorted(ids), {"type": "positions", "values": ids})
-    pairs = [
-        (p, q)
-        for p, q in itertools.combinations(sorted(ids), 2)
-        if abs(ids[p] - ids[q]) <= S
-    ]
-    expected = union_find_components(sorted(ids), pairs)
-    decomp = rips_components(sp, S)
-    assert sorted(c.points for c in decomp.components) == expected
-    for comp in decomp.components:
-        assert comp.basepoint == comp.points[0]
-        for p in comp.points:
-            assert decomp.component_of(p) is comp
-
-
 def test_rips_two_components(two):
     decomp = rips_components(two, 2)
     assert [c.points for c in decomp.components] == [("q0", "q1", "q2"), ("r0", "r1", "r2")]
@@ -249,21 +225,6 @@ def test_component_anchor_follows_class():
     assert comp.anchor == "b"
 
 
-def test_separation_is_checked_at_any_size():
-    # one S-connected line of 700 points, wrongly split in two halves
-    ids = [f"p{i:03d}" for i in range(700)]
-    sp = build_space(ids, {"type": "positions", "values": {p: i for i, p in enumerate(ids)}})
-    halves = (tuple(ids[:350]), tuple(ids[350:]))
-    comps = tuple(
-        Component(index=i, points=pts, basepoint=pts[0]) for i, pts in enumerate(halves)
-    )
-    owner = {p: i for i, pts in enumerate(halves) for p in pts}
-    bad = Decomposition(scale=Fraction(1), components=comps, owner=owner)
-    with pytest.raises(InternalInvariantError, match="not 1-separated"):
-        _assert_separated(sp, bad)
-    assert len(rips_components(sp, 1).components) == 1
-
-
 def test_rips_rejects_bad_scale(l10):
     with pytest.raises(MalformedInputError):
         rips_components(l10, 0)
@@ -324,6 +285,37 @@ def test_int_metric_matches_fraction_oracle(source, data):
     for x in pts:
         expected = sorted(y for y in pts if oracle[(x, y)] <= r)
         assert sorted(sp.metric.neighbors_within(x, r)) == expected
+
+
+def integer_lines(coords):
+    """(points, metric source, oracle distance table) of integer points on the line."""
+    ids = {f"x{c:02d}": c for c in coords}
+    oracle = {(p, q): Fraction(abs(ids[p] - ids[q])) for p in ids for q in ids}
+    return sorted(ids), {"type": "positions", "values": ids}, oracle
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 40), min_size=2, max_size=12, unique=True).map(integer_lines),
+        metric_sources(),
+    ),
+    st.data(),
+)
+def test_rips_matches_union_find_oracle(source, data):
+    points, metric_source, oracle = source
+    sp = build_space(points, metric_source)
+    # scales on a distance, so edges of length exactly S are common
+    on_distance = st.sampled_from(sorted(set(oracle.values()) - {0}))
+    S = data.draw(st.one_of(on_distance, rationals(), st.integers(1, 8)))
+    pairs = [(p, q) for p, q in itertools.combinations(points, 2) if oracle[p, q] <= S]
+    expected = union_find_components(points, pairs)
+    decomp = rips_components(sp, S)
+    assert sorted(c.points for c in decomp.components) == expected
+    for comp in decomp.components:
+        assert comp.basepoint == comp.points[0]
+        for p in comp.points:
+            assert decomp.component_of(p) is comp
 
 
 # the clustered spaces of test_trees and the instance documents of test_e2e:

@@ -181,7 +181,7 @@ def test_pipeline_small_two_components(two):
         x: {p: 1 for p in ("q0", "q1", "q2")} if x.startswith("q") else {p: 1 for p in ("r0", "r1", "r2")}
         for x in two.points
     }
-    subsets, cert = run_pipeline(two, ChainFamily(chains=whole), 1, 1, 2)
+    subsets, cert = run_pipeline(prepare(two, ChainFamily(chains=whole), 1, 1, 2))
     doc = cert.to_jsonable()
     assert set(doc["cases"].values()) == {"2"}
     assert subsets.subsets["q1"] == frozenset({"q0", "q1", "q2"})
@@ -204,7 +204,7 @@ def test_pipeline_does_not_flow_case_2(monkeypatch):
 
     monkeypatch.setattr("naivea.tailor.stabilize", refuse)
     space, family, params = gen_instance("line", {"count": 12, "radii": ["2", "1"]})
-    subsets, cert = run_pipeline(space, family, params.R, params.epsilon, params.S)
+    subsets, cert = run_pipeline(prepare(space, family, params.R, params.epsilon, params.S))
     assert set(cert.cases.values()) == {"2"}
     assert all(sub is subsets.subsets["p00"] for sub in subsets.subsets.values())
 
@@ -217,7 +217,7 @@ def test_pipeline_case_3a_identity():
     for i, x in enumerate(ids):
         support = {ids[j] for j in (i - 1, i, i + 1) if 0 <= j < len(ids)}
         chains[x] = {p: 1 for p in support}
-    subsets, cert = run_pipeline(space, ChainFamily(chains=chains), 1, 2, 2)
+    subsets, cert = run_pipeline(prepare(space, ChainFamily(chains=chains), 1, 2, 2))
     doc = cert.to_jsonable()
     assert doc["params"]["L"] == 4 and doc["params"]["N"] == 18
     assert set(doc["cases"].values()) == {"3a"}
@@ -231,7 +231,7 @@ def test_pipeline_case_3a_identity():
 
 def test_pipeline_case_3b_swaps_tail_for_markers():
     space, family, _ = gen_instance("line", {"count": 700, "radii": ["2", "1"]})
-    subsets, cert = run_pipeline(space, family, 1, 1, 2)
+    subsets, cert = run_pipeline(prepare(space, family, 1, 1, 2))
     doc = cert.to_jsonable()
     assert doc["params"]["L"] == 9 and doc["params"]["N"] == 83
     cases = doc["cases"]
@@ -252,7 +252,7 @@ def test_pipeline_case_1_unbounded():
     space, family, _ = gen_instance(
         "line", {"count": 30, "radii": ["2", "1"], "unbounded": True}
     )
-    subsets, cert = run_pipeline(space, family, 1, 1, 2)
+    subsets, cert = run_pipeline(prepare(space, family, 1, 1, 2))
     doc = cert.to_jsonable()
     assert set(doc["cases"].values()) == {"1"}
     # the right edge pushes mass onto the virtual continuation of the ray
@@ -264,11 +264,11 @@ def test_pipeline_case_1_unbounded():
 
 def test_pipeline_rejects_bad_instances(two):
     chains = {x: {x: 1} for x in two.points}
-    with pytest.raises(PreconditionError) as exc:
-        run_pipeline(two, ChainFamily(chains=chains), 1, "1/2", 2)
-    assert exc.value.report is not None and not exc.value.report.ok
     # prepare records the failed admission and still builds every stage
     prep = prepare(two, ChainFamily(chains=chains), 1, "1/2", 2)
+    with pytest.raises(PreconditionError) as exc:
+        run_pipeline(prep)
+    assert exc.value.report is prep.report
     assert not prep.report.ok and len(prep.decomposition.components) == 2
     assert set(prep.flow_map.base_successor) == set(two.points)
 
@@ -289,7 +289,8 @@ def test_pipeline_rejects_supports_outside_their_reach(monkeypatch, tmp_path, ca
     write_canonical(inst, doc)
     instance = load_instance(inst)
     space, family = instance.space, instance.family
-    N = prepare(space, family, "1/2", 1, 2).report.params.N
+    prep = prepare(space, family, "1/2", 1, 2)
+    N = prep.report.params.N
     assert main(["run", str(inst), "--out", str(out)]) == 0
     # p00 is flowed first; the case-1 bound is 2 + 2 * L^2 = 10 with L = 2
     for support, message in [
@@ -303,7 +304,7 @@ def test_pipeline_rejects_supports_outside_their_reach(monkeypatch, tmp_path, ca
             "naivea.tailor.stabilize", lambda flow, a, s=support: (dict.fromkeys(s, 1), 0)
         )
         with pytest.raises(InternalInvariantError, match=message):
-            run_pipeline(space, family, "1/2", 1, 2)
+            run_pipeline(prep)
         capsys.readouterr()
         assert main(["run", str(inst), "--out", str(out)]) == 4
         assert capsys.readouterr().err == f"internal invariant violated: {message}\n"

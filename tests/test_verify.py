@@ -41,10 +41,11 @@ def test_verify_naive_pass_and_fail(l10):
     subsets = {
         x: {ids[j] for j in (i, i + 1) if j < len(ids)} for i, x in enumerate(ids)
     }
-    ok = verify_naive(l10, subsets, 1, 3)
+    pairs = qualifying_pairs(l10, 1)
+    ok = verify_naive(l10, subsets, pairs, 3)
     assert ok.ok
     assert ok.stats == {"pairs_checked": 9, "worst_ratio": "2", "support_radius": "1"}
-    bad = verify_naive(l10, subsets, 1, 2)
+    bad = verify_naive(l10, subsets, pairs, 2)
     assert not bad.ok
     assert all(v["condition"] == "set_ratio" and v["ratio"] == "2" for v in bad.violations)
     assert bad.ok is False
@@ -52,7 +53,7 @@ def test_verify_naive_pass_and_fail(l10):
 
 def test_verify_naive_disjoint_pair_reports_infinite(l10):
     subsets = {x: {x} for x in l10.points}
-    report = verify_naive(l10, subsets, 1, 100)
+    report = verify_naive(l10, subsets, qualifying_pairs(l10, 1), 100)
     assert not report.ok
     assert report.violations[0]["ratio"] == "INF"
     assert report.stats["worst_ratio"] == "0"  # finite worst among checked pairs
@@ -61,36 +62,38 @@ def test_verify_naive_disjoint_pair_reports_infinite(l10):
 def test_verify_naive_tail_members(l10):
     subsets = {x: {x} for x in l10.points}
     subsets["p0"] = {"p0", ("p9", 2)}
+    pairs = qualifying_pairs(l10, 1)
     report = verify_naive(
-        l10, subsets, 1, 100, tail_spacing=Fraction(2), hint_anchors={"p9"}
+        l10, subsets, pairs, 100, tail_spacing=Fraction(2), hint_anchors={"p9"}
     )
     assert report.stats["support_radius"] == "13"  # d(p0, p9) + 2*2
     with pytest.raises(MalformedInputError, match="no tail spacing"):
-        verify_naive(l10, subsets, 1, 100)
+        verify_naive(l10, subsets, pairs, 100)
     with pytest.raises(UnknownPointError, match="tail anchor"):
-        verify_naive(l10, subsets, 1, 100, tail_spacing=Fraction(2), hint_anchors={"p3"})
+        verify_naive(l10, subsets, pairs, 100, tail_spacing=Fraction(2), hint_anchors={"p3"})
     # a bool is not a tail index, though True == 1
     subsets["p0"] = {"p0", ("p3", True)}
     with pytest.raises(MalformedInputError, match="bad tail index"):
-        verify_naive(l10, subsets, 1, 100, tail_spacing=Fraction(2), hint_anchors={"p3"})
+        verify_naive(l10, subsets, pairs, 100, tail_spacing=Fraction(2), hint_anchors={"p3"})
 
 
 def test_verify_naive_input_validation(l10):
     subsets = {x: {x} for x in l10.points}
-    with pytest.raises(MalformedInputError, match="positive"):
-        verify_naive(l10, subsets, 0, 1)
+    pairs = qualifying_pairs(l10, 1)
+    with pytest.raises(MalformedInputError, match="epsilon must be positive"):
+        verify_naive(l10, subsets, pairs, 0)
     with pytest.raises(MalformedInputError, match="no subset"):
-        verify_naive(l10, {"p0": {"p0"}}, 1, 1)
+        verify_naive(l10, {"p0": {"p0"}}, pairs, 1)
     empty = dict(subsets, p3=set())
     with pytest.raises(MalformedInputError, match="empty subset"):
-        verify_naive(l10, empty, 1, 1)
+        verify_naive(l10, empty, pairs, 1)
     unknown = dict(subsets, p3={"qq"})
     with pytest.raises(UnknownPointError, match="unknown point"):
-        verify_naive(l10, unknown, 1, 1)
+        verify_naive(l10, unknown, pairs, 1)
     # a subset for a point the space does not have
     extra = dict(subsets, zzz={"p0"})
     with pytest.raises(UnknownPointError, match="subset for unknown point 'zzz'"):
-        verify_naive(l10, extra, 1, 1)
+        verify_naive(l10, extra, pairs, 1)
 
 
 def test_first_divergence():
@@ -121,14 +124,15 @@ def test_first_divergence():
 
 
 def pipeline_doc(space, family, params):
-    subsets, cert = run_pipeline(space, family, params.R, params.epsilon, params.S)
+    subsets, cert = run_pipeline(prepare(space, family, params.R, params.epsilon, params.S))
     return json.loads(canonical_dumps(output_to_jsonable(subsets, cert)))
 
 
 def check_certificate(space, family, params, doc):
     prep = prepare(space, family, params.R, params.epsilon, params.S)
+    pairs = [(x, y) for x, y, _ in prep.report.pairs]
     naive = verify_naive(
-        space, parse_subsets(doc["subsets"]), params.R, params.epsilon, tail_spacing=params.S
+        space, parse_subsets(doc["subsets"]), pairs, params.epsilon, tail_spacing=params.S
     )
     return verify_certificate(prep, naive, doc["certificate"])
 
@@ -290,7 +294,8 @@ def outcome(check, *args):
 @given(families())
 def test_verify_naive_matches_per_member_reference(drawn):
     expected = outcome(reference_naive, *drawn)
-    report = outcome(verify_naive, *drawn)
+    space, subsets, R, *rest = drawn
+    report = outcome(verify_naive, space, subsets, qualifying_pairs(space, R), *rest)
     if isinstance(report, VerifyReport):
         assert (report.violations, report.stats) == expected
         assert report.ok == (not expected[0])
