@@ -9,9 +9,10 @@ output bytes. Exit 4 (an internal invariant) and any traceback fail the test.
 A 60-point unit line whose chains each put mass 2 on their own point is
 pinned as an example: its components are large, so it reaches cases 3a and
 3b, which random documents this small do not. Each output without tail
-points is also run back as 0/1 chains, the paper's converse direction. `run`
-does not flow case-2 points; the same documents check that their flows would
-stay in reach.
+points is also run back as 0/1 chains, the paper's converse direction; a
+pinned 4-point line checks that it stays well-formed when its raised S merges
+two hinted components. `run` does not flow case-2 points; the same documents
+check that their flows would stay in reach.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from naivea.cli import main
 from naivea.errors import MalformedInputError, PreconditionError
 from naivea.flow import stabilize
 from naivea.instance_io import instance_from_doc, write_canonical
-from naivea.space import CLS_BOUNDED_SMALL
+from naivea.space import CLS_BOUNDED_SMALL, rips_components
 from naivea.tailor import prepare
 
 RATIONALS = sorted({Fraction(a, b) for a in range(1, 13) for b in range(1, 7)})
@@ -40,6 +41,26 @@ LONG_LINE_DOC = {
     },
     "params": {"R": "1/2", "epsilon": "1", "S": "1"},
     "chains": {p: {p: 2} for p in LONG_LINE},
+}
+
+# two hints, each ignored at S = 1; the converse raises S to 2, which merges
+# both components, so it keeps one of the hints
+MERGED_HINTS_DOC = {
+    "space": {
+        "points": ["x00", "x01", "x02", "x03"],
+        "metric": {"type": "positions", "values": {"x00": "0", "x01": "1", "x02": "2", "x03": "7/2"}},
+    },
+    "params": {"R": "1/2", "epsilon": "1", "S": "1"},
+    "chains": {
+        "x00": {"x00": 1, "x01": 1},
+        "x01": {"x00": 1, "x01": 1, "x02": 1},
+        "x02": {"x01": 1, "x02": 1},
+        "x03": {"x03": 1},
+    },
+    "unbounded_hints": [
+        {"component_of": "x03", "ray": ["x00"]},
+        {"component_of": "x00", "ray": ["x00", "x03"]},
+    ],
 }
 
 
@@ -148,7 +169,9 @@ def run_converse(directory, doc, output):
     raised to the output's worst radius where that is larger, `run` must
     accept the output's subsets as chains and `verify` must accept its
     output. An output with tail points is skipped: they are not points of
-    the space."""
+    the space. A raised S can merge components, and two hints on one
+    component are malformed input, so the converse keeps only the first
+    hint on each component at the raised S."""
     points = set(doc["space"]["points"])
     subsets = output["subsets"]
     if not all(points.issuperset(members) for members in subsets.values()):
@@ -157,6 +180,12 @@ def run_converse(directory, doc, output):
     converse = {key: value for key, value in doc.items() if key != "chains"}
     converse["params"] = dict(doc["params"], S=str(S))
     converse["chains"] = {x: dict.fromkeys(members, 1) for x, members in subsets.items()}
+    if "unbounded_hints" in doc:
+        owner = rips_components(instance_from_doc(converse).space, S).owner
+        first = {}
+        for hint in doc["unbounded_hints"]:
+            first.setdefault(owner[hint["component_of"]], hint)
+        converse["unbounded_hints"] = list(first.values())
     inst, out = directory / "converse.json", directory / "converse_out.json"
     write_canonical(inst, converse)
     assert main(["run", str(inst), "--out", str(out)]) == 0
@@ -166,6 +195,7 @@ def run_converse(directory, doc, output):
 @settings(max_examples=150, deadline=None)
 @given(doc=documents())
 @example(doc=LONG_LINE_DOC)
+@example(doc=MERGED_HINTS_DOC)
 def test_run_rejects_or_verifies(tmp_path_factory, doc):
     run_and_verify(tmp_path_factory.mktemp("e2e"), doc)
 
