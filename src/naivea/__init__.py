@@ -22,7 +22,7 @@ from .errors import (
 from .generators import gen_instance
 from .instance_io import Instance, load_instance, load_output, output_to_jsonable
 from .space import Space, build_space, rips_components
-from .tailor import Certificate, SubsetFamily, prepare, run_pipeline
+from .tailor import Certificate, prepare, run_pipeline
 from .verify import FlowSuiteSpec, flow_monitor, verify_certificate, verify_naive
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "NaiveAError",
     "PreconditionError",
     "Space",
-    "SubsetFamily",
     "UnknownPointError",
     "build_space",
     "check_instance",

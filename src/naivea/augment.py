@@ -30,15 +30,20 @@ def format_aug(p) -> str:
 
 
 def parse_aug(text):
-    """Inverse of format_aug; base ids never contain '#'."""
+    """Inverse of format_aug; base ids never contain '#', and a tail index is
+    read only as format_aug writes it: ASCII digits with no leading zero."""
     if not isinstance(text, str) or not text:
         raise MalformedInputError(f"bad augmented point {text!r}")
     if "#" not in text:
         return text
     anchor, _, idx = text.rpartition("#")
-    if not anchor or not idx.isdigit():
+    well_formed = idx.isascii() and idx.isdigit() and (idx == "0" or idx[0] != "0")
+    if not anchor or not well_formed:
         raise MalformedInputError(f"bad augmented point {text!r}")
-    index = int(idx)
+    try:
+        index = int(idx)
+    except ValueError:  # more digits than int() reads (sys.get_int_max_str_digits)
+        raise MalformedInputError(f"bad augmented point {text!r}") from None
     if index < 1:
         raise MalformedInputError(f"tail index must be >= 1 in {text!r}")
     return (anchor, index)

@@ -82,7 +82,7 @@ def cmd_run(args) -> int:
     instance = _load(args.instance)
     prep = _prepare(instance)
     subsets, certificate = run_pipeline(prep)
-    for warning in prep.plan.warnings:
+    for warning in prep.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     # only --trace reads the preparation again, so the rest of it is freed
     # before the output is serialized, which is when run's memory peaks
@@ -170,7 +170,7 @@ def cmd_trace(args) -> int:
 def cmd_inspect(args) -> int:
     instance = _load(args.instance)
     prep = _prepare(instance)
-    report, decomp, plan = prep.report, prep.decomposition, prep.plan
+    report, decomp = prep.report, prep.decomposition
     params = report.params
     print(f"points: {len(instance.space.points)}")
     print(
@@ -183,13 +183,13 @@ def cmd_inspect(args) -> int:
         extra = ""
         if comp.ray:
             extra = f" ray_length={len(comp.ray)}"
-        if comp.index in plan.z_points:
-            extra += f" markers={len(plan.z_points[comp.index])}"
+        if comp.markers:
+            extra += f" markers={len(comp.markers)}"
         print(
             f"  [{comp.index}] size={len(comp.points)} basepoint={comp.basepoint} "
             f"class={comp.cls}{extra}"
         )
-    for warning in plan.warnings:
+    for warning in prep.warnings:
         print(f"warning: {warning}")
     return 0
 

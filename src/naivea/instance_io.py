@@ -24,7 +24,7 @@ from .chains import ChainFamily, InstanceParams, SetFamily, from_sets, make_chai
 from .errors import MalformedInputError
 from .rational import format_rational, parse_rational
 from .space import Space, build_space, check_points, parse_hints
-from .tailor import Certificate, SubsetFamily
+from .tailor import Certificate
 
 
 def canonical_dumps(obj) -> str:
@@ -218,7 +218,7 @@ def instance_from_doc(doc) -> Instance:
                 for pairs in raw.values()
                 for item in pairs
             ]
-            bound = (max(levels) + 1) if levels else 1
+            bound = max([0, *levels]) + 1
         family = from_sets(SetFamily(sets=raw, multiplicity_bound=bound))
     elif generated is not None:
         family = generated
@@ -250,9 +250,10 @@ def instance_to_doc(space: Space, family: ChainFamily, params: InstanceParams) -
     return doc
 
 
-def output_to_jsonable(subsets: SubsetFamily, certificate: Certificate) -> dict:
-    """The output document; points that share one subset object share its
-    member list, which ``canonical_dumps`` then renders once."""
+def output_to_jsonable(subsets: dict, certificate: Certificate) -> dict:
+    """The output document for ``run_pipeline``'s subsets (point id ->
+    frozenset) and certificate; points that share one subset object share
+    its member list, which ``canonical_dumps`` then renders once."""
     members = {}  # id(subset) -> its sorted member list; subsets stay alive meanwhile
 
     def listed(pts):
@@ -262,7 +263,7 @@ def output_to_jsonable(subsets: SubsetFamily, certificate: Certificate) -> dict:
         return out
 
     return {
-        "subsets": {x: listed(pts) for x, pts in sorted(subsets.subsets.items())},
+        "subsets": {x: listed(pts) for x, pts in sorted(subsets.items())},
         "certificate": certificate.to_jsonable(),
     }
 

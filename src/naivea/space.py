@@ -422,11 +422,21 @@ CLS_UNBOUNDED = "UNBOUNDED_EMULATED"
 
 @dataclass(frozen=True)
 class Component:
+    """One S-Rips component and its whole classification.
+
+    ``rips_components`` groups the points; ``tailor.classify`` alone sets
+    ``cls`` and, with it, the ray of an emulated-unbounded component or the
+    markers of a large bounded one. Every later step reads it from here.
+    """
+
     index: int
     points: tuple[PointId, ...]
     basepoint: PointId
     cls: str = CLS_BOUNDED_SMALL
     ray: tuple[PointId, ...] | None = None
+    # the N annulus markers (``tailor.annulus_points``) of a large bounded
+    # component, which stand in for its tail points; () otherwise
+    markers: tuple[PointId, ...] = ()
     # BFS tree of the component's S-Rips graph (``bfs_tree``), child -> parent
     # and root -> None: rooted at the basepoint, or seeded with the whole ray
     # once classify accepts one
@@ -449,13 +459,7 @@ class Component:
 class Decomposition:
     scale: Fraction
     components: tuple[Component, ...]
-    owner: dict = field(repr=False)
-
-    def component_of(self, x) -> Component:
-        try:
-            return self.components[self.owner[x]]
-        except KeyError:
-            raise UnknownPointError(f"unknown point id {x!r}") from None
+    owner: dict = field(repr=False)  # point id -> index of its component
 
 
 def bfs_tree(space: Space, seeds, scale) -> dict:
@@ -492,7 +496,8 @@ def rips_components(space: Space, S) -> Decomposition:
     order the backend returns it in. This only groups points:
     every component comes out with no ray and the provisional class, and
     ``tailor.classify`` alone reads the space's unbounded hints and decides
-    rays, basepoints, classes and, for a ray, the ray-seeded tree.
+    rays, basepoints, classes, annulus markers and, for a ray, the
+    ray-seeded tree.
     """
     S = Fraction(S)
     if S <= 0:

@@ -3,9 +3,10 @@
 Components are classified by whether they carry a validated unbounded hint
 and, if not, by whether they outgrow the ball of radius 3S+4SN around the
 basepoint. Large bounded components get N marker points chosen in the annulus
-between 3S+3SN and 3S+4SN; tail points of a stabilized support are swapped
-for those markers, which keeps cardinalities of intersections and symmetric
-differences exactly while pulling everything back into the space.
+between 3S+3SN and 3S+4SN, kept on the ``Component`` with its class; tail
+points of a stabilized support are swapped for those markers, which keeps
+cardinalities of intersections and symmetric differences exactly while
+pulling everything back into the space.
 
 ``prepare`` builds everything an instance decides before any point is flowed,
 once per command (``cli._prepare`` is its one caller in the CLI), and
@@ -42,17 +43,6 @@ from .space import (
     bfs_tree,
     rips_components,
 )
-
-
-@dataclass(frozen=True)
-class TailorPlan:
-    z_points: dict
-    warnings: tuple
-
-
-@dataclass(frozen=True)
-class SubsetFamily:
-    subsets: dict  # point id -> frozenset of augmented points
 
 
 @dataclass(frozen=True)
@@ -127,23 +117,25 @@ def _annulus(space, params):
 
 
 def classify(space: Space, decomp: Decomposition, params: InstanceParams):
-    """Finalize component classes; returns the updated decomposition and plan.
+    """Classify every component in one pass; returns the updated
+    decomposition and a warning per ignored unbounded hint.
 
     Unbounded hints are read here and counted per component: two hints on
     one component, even on one point of it, are malformed input. A single
     hint with a valid ray makes its component emulate an unbounded one, with
     the ray's first point as basepoint and the ``bfs_tree`` seeded with the
-    whole ray as its tree; an invalid one falls back to the bounded path with
-    a recorded warning, keeping the basepoint tree of ``rips_components``.
+    whole ray as its tree, which is the whole component: the ray lies in it,
+    and the tree is closed under S-neighbours. An invalid hint falls back to
+    the bounded path with a warning, keeping the basepoint tree of
+    ``rips_components``. A bounded component is large exactly when
+    ``annulus_points`` finds its markers.
     """
     if params.N is None:
         raise InternalInvariantError("classify needs completed params (N unset)")
     S = params.S
-    _, outer = _annulus(space, params)
-    dist = space.metric.dist
     hints = defaultdict(list)  # component index -> the hints naming a point of it
-    for hint in space.hints:
-        hints[decomp.component_of(hint.component_of).index].append(hint)
+    for hint in space.hints:  # parse_hints admitted only known points
+        hints[decomp.owner[hint.component_of]].append(hint)
     warnings = []
     comps = []
     for comp in decomp.components:
@@ -157,11 +149,6 @@ def classify(space: Space, decomp: Decomposition, params: InstanceParams):
             problem = _ray_problem(space, comp, ray, S)
             if problem is None:
                 tree = bfs_tree(space, ray, decomp.scale)
-                missing = comp.point_set - tree.keys()
-                if missing:
-                    raise InternalInvariantError(
-                        f"component not S-connected at {min(missing)!r}"
-                    )
                 comps.append(
                     replace(comp, cls=CLS_UNBOUNDED, basepoint=ray[0], ray=ray, parent=tree)
                 )
@@ -169,18 +156,16 @@ def classify(space: Space, decomp: Decomposition, params: InstanceParams):
             warnings.append(
                 f"ignoring unbounded hint for the component of {comp.points[0]!r}: {problem}"
             )
-        is_large = any(dist(comp.basepoint, p) > outer for p in comp.points)
-        comps.append(replace(comp, cls=CLS_BOUNDED_LARGE if is_large else CLS_BOUNDED_SMALL))
+        markers = annulus_points(space, comp, params)
+        cls = CLS_BOUNDED_LARGE if markers else CLS_BOUNDED_SMALL
+        comps.append(replace(comp, cls=cls, markers=markers))
     decomp = Decomposition(scale=decomp.scale, components=tuple(comps), owner=decomp.owner)
-    z_points = {}
-    for comp in decomp.components:
-        if comp.cls == CLS_BOUNDED_LARGE:
-            z_points[comp.index] = annulus_points(space, comp, params)
-    return decomp, TailorPlan(z_points=z_points, warnings=tuple(warnings))
+    return decomp, tuple(warnings)
 
 
 def annulus_points(space: Space, comp: Component, params: InstanceParams) -> tuple:
-    """N distinct markers with 3S+3SN < d(basepoint, .) <= 3S+4SN.
+    """N distinct markers with 3S+3SN < d(basepoint, .) <= 3S+4SN, or () when
+    no point of the component lies beyond 3S+4SN (it is small).
 
     Taken along a shortest S-Rips path from the basepoint to the lex-smallest
     point beyond the outer radius; hop counts are depths in the component's
@@ -193,18 +178,13 @@ def annulus_points(space: Space, comp: Component, params: InstanceParams) -> tup
     inner, outer = _annulus(space, params)
     dist = space.metric.dist
     bp = comp.basepoint
+    # the points are sorted, so the first hit is the lex-smallest
+    target = next((p for p in comp.points if dist(bp, p) > outer), None)
+    if target is None:
+        return ()
     level = {}
     for v, u in comp.parent.items():  # parents come before their children
         level[v] = 0 if u is None else level[u] + 1
-    target = None
-    for p in comp.points:  # sorted, so the first hit is the lex-smallest
-        if dist(bp, p) > outer:
-            target = p
-            break
-    if target is None:
-        raise InternalInvariantError(
-            f"component of {bp!r} has no point beyond the outer radius"
-        )
     path = [target]
     current = target
     while current != bp:
@@ -234,31 +214,17 @@ def annulus_points(space: Space, comp: Component, params: InstanceParams) -> tup
     return tuple(markers)
 
 
-def tailor_subset(plan: TailorPlan, comp: Component, pts) -> frozenset:
+def tailor_subset(comp: Component, pts) -> frozenset:
     """Map one stabilized support into the output subset for its component.
 
     Cases 1 and 3 only: an unbounded component keeps the support, and a
-    large bounded one swaps its tail points for the annulus markers.
+    large bounded one swaps each tail point (anchor, i) for its i-th annulus
+    marker. A pure mapping: ``run_pipeline`` has already checked that every
+    support point lies in ``comp`` and every tail index in 1..N.
     """
-    if not pts:
-        raise InternalInvariantError("cannot tailor an empty support")
     if comp.cls == CLS_UNBOUNDED:
         return frozenset(pts)
-    z = plan.z_points[comp.index]
-    out = set()
-    for p in pts:
-        if isinstance(p, tuple):
-            anchor, index = p
-            if anchor != comp.anchor:
-                raise InternalInvariantError(f"tail point {p!r} from a different component")
-            if not 1 <= index <= len(z):
-                raise InternalInvariantError(f"tail index {index} outside the working window")
-            out.add(z[index - 1])
-        else:
-            if p not in comp.point_set:
-                raise InternalInvariantError(f"support point {p!r} outside the component")
-            out.add(p)
-    return frozenset(out)
+    return frozenset(comp.markers[p[1] - 1] if isinstance(p, tuple) else p for p in pts)
 
 
 @dataclass(frozen=True)
@@ -273,8 +239,8 @@ class Prepared:
 
     family: ChainFamily  # the chains admission checked
     report: InstanceReport  # its pairs carry every qualifying pair's input ratio
-    decomposition: Decomposition
-    plan: TailorPlan
+    decomposition: Decomposition  # each component carries its classification
+    warnings: tuple  # classify's, one per ignored unbounded hint
     aug: AugmentedSpace
     flow_map: FlowMap
     bounds: dict  # case radius bounds, ints in units of 1/aug.unit
@@ -292,7 +258,7 @@ def prepare(space: Space, family: ChainFamily, R, epsilon, S) -> Prepared:
     report = check_instance(space, family, R, epsilon, S)
     params = report.params
     L, N = params.L, params.N
-    decomp, plan = classify(space, rips_components(space, params.S), params)
+    decomp, warnings = classify(space, rips_components(space, params.S), params)
     aug = augment(space, decomp, params)
     S = aug.step  # every bound is a whole multiple of S, so exact in these units
     bounds = {
@@ -305,7 +271,7 @@ def prepare(space: Space, family: ChainFamily, R, epsilon, S) -> Prepared:
         family=family,
         report=report,
         decomposition=decomp,
-        plan=plan,
+        warnings=warnings,
         aug=aug,
         flow_map=build_flow(aug),
         bounds=bounds,
@@ -315,7 +281,8 @@ def prepare(space: Space, family: ChainFamily, R, epsilon, S) -> Prepared:
 def run_pipeline(prep: Prepared):
     """Full conversion of a prepared instance: flow, tailoring, certificate.
 
-    Returns (SubsetFamily, Certificate). Raises PreconditionError when the
+    Returns (subsets, Certificate), where subsets maps each point id to a
+    frozenset of augmented points. Raises PreconditionError when the
     instance failed admission and InternalInvariantError if any guaranteed
     bound fails to hold (which would mean the machinery is wrong, not the
     input). A case-2 point is not flowed: its subset is its component, which
@@ -329,7 +296,7 @@ def run_pipeline(prep: Prepared):
     report = prep.report
     params = report.params
     N = params.N
-    decomp, plan, aug, bounds = prep.decomposition, prep.plan, prep.aug, prep.bounds
+    decomp, aug, bounds = prep.decomposition, prep.aug, prep.bounds
     space = aug.space
     # distances below are ints in units of 1/aug.unit; base ones count k times
     dist, eccentricity, k = space.metric.dist, space.metric.eccentricity, aug.k
@@ -363,7 +330,7 @@ def run_pipeline(prep: Prepared):
             reach = max(reach, k * dist(x, comp.anchor) + top * aug.step)
         if reach > bounds["case1"]:
             raise InternalInvariantError(f"stabilized support of {x!r} escaped the radius bound")
-        subset = tailor_subset(plan, comp, support)
+        subset = tailor_subset(comp, support)
         # in cases 1 and 3a the subset is the support itself, so its reach is the radius
         if comp.cls == CLS_UNBOUNDED:
             return "1", subset, reach, bounds["case1"]
@@ -374,7 +341,7 @@ def run_pipeline(prep: Prepared):
             raise InternalInvariantError(
                 f"tail mass for {x!r} although it sits far from the basepoint"
             )
-        z = set(plan.z_points[comp.index])
+        z = set(comp.markers)
         if any(not isinstance(p, tuple) and p in z for p in support):
             raise InternalInvariantError(f"support of {x!r} collides with the annulus markers")
         # markers replaced the tail
@@ -431,4 +398,4 @@ def run_pipeline(prep: Prepared):
         bounds=bounds,
         unit=aug.unit,
     )
-    return SubsetFamily(subsets=subsets), certificate
+    return subsets, certificate

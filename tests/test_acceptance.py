@@ -91,7 +91,7 @@ def test_criterion_2_end_to_end(crit2, criterion):
         variation_ratio(crit2.family.chains[x], crit2.family.chains[y]) for x, y in pairs
     )
     assert worst_in == Fraction(4, 17)  # strictly below epsilon = 1/2
-    naive = verify_naive(crit2.space, crit2.subsets.subsets, pairs, "1/2")
+    naive = verify_naive(crit2.space, crit2.subsets, pairs, "1/2")
     assert naive.ok and not naive.violations
     radius = Fraction(naive.stats["support_radius"])
     assert radius <= 6 * S + 8 * N * S
@@ -143,15 +143,15 @@ def test_criterion_4_case_3b_equalities(crit2, criterion):
         2,
     ).params
     assert (params.L, params.N) == (4, 18)
-    decomp, plan = classify(space, rips_components(space, 2), params)
+    decomp, _ = classify(space, rips_components(space, 2), params)
     comp = decomp.components[0]
     assert comp.cls == "BOUNDED_LARGE"
-    z = plan.z_points[0]
+    z = comp.markers
     assert z == tuple(f"p{d:03d}" for d in range(116, 151, 2))
     A = {"p000", "p001", ("p000", 1), ("p000", 2)}
     B = {"p001", "p002", ("p000", 2), ("p000", 3)}
-    FA = tailor_subset(plan, comp, A)
-    FB = tailor_subset(plan, comp, B)
+    FA = tailor_subset(comp, A)
+    FB = tailor_subset(comp, B)
     assert FA == {"p000", "p001", "p116", "p118"}
     assert FB == {"p001", "p002", "p118", "p120"}
     assert len(FA ^ FB) == len(A ^ B) == 4
@@ -188,7 +188,7 @@ def test_criterion_5_unbounded_emulation(crit5, criterion):
     flow_map = build_flow(augment(crit5.space, decomp, params))
     for x in ("p0000", "p0500", "p1357", "p1999"):
         final, _ = stabilize(flow_map, crit5.family.chains[x])
-        assert crit5.subsets.subsets[x] == frozenset(final)
+        assert crit5.subsets[x] == frozenset(final)
     elapsed = crit5.elapsed + time.monotonic() - t0
     assert elapsed < 30
     criterion(
@@ -208,7 +208,7 @@ def test_criterion_6_amenability_generator(criterion):
     )
     naive = verify_naive(
         art.space,
-        art.subsets.subsets,
+        art.subsets,
         qualifying_pairs(art.space, 2),
         "1/10",
         tail_spacing=art.params.S,

@@ -28,9 +28,12 @@ def test_format_parse_round_trip():
     assert parse_aug("p3") == "p3"
     assert parse_aug("p3#7") == ("p3", 7)
     assert parse_aug("a#b#12") == ("a#b", 12)  # anchors never contain '#', but parsing is total
-    for bad in ("", "#3", "a#0", "a#x", "a#", 5, None):
-        with pytest.raises(MalformedInputError):
+    for bad in ("", "#3", "a#x", "a#", 5, None, "p5#\u00b2", "p5#\u0661", "p5#01", "a#00",
+                "a#" + "1" * 5000):
+        with pytest.raises(MalformedInputError, match="bad augmented point"):
             parse_aug(bad)
+    with pytest.raises(MalformedInputError, match="tail index must be >= 1"):
+        parse_aug("a#0")
 
 
 def test_sort_key_orders_tails_after_their_anchor():

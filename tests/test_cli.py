@@ -292,6 +292,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert run_cli("verify", str(good_inst), str(extra)) == 2, key
         assert capsys.readouterr().err == f"error: subset for unknown point {key!r}\n"
+    # a tail index that format_aug never writes: a non-ASCII digit, a leading zero
+    for member in ("p5#\u00b2", "p5#01"):
+        doc = read_json(good_out)
+        doc["subsets"]["p0"] = [*doc["subsets"]["p0"], member]
+        write_canonical(extra, doc)
+        capsys.readouterr()
+        assert run_cli("verify", str(good_inst), str(extra)) == 2, member
+        assert capsys.readouterr().err == f"error: bad augmented point {member!r}\n"
     # verify prepares the instance first, so it exits 3 where run does
     empty = tmp_path / "empty.json"
     doc = read_json(good_inst)

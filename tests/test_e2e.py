@@ -4,8 +4,9 @@ document (exit 2 or 3) or writes an output that `verify` accepts.
 Documents are small: 2-12 points on the positions, graph (rational edge
 weights) or matrix backend (a graph's shortest-path distances), with
 denominators up to 6, ball-sum chains and 0-2 ray hints. Each document also
-runs with its chains written as leveled ``sets``, with the same exit code and
-output bytes. Exit 4 (an internal invariant) and any traceback fail the test.
+runs with its chains written as leveled ``sets`` (levels 0..m-1, or spaced
+levels under an explicit bound when the point count is even), with the same
+exit code and output bytes. Exit 4 (an internal invariant) and any traceback fail the test.
 A 60-point unit line whose chains each put mass 2 on their own point is
 pinned as an example: its components are large, so it reaches cases 3a and
 3b, which random documents this small do not. Each output without tail
@@ -133,12 +134,19 @@ def documents(draw):
 
 
 def as_sets(doc):
-    """``doc`` with its chains as leveled sets: multiplicity m at y is (y, 0..m-1)."""
+    """``doc`` with its chains as leveled sets: multiplicity m at y is
+    (y, 0..m-1), with no ``multiplicity_bound``. A document with an even
+    number of points takes spaced levels (y, 0, 2, .., 2m-2) instead, under
+    a bound above the largest level."""
     leveled = {key: value for key, value in doc.items() if key != "chains"}
+    spacing = 2 if len(doc["space"]["points"]) % 2 == 0 else 1
     leveled["sets"] = {
-        x: [[y, level] for y, m in chain.items() for level in range(m)]
+        x: [[y, spacing * level] for y, m in chain.items() for level in range(m)]
         for x, chain in doc["chains"].items()
     }
+    if spacing == 2:
+        top = max(m for chain in doc["chains"].values() for m in chain.values())
+        leveled["multiplicity_bound"] = 2 * top
     return leveled
 
 

@@ -116,6 +116,12 @@ def test_instance_with_sets():
     doc["multiplicity_bound"] = 2
     with pytest.raises(MalformedInputError, match="outside range"):
         instance_from_doc(doc)
+    # with no bound and only negative levels, the error names the level
+    del doc["multiplicity_bound"]
+    doc["sets"] = {"p0": [["p0", -1]]}
+    with pytest.raises(MalformedInputError) as exc:
+        instance_from_doc(doc)
+    assert str(exc.value) == "level -1 for 'p0' outside range(0, 1)"
 
 
 def test_instance_validation():

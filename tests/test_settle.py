@@ -64,7 +64,7 @@ def settle_document(doc) -> Counter:
         return Counter()
     decomp, chains = prep.decomposition, instance.family.chains
     return Counter(
-        settle_both_ways(prep.flow_map, decomp.component_of(x), chains[x])
+        settle_both_ways(prep.flow_map, decomp.components[decomp.owner[x]], chains[x])
         for x in instance.space.points
     )
 

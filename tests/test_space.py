@@ -18,7 +18,7 @@ from test_trees import S as TREE_S
 from test_trees import clustered_spaces
 
 from naivea.chains import InstanceParams
-from naivea.errors import MalformedInputError, UnknownPointError
+from naivea.errors import MalformedInputError
 from naivea.space import (
     CLS_BOUNDED_SMALL,
     CLS_UNBOUNDED,
@@ -154,8 +154,6 @@ def test_rips_two_components(two):
     assert [c.points for c in decomp.components] == [("q0", "q1", "q2"), ("r0", "r1", "r2")]
     assert [c.basepoint for c in decomp.components] == ["q0", "r0"]
     assert all(c.cls == CLS_BOUNDED_SMALL for c in decomp.components)
-    with pytest.raises(UnknownPointError):
-        decomp.component_of("zz")
 
 
 def test_hint_overrides_basepoint():
@@ -315,7 +313,7 @@ def test_rips_matches_union_find_oracle(source, data):
     for comp in decomp.components:
         assert comp.basepoint == comp.points[0]
         for p in comp.points:
-            assert decomp.component_of(p) is comp
+            assert decomp.components[decomp.owner[p]] is comp
 
 
 # the clustered spaces of test_trees and the instance documents of test_e2e:

@@ -43,16 +43,17 @@ def test_classify_small_vs_large():
     # with S=2, N=6 the outer radius is 3*2 + 4*2*6 = 54
     small, _ = classify(unit_line(55), rips_components(unit_line(55), 2), SMALL_PARAMS)
     assert small.components[0].cls == CLS_BOUNDED_SMALL
-    large, plan = classify(unit_line(60), rips_components(unit_line(60), 2), SMALL_PARAMS)
+    assert small.components[0].markers == ()
+    large, _ = classify(unit_line(60), rips_components(unit_line(60), 2), SMALL_PARAMS)
     assert large.components[0].cls == CLS_BOUNDED_LARGE
     assert _annulus(unit_line(60), SMALL_PARAMS) == (42, 54)
-    assert 0 in plan.z_points
+    assert len(large.components[0].markers) == SMALL_PARAMS.N
 
 
 def test_annulus_markers_hand_case():
     space = unit_line(60)
-    decomp, plan = classify(space, rips_components(space, 2), SMALL_PARAMS)
-    markers = plan.z_points[0]
+    decomp, _ = classify(space, rips_components(space, 2), SMALL_PARAMS)
+    markers = decomp.components[0].markers
     assert markers == ("p44", "p46", "p48", "p50", "p52", "p54")
     assert markers == annulus_points(space, decomp.components[0], SMALL_PARAMS)
     for z in markers:
@@ -60,10 +61,10 @@ def test_annulus_markers_hand_case():
 
 
 def test_annulus_needs_a_far_point():
+    # no point beyond the outer radius 54: the component is small, no markers
     space = unit_line(20)
     decomp = rips_components(space, 2)
-    with pytest.raises(InternalInvariantError, match="beyond the outer radius"):
-        annulus_points(space, decomp.components[0], SMALL_PARAMS)
+    assert annulus_points(space, decomp.components[0], SMALL_PARAMS) == ()
 
 
 def test_classify_rejects_broken_rays_with_warning(two, two_params):
@@ -73,28 +74,28 @@ def test_classify_rejects_broken_rays_with_warning(two, two_params):
         {"type": "positions", "values": {p: two.metric.positions[p] for p in two.points}},
         hints=[{"component_of": "q0", "ray": ["q0", "r0"]}],
     )
-    decomp, plan = classify(sp, rips_components(sp, 2), two_params)
+    decomp, warnings = classify(sp, rips_components(sp, 2), two_params)
     assert decomp.components[0].cls == CLS_BOUNDED_SMALL
     assert decomp.components[0].ray is None
-    assert plan.warnings and "outside the component" in plan.warnings[0]
+    assert warnings and "outside the component" in warnings[0]
 
     sp2 = unit_line(5, hints=[{"component_of": "p0", "ray": ["p0", "p3"]}])
-    _, plan2 = classify(sp2, rips_components(sp2, 2), SMALL_PARAMS)
-    assert "exceeds the scale" in plan2.warnings[0]
+    _, warnings2 = classify(sp2, rips_components(sp2, 2), SMALL_PARAMS)
+    assert "exceeds the scale" in warnings2[0]
 
     sp3 = unit_line(5, hints=[{"component_of": "p0", "ray": ["p0", "p1", "p0"]}])
-    _, plan3 = classify(sp3, rips_components(sp3, 2), SMALL_PARAMS)
-    assert "revisits" in plan3.warnings[0]
+    _, warnings3 = classify(sp3, rips_components(sp3, 2), SMALL_PARAMS)
+    assert "revisits" in warnings3[0]
 
 
 def test_classify_accepts_valid_ray():
     sp = unit_line(5, hints=[{"component_of": "p0", "ray": ["p2", "p3", "p4"]}])
-    decomp, plan = classify(sp, rips_components(sp, 2), SMALL_PARAMS)
+    decomp, warnings = classify(sp, rips_components(sp, 2), SMALL_PARAMS)
     comp = decomp.components[0]
     assert comp.cls == CLS_UNBOUNDED
     assert comp.basepoint == "p2"
     assert comp.anchor == "p4"
-    assert plan.warnings == ()
+    assert warnings == ()
 
 
 # two S-connected lines at S = 1, far apart: a0..a5 at 0..5 and b0..b5 at 50..55
@@ -136,7 +137,7 @@ def test_classify_counts_hints_per_component(hints):
         with pytest.raises(MalformedInputError, match=f"component of '{crowded[0]}0'"):
             classify(space, decomp, params)
         return
-    classified, plan = classify(space, decomp, params)
+    classified, warnings = classify(space, decomp, params)
     for comp in classified.components:
         mine = by_line[comp.points[0][0]]
         ray = tuple(mine[0]["ray"]) if mine else None
@@ -151,7 +152,7 @@ def test_classify_counts_hints_per_component(hints):
         else:
             assert comp.cls == CLS_BOUNDED_SMALL
             assert (comp.basepoint, comp.ray) == (comp.points[0], None)
-    assert len(plan.warnings) == sum(
+    assert len(warnings) == sum(
         1 for comp in classified.components
         if by_line[comp.points[0][0]] and comp.cls != CLS_UNBOUNDED
     )
@@ -159,21 +160,13 @@ def test_classify_counts_hints_per_component(hints):
 
 def test_tailor_subset_cases():
     space = unit_line(60)
-    decomp, plan = classify(space, rips_components(space, 2), SMALL_PARAMS)
+    decomp, _ = classify(space, rips_components(space, 2), SMALL_PARAMS)
     comp = decomp.components[0]
-    z = plan.z_points[0]
+    z = comp.markers
     # tails swap for markers, base points pass through
-    out = tailor_subset(plan, comp, {"p00", "p01", ("p00", 1), ("p00", 3)})
+    out = tailor_subset(comp, {"p00", "p01", ("p00", 1), ("p00", 3)})
     assert out == {"p00", "p01", z[0], z[2]}
     assert isinstance(out, frozenset)
-    with pytest.raises(InternalInvariantError, match="empty"):
-        tailor_subset(plan, comp, set())
-    with pytest.raises(InternalInvariantError, match="different component"):
-        tailor_subset(plan, comp, {("p01", 1)})
-    with pytest.raises(InternalInvariantError, match="outside the working window"):
-        tailor_subset(plan, comp, {("p00", 7)})
-    with pytest.raises(InternalInvariantError, match="outside the component"):
-        tailor_subset(plan, comp, {"zz"})
 
 
 def test_pipeline_small_two_components(two):
@@ -184,16 +177,16 @@ def test_pipeline_small_two_components(two):
     subsets, cert = run_pipeline(prepare(two, ChainFamily(chains=whole), 1, 1, 2))
     doc = cert.to_jsonable()
     assert set(doc["cases"].values()) == {"2"}
-    assert subsets.subsets["q1"] == frozenset({"q0", "q1", "q2"})
-    assert subsets.subsets["r0"] == frozenset({"r0", "r1", "r2"})
+    assert subsets["q1"] == frozenset({"q0", "q1", "q2"})
+    assert subsets["r0"] == frozenset({"r0", "r1", "r2"})
     assert doc["worst_ratio"] == "0"
     assert doc["worst_radius"] == "2"
     assert doc["params"]["L"] == 4 and doc["params"]["N"] == 18
     assert doc["bound_radius"] == str(6 * 2 + 8 * 2 * 18)
     assert [p["x"] for p in doc["pairs"]] == ["q0", "q1", "r0", "r1"]
     # one shared subset object per component, not one copy per point
-    assert len(subsets.subsets) == 6
-    assert len({id(s) for s in subsets.subsets.values()}) == 2
+    assert len(subsets) == 6
+    assert len({id(s) for s in subsets.values()}) == 2
 
 
 def test_pipeline_does_not_flow_case_2(monkeypatch):
@@ -206,7 +199,7 @@ def test_pipeline_does_not_flow_case_2(monkeypatch):
     space, family, params = gen_instance("line", {"count": 12, "radii": ["2", "1"]})
     subsets, cert = run_pipeline(prepare(space, family, params.R, params.epsilon, params.S))
     assert set(cert.cases.values()) == {"2"}
-    assert all(sub is subsets.subsets["p00"] for sub in subsets.subsets.values())
+    assert all(sub is subsets["p00"] for sub in subsets.values())
 
 
 def test_pipeline_case_3a_identity():
@@ -221,7 +214,7 @@ def test_pipeline_case_3a_identity():
     doc = cert.to_jsonable()
     assert doc["params"]["L"] == 4 and doc["params"]["N"] == 18
     assert set(doc["cases"].values()) == {"3a"}
-    for x, sub in subsets.subsets.items():
+    for x, sub in subsets.items():
         assert sub == frozenset(chains[x])  # identity on tail-free supports
     assert doc["worst_ratio"] == "1"  # end effects: {p0,p1} vs {p0,p1,p2}
     assert all(
@@ -239,7 +232,7 @@ def test_pipeline_case_3b_swaps_tail_for_markers():
     assert cases["p350"] == "3a"
     # hand-tracked: mass 5 at the basepoint leaves two units on the tail,
     # which land on the first two annulus markers at distances 506 and 508
-    assert subsets.subsets["p000"] == frozenset({"p000", "p001", "p002", "p506", "p508"})
+    assert subsets["p000"] == frozenset({"p000", "p001", "p002", "p506", "p508"})
     assert Fraction(doc["radii"]["p000"]) == 508
     for row in doc["pairs"]:
         assert Fraction(row["output_ratio"]) <= Fraction(row["input_ratio"])
@@ -256,7 +249,7 @@ def test_pipeline_case_1_unbounded():
     doc = cert.to_jsonable()
     assert set(doc["cases"].values()) == {"1"}
     # the right edge pushes mass onto the virtual continuation of the ray
-    assert subsets.subsets["p29"] == frozenset({"p27", "p28", "p29", ("p29", 1), ("p29", 2)})
+    assert subsets["p29"] == frozenset({"p27", "p28", "p29", ("p29", 1), ("p29", 2)})
     assert Fraction(doc["radii"]["p29"]) == 4
     case1 = Fraction(doc["bounds"]["case1"])
     assert all(Fraction(r) <= case1 for r in doc["radii"].values())

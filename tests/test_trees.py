@@ -163,9 +163,9 @@ def clustered_spaces(draw):
 @given(clustered_spaces())
 def test_stored_trees_match_fresh_searches(drawn):
     space, clusters = drawn
-    decomp, plan = classify(space, rips_components(space, S), PARAMS)
+    decomp, warnings = classify(space, rips_components(space, S), PARAMS)
     assert len(decomp.components) == clusters
-    assert not plan.warnings  # every drawn ray is valid
+    assert not warnings  # every drawn ray is valid
     rays = {h.ray[0]: h.ray for h in space.hints}
     for comp in decomp.components:
         assert comp.cls == CLS_UNBOUNDED or comp.basepoint == comp.points[0]
@@ -174,6 +174,6 @@ def test_stored_trees_match_fresh_searches(drawn):
     flow = build_flow(augment(space, decomp, PARAMS))
     assert flow.base_successor == oracle_successors(space, decomp)
     large = [c for c in decomp.components if c.cls == CLS_BOUNDED_LARGE]
-    assert set(plan.z_points) == {c.index for c in large}
+    assert all(bool(c.markers) == (c in large) for c in decomp.components)
     for comp in large:
-        assert plan.z_points[comp.index] == oracle_markers(space, comp)
+        assert comp.markers == oracle_markers(space, comp)
