@@ -10,6 +10,14 @@ encoder. Strings go through the C ``encode_basestring_ascii``, and a list
 object that occurs more than once at one depth is rendered once: every case-2
 point of a component shares one subset list (``output_to_jsonable``), so that
 subset is sorted, formatted and encoded once.
+
+``load_output`` reads that sharing back. Its decoder, ``loads_output``, is
+``json.loads`` except in each object one level below the top: there, an
+array whose text is the previous array's text again, character for
+character, is the previous array's list object and is not decoded again.
+Only arrays are compared, because an array is self-delimiting, and only
+against the previous array. Any error the decoder meets makes it decode the
+text again with ``json.loads``, so every error raised is the stdlib's own.
 """
 from __future__ import annotations
 
@@ -17,6 +25,7 @@ import errno
 import json
 import os
 from dataclasses import dataclass, replace
+from json.decoder import WHITESPACE, JSONDecodeError, JSONObject
 from json.encoder import encode_basestring_ascii
 
 from .augment import format_aug, parse_aug
@@ -128,16 +137,69 @@ def write_canonical(path, obj):
         fh.write(canonical_dumps(obj))
 
 
-def read_json(path):
+def _read_document(path, decode):
+    """``decode`` applied to the text of ``path``; every way the file can fail
+    to be read or decoded is malformed input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return decode(fh.read())
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"{path} is not valid UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError, an integer past sys.get_int_max_str_digits(), or
+    # nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from None
+
+
+def read_json(path):
+    return _read_document(path, json.loads)
+
+
+def _repeat_scanner(scan):
+    """``scan`` for the values of one object, except that an array whose text
+    repeats the previous array's text is that array's list object again.
+
+    Exact because an array is self-delimiting: text that starts with a whole
+    array decodes to that array and ends where it ends.
+    """
+    last_text = last = None
+
+    def scan_once(s, idx):
+        nonlocal last_text, last
+        if last_text is not None and s.startswith(last_text, idx):
+            return last, idx + len(last_text)
+        value, end = scan(s, idx)
+        if type(value) is list:
+            last_text, last = s[idx:end], value
+        return value, end
+
+    return scan_once
+
+
+def loads_output(text):
+    """``json.loads(text)``, except that in each object one level below the
+    top an array that repeats the previous array's text is not decoded again
+    but shares its list object."""
+    scan = json.JSONDecoder().scan_once
+
+    def top_scan(s, idx):
+        if s.startswith("{", idx):
+            return JSONObject((s, idx + 1), True, _repeat_scanner(scan), None, None)
+        return scan(s, idx)
+
+    start = WHITESPACE.match(text).end()
+    if not text.startswith("{", start):
+        return json.loads(text)
+    try:
+        doc, end = JSONObject((text, start + 1), True, top_scan, None, None)
+        if WHITESPACE.match(text, end).end() != len(text):
+            raise JSONDecodeError("Extra data", text, end)
+    except (ValueError, RecursionError):
+        # decode again so that the error raised is the stdlib's own
+        return json.loads(text)
+    return doc
 
 
 @dataclass(frozen=True)
@@ -269,7 +331,7 @@ def output_to_jsonable(subsets: dict, certificate: Certificate) -> dict:
 
 
 def load_output(path) -> tuple[dict, dict]:
-    doc = read_json(path)
+    doc = _read_document(path, loads_output)
     if not isinstance(doc, dict):
         raise MalformedInputError("output document must be a JSON object")
     subsets = _require(doc, "subsets", "output")
@@ -286,17 +348,34 @@ def load_output(path) -> tuple[dict, dict]:
     return subsets, certificate
 
 
+def _parse_members(members) -> frozenset:
+    """The frozenset of a list of str members; a non-empty one with no '#' is
+    a base id as it stands, and every other goes through ``parse_aug`` in
+    list order, so the first bad member raises."""
+    if "#" not in "".join(members) and "" not in members:
+        return frozenset(members)
+    return frozenset(m if m and "#" not in m else parse_aug(m) for m in members)
+
+
 def parse_subsets(raw) -> dict:
     """Decode the serialized subsets into frozensets of augmented points.
 
     Points whose member lists are equal get one shared frozenset, so a pair
-    of them is ``A is B`` in ``set_ratio``.
+    of them is ``A is B`` in ``set_ratio``. A list object that recurs (as
+    ``load_output`` returns a repeated list) is looked up by its id before
+    its content.
     """
     out = {}
+    # id of a member list -> its frozenset; every list stays alive in raw
+    by_id = {}
     # hash of a member list -> (that list, its frozenset); keyed by the hash,
     # so no list is copied into a key that outlives its point
     shared = {}
     for x, members in raw.items():
+        parsed = by_id.get(id(members))
+        if parsed is not None:
+            out[x] = parsed
+            continue
         if not isinstance(members, list):
             raise MalformedInputError(f"subset for {x!r} must be a list")
         if not set(map(type, members)) <= {str}:
@@ -307,9 +386,9 @@ def parse_subsets(raw) -> dict:
         if earlier is not None and earlier[0] == members:
             parsed = earlier[1]
         else:
-            parsed = frozenset(map(parse_aug, members))
+            parsed = _parse_members(members)
             shared[h] = (members, parsed)
         if len(parsed) != len(members):
             raise MalformedInputError(f"subset for {x!r} has duplicate members")
-        out[x] = parsed
+        out[x] = by_id[id(members)] = parsed
     return out

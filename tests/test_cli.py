@@ -308,6 +308,18 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert run_cli("verify", str(empty), str(good_out)) == 3
     assert capsys.readouterr().err == "precondition failed: empty chain for point 'p3'\n"
+    # an integer past the int-string limit and nesting past the recursion
+    # limit are invalid JSON, as an instance and as an output
+    oversized = tmp_path / "oversized.json"
+    oversized.write_text('{"space": ' + "9" * 5000 + "}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for path in (oversized, deep):
+        for argv in (["run", str(path), "--out", str(out)],
+                     ["verify", str(good_inst), str(path)]):
+            capsys.readouterr()
+            assert run_cli(*argv) == 2, argv
+            assert capsys.readouterr().err.startswith(f"error: {path} is not valid JSON: "), argv
     thin = read_json(good_out)
     del thin["certificate"]["worst_ratio"]
     write_canonical(good_out, thin)

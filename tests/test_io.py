@@ -1,12 +1,15 @@
 """Canonical JSON files: instances in, outputs out."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from naivea.cli import main
 from naivea.errors import MalformedInputError
 from naivea.generators import gen_instance
 from naivea.instance_io import (
@@ -15,11 +18,13 @@ from naivea.instance_io import (
     instance_to_doc,
     load_instance,
     load_output,
+    loads_output,
     parse_subsets,
     read_json,
     write_canonical,
 )
 from naivea.space import Space
+from naivea.verify import first_divergence
 
 
 def base_doc():
@@ -246,6 +251,22 @@ def test_read_json_errors(tmp_path):
     utf16.write_bytes(b"\xff\xfe{\x00}\x00")
     with pytest.raises(MalformedInputError, match="not valid UTF-8"):
         read_json(utf16)
+    # an integer past the int-string limit, nesting past the recursion limit,
+    # each at the top and below an object that load_output decodes itself
+    big, deep = "9" * 5000, "[" * 100_000 + "]" * 100_000
+    texts = {
+        "oversized": ('{"space": ' + big + "}", "Exceeds the limit"),
+        "deep": (deep, "maximum recursion depth"),
+        "oversized_member": ('{"subsets": {"a": [' + big + "]}}", "Exceeds the limit"),
+        "deep_member": ('{"subsets": {"a": ' + deep + "}}", "maximum recursion depth"),
+    }
+    for name, (text, reason) in texts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        for reader in (read_json, load_output):
+            with pytest.raises(MalformedInputError) as exc:
+                reader(path)
+            assert str(exc.value).startswith(f"{path} is not valid JSON: {reason}"), name
 
 
 def test_load_output_validation(tmp_path):
@@ -272,3 +293,196 @@ def test_parse_subsets():
         parse_subsets({"x": ["a", "a"]})
     with pytest.raises(MalformedInputError, match="must be a list"):
         parse_subsets({"x": "a"})
+    # a list object that recurs is parsed once; its duplicates still raise
+    shared = ["a", "b#2"]
+    parsed = parse_subsets({"x": shared, "y": ["c"], "z": shared})
+    assert parsed["x"] is parsed["z"] == {"a", ("b", 2)}
+    with pytest.raises(MalformedInputError, match="'x' has duplicate"):
+        parse_subsets({"x": ["a", "a"], "y": ["a", "a"]})
+    # plain base ids skip parse_aug, so the first other bad member raises
+    for bad, message in (
+        (["a", ""], "bad augmented point ''"),
+        (["a", "", "b#0"], "bad augmented point ''"),
+        (["b#0", "a", ""], "tail index must be >= 1 in 'b#0'"),
+        (["a", "#1", "c#1", ""], "bad augmented point '#1'"),
+        (["a", "b#1", "b#01"], "bad augmented point 'b#01'"),
+    ):
+        with pytest.raises(MalformedInputError) as exc:
+            parse_subsets({"x": bad})
+        assert str(exc.value) == message, bad
+
+
+def decoded(decode, text):
+    """``decode(text)``, or the type and text of the error it raised."""
+    try:
+        return decode(text), None
+    except (ValueError, RecursionError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_decodes_like_the_stdlib(text):
+    ours, our_error = decoded(loads_output, text)
+    theirs, their_error = decoded(json.loads, text)
+    assert our_error == their_error
+    assert first_divergence(ours, theirs) is None
+    assert first_divergence(theirs, ours) is None
+
+
+# whitespace, and characters that end, open or escape a JSON token
+SPACING = st.text(st.sampled_from(" \t\n\r"), max_size=2)
+MUTANTS = st.sampled_from('[]{},:"\\ \n0123456789-.eE+tfn#ab')
+KEYS = st.sampled_from(["a", "b", "a]", 'q"', "\\", "subsets", "certificate"])
+member_leaves = st.one_of(
+    st.sampled_from(["a", "b#2", "]", "[", '"', '\\"]', "x]1", ""]),
+    st.integers(-(10**20), 10**20),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+)
+
+
+@st.composite
+def spaced(draw, parts):
+    """``parts`` joined with drawn whitespace between tokens."""
+    return "".join(draw(SPACING) + p for p in parts) + draw(SPACING)
+
+
+@st.composite
+def array_texts(draw):
+    items = draw(st.lists(member_leaves | st.lists(member_leaves, max_size=2), max_size=4))
+    parts = [json.dumps(item, ensure_ascii=draw(st.booleans())) for item in items]
+    return draw(spaced(["[", ",".join(parts) if parts else "", "]"]))
+
+
+@st.composite
+def near(draw, text):
+    """``text`` with one character changed, dropped or added, or ``text``
+    followed straight by a number."""
+    i = draw(st.integers(0, len(text)))
+    how = draw(st.sampled_from(["change", "drop", "add", "number"]))
+    if how == "number":
+        return text + draw(st.sampled_from(["2", "0", "-1", "1e3"]))
+    if how == "drop":
+        return text[:i] + text[i + 1:]
+    c = draw(MUTANTS)
+    return text[:i] + c + text[i + (how == "change"):]
+
+
+@st.composite
+def depth_one_objects(draw):
+    """Object text whose values repeat or nearly repeat the previous array."""
+    members, last = [], None
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["repeat", "repeat", "near", "near", "array", "leaf",
+                                     "object"]))
+        if last is not None and kind == "repeat":
+            value = last
+        elif last is not None and kind == "near":
+            value = draw(near(last))
+        elif kind == "leaf":
+            value = json.dumps(draw(member_leaves))
+        elif kind == "object":
+            value = json.dumps({"x": draw(member_leaves), "y": [draw(member_leaves)]})
+        else:
+            value = last = draw(array_texts())
+        members.append(json.dumps(draw(KEYS)) + draw(SPACING) + ":" + draw(SPACING) + value)
+    return draw(spaced(["{", ",".join(members), "}"]))
+
+
+@st.composite
+def output_like_texts(draw):
+    values = {"object": depth_one_objects(), "array": array_texts(),
+              "leaf": member_leaves.map(json.dumps)}
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["object", "object", "array", "leaf"]))
+        members.append(json.dumps(draw(KEYS)) + ":" + draw(values[kind]))
+    text = draw(spaced(["{", ",".join(members), "}"]))
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(text)))
+        text = draw(st.sampled_from([text[:cut], text[:cut] + text[cut + 1:],
+                                     text[:cut] + draw(MUTANTS) + text[cut + 1:]]))
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(output_like_texts())
+@example('{"a": [1], "b": [1]2}')
+@example('{"o": {"a": [1], "b": [1]2}}')
+@example('{"o": {"a": [1], "b": [1]}}')
+@example('{"o": {"a": ["]"], "b": ["]"], "c": ["]", "\\""], "d": ["]", "\\""]}}')
+@example('{"o": {"a": [1], "a": [1], "a": [2]}, "o": {"b": [1]}}')
+@example(' \n{"o" :{"a":[ 1 ],\t"b":[ 1 ]  , "c":[1 ]}\r}\n ')
+@example('{"o": {"a": [1], "b": [1]}} x')
+@example('{"o": {"a": [1], "b": [1], "c": [1}}')
+@example('{"o": {"a": [1], "b": [1}, "c": 2}}')
+@example('\ufeff{"o": {}}')
+@example('[1, [1]]')
+def test_loads_output_matches_the_stdlib(text):
+    assert_decodes_like_the_stdlib(text)
+
+
+@pytest.fixture(scope="module")
+def case_2_files(tmp_path_factory):
+    """A small all-case-2 instance and its output: three paths of 4-5 points."""
+    root = tmp_path_factory.mktemp("case2")
+    inst, out = root / "inst.json", root / "out.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "disjoint_union_paths", "--paths", "3", "--min-len", "4",
+                     "--max-len", "6", "--radii", "2,1", "--out", str(inst)]) == 0
+        assert main(["run", str(inst), "--out", str(out)]) == 0
+    return inst, out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_loads_output_matches_the_stdlib_on_run_output(case_2_files, data):
+    text = case_2_files[1].read_text()
+    assert_decodes_like_the_stdlib(text)
+    i = data.draw(st.integers(0, len(text) - 1))
+    how = data.draw(st.sampled_from(["truncate", "change", "drop", "add"]))
+    if how == "truncate":
+        text = text[:i]
+    elif how == "drop":
+        text = text[:i] + text[i + 1:]
+    else:
+        text = text[:i] + data.draw(MUTANTS) + text[i + (how == "change"):]
+    assert_decodes_like_the_stdlib(text)
+
+
+def test_shared_lists_cannot_hide_an_edit(case_2_files, tmp_path):
+    inst, out = case_2_files
+    subsets, _ = load_output(out)
+    lists = list(subsets.values())
+    # one list object per distinct list, and one frozenset per component
+    assert len({id(m) for m in lists}) == len({tuple(m) for m in lists}) == 3
+    assert len({id(s) for s in parse_subsets(subsets).values()}) == 3
+    first, second = sorted(subsets)[:2]
+    assert subsets[first] is subsets[second]
+
+    def drop(m):
+        m.pop()
+
+    def duplicate(m):
+        m.insert(1, m[0])
+
+    def replace_one(m):
+        m[1] = "p5#01"
+
+    expected = {
+        drop: (1, "naive check: PASS {'pairs_checked': 11, 'worst_ratio': '1/4', "
+                  "'support_radius': '4'}\ncertificate check: FAIL\n"
+                  "  {'condition': 'certificate_mismatch', "
+                  "'field': 'certificate.pairs[0].output_ratio'}\n", ""),
+        duplicate: (2, "", f"error: subset for {second!r} has duplicate members\n"),
+        replace_one: (2, "", "error: bad augmented point 'p5#01'\n"),
+    }
+    edited = tmp_path / "edited.json"
+    for edit, want in expected.items():
+        doc = read_json(out)
+        edit(doc["subsets"][second])
+        write_canonical(edited, doc)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["verify", str(inst), str(edited)])
+        assert (code, stdout.getvalue(), stderr.getvalue()) == want, edit.__name__
