@@ -2,6 +2,13 @@
 
 A chain is a plain dict mapping points to positive integer multiplicities;
 operations are free functions so the flow and verifier stay allocation-light.
+
+Both of the paper's conditions are ratios of int masses, so every ratio
+check runs on int pairs: (d, m) for two chains, with m the meet's mass and
+d = ||a|| + ||b|| - 2m, and (s, i) = (|A ^ B|, |A & B|) for two subsets. A
+verdict is a cross-multiplication (n/d >= p/q when n*q >= p*d, for n > 0).
+A ratio becomes a value only for a report, through one ``Ratios`` table per
+call, which no caller keeps beyond the call.
 """
 from __future__ import annotations
 
@@ -17,7 +24,12 @@ INFINITE = math.inf
 
 
 def make_chain(entries) -> dict:
-    """Validate and normalize a chain: positive int values, zeros dropped."""
+    """Validate and normalize a chain: positive int values, zeros dropped.
+    Only a chain with another value goes through the loop, which raises at
+    its first bad value."""
+    values = entries.values()
+    if set(map(type, values)) <= {int} and min(values, default=1) > 0:
+        return dict(entries)
     out = {}
     for p, v in entries.items():
         if not isinstance(v, int) or isinstance(v, bool):
@@ -51,10 +63,34 @@ def diff_l1(a, b) -> int:
     return total
 
 
-def variation_ratio(a, b):
-    """||a - b||_1 / ||a ^ b||_1, exactly; 0 when equal, INFINITE when the
-    meet is empty and the chains differ. One walk over the smaller chain
-    takes the meet's mass m, and ||a - b||_1 = ||a|| + ||b|| - 2m."""
+def ratio(n, d):
+    """The value of n/d for ints n, d >= 0: Fraction(0) when n is 0, else
+    INFINITE when d is 0."""
+    if n == 0:
+        return Fraction(0)
+    if d == 0:
+        return INFINITE
+    return Fraction(n, d)
+
+
+class Ratios(dict):
+    """One call's ratio values: ``table[n, d]`` is ``ratio(n, d)``, built
+    once per distinct (n, d) and shared by every pair that has it."""
+
+    def __missing__(self, key):
+        value = self[key] = ratio(*key)
+        return value
+
+
+def ratio_terms(q) -> tuple:
+    """(n, d) with q = n/d for a ratio value; INFINITE is (1, 0)."""
+    if isinstance(q, float):
+        return 1, 0
+    return q.numerator, q.denominator
+
+
+def meet_mass(a, b) -> int:
+    """||a ^ b||_1, by one walk over the smaller chain."""
     if len(b) < len(a):
         a, b = b, a
     m = 0
@@ -62,25 +98,26 @@ def variation_ratio(a, b):
         w = b.get(p)
         if w is not None:
             m += v if v < w else w
-    d = l1_norm(a) + l1_norm(b) - 2 * m
-    if d == 0:
-        return Fraction(0)
-    if m == 0:
-        return INFINITE
-    return Fraction(d, m)
+    return m
+
+
+def set_terms(A, B) -> tuple:
+    """(|A ^ B|, |A & B|) for two sets or frozensets, from one intersection."""
+    i = len(A) if A is B else len(A & B)
+    return len(A) + len(B) - 2 * i, i
+
+
+def variation_ratio(a, b):
+    """||a - b||_1 / ||a ^ b||_1, exactly; 0 when equal, INFINITE when the
+    meet is empty and the chains differ; ||a - b||_1 = ||a|| + ||b|| - 2m
+    for the meet's mass m."""
+    m = meet_mass(a, b)
+    return ratio(l1_norm(a) + l1_norm(b) - 2 * m, m)
 
 
 def set_ratio(A, B):
     """|A ^ B| / |A & B| for two sets or frozensets, with the same conventions."""
-    if A is B:
-        return Fraction(0)
-    sym = len(A ^ B)
-    if sym == 0:
-        return Fraction(0)
-    inter = len(A & B)
-    if inter == 0:
-        return INFINITE
-    return Fraction(sym, inter)
+    return ratio(*set_terms(A, B))
 
 
 def format_ratio(q) -> str:
@@ -178,30 +215,37 @@ def check_instance(space: Space, family: ChainFamily, R, epsilon, S) -> Instance
 
     Verifies every chain is supported within distance S of its owner and that
     neighboring chains (d <= R) have variation ratio below epsilon; derives
-    L = 1 + max mass and N = L^2 + 2.
+    L = 1 + max mass and N = L^2 + 2. Each chain is validated in bulk (its
+    members against the point set, its support by one ``metric.within``);
+    the member loops run only to raise the first error or to list a chain's
+    violations in order. Each pair's verdict is (d, m) cross-multiplied with
+    epsilon, and ``pairs`` holds one shared value per distinct (d, m).
     """
     params = InstanceParams(R=Fraction(R), epsilon=Fraction(epsilon), S=Fraction(S))
     chains = family.chains
+    point_set = space.point_set
     for x in space.points:
         a = chains.get(x)
         if a is None:
             raise PreconditionError(f"no chain for point {x!r}")
         if not a:
             raise PreconditionError(f"empty chain for point {x!r}")
-        for z in a:
-            if not space.has(z):
-                raise MalformedInputError(f"chain for {x!r} names unknown point {z!r}")
-    for x in chains:
-        if not space.has(x):
-            raise MalformedInputError(f"chain owner {x!r} is not a point of the space")
+        if not a.keys() <= point_set:
+            z = next(z for z in a if z not in point_set)
+            raise MalformedInputError(f"chain for {x!r} names unknown point {z!r}")
+    if not chains.keys() <= point_set:
+        x = next(x for x in chains if x not in point_set)
+        raise MalformedInputError(f"chain owner {x!r} is not a point of the space")
 
     violations = []
-    dist = space.metric.dist
-    support_limit = floor_units(params.S, space.metric.denominator)
+    metric = space.metric
+    support_limit = floor_units(params.S, metric.denominator)
     for x in space.points:
         a = chains[x]
-        for z in a:
-            if dist(x, z) > support_limit:
+        if metric.within(x, a, support_limit):
+            continue
+        for z in a:  # list this chain's violations in its own order
+            if metric.dist(x, z) > support_limit:
                 violations.append(
                     {
                         "condition": "support_radius",
@@ -210,16 +254,21 @@ def check_instance(space: Space, family: ChainFamily, R, epsilon, S) -> Instance
                         "distance": str(space.dist(x, z)),
                     }
                 )
+    mass = {x: l1_norm(chains[x]) for x in space.points}
+    values = Ratios()
+    p, q = params.epsilon.numerator, params.epsilon.denominator
     pairs = []
     for x, y in qualifying_pairs(space, params.R):
-        ratio = variation_ratio(chains[x], chains[y])
-        pairs.append((x, y, ratio))
-        if ratio >= params.epsilon:
+        m = meet_mass(chains[x], chains[y])
+        d = mass[x] + mass[y] - 2 * m
+        ratio_xy = values[d, m]
+        pairs.append((x, y, ratio_xy))
+        if d and d * q >= p * m:  # d/m >= epsilon
             violations.append(
-                {"condition": "variation_ratio", "x": x, "y": y, "ratio": format_ratio(ratio)}
+                {"condition": "variation_ratio", "x": x, "y": y, "ratio": format_ratio(ratio_xy)}
             )
 
-    L = 1 + max(l1_norm(chains[x]) for x in space.points)
+    L = 1 + max(mass.values())
     params = replace(params, L=L, N=L * L + 2)
     return InstanceReport(
         ok=not violations, violations=tuple(violations), params=params, pairs=tuple(pairs)

@@ -27,7 +27,8 @@ def parse_rational(value) -> Fraction:
 
 def format_rational(q) -> str:
     """Render a Fraction (or int) canonically: "5" or "a/b" in lowest terms."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -39,5 +40,6 @@ def floor_units(q, unit: int) -> int:
     For an int distance d in units of 1/unit, d <= q holds exactly when
     d <= floor_units(q, unit), and d > q exactly when d > floor_units(q, unit).
     """
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     return q.numerator * unit // q.denominator

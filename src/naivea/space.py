@@ -21,7 +21,9 @@ Each backend's ``eccentricity(x, points)`` is the int ``max(dist(x, p) for p
 in points)`` without a ``dist`` call per point: one row maximum on a matrix
 or graph, and on the line the farther of the two extreme positions, which are
 found once per points collection. A case-2 radius is such an eccentricity
-over the component.
+over the component. ``within(x, points, t)`` is ``eccentricity(x, points)
+<= t``, the support check of one chain (``chains.check_instance``); the
+graph backend settles the row of ``x`` only as far as ``t`` for it.
 
 The graph backend settles each source's Dijkstra only as far as the queries
 on that source reach (``GraphMetric``). The pipeline's queries are local:
@@ -79,6 +81,9 @@ class MatrixMetric:
     def eccentricity(self, x, points) -> int:
         row = self.rows[x]
         return max(map(row.__getitem__, points))
+
+    def within(self, x, points, t) -> bool:
+        return self.eccentricity(x, points) <= t
 
     def neighbors_within(self, x, r):
         t = floor_units(r, self.denominator)
@@ -162,6 +167,19 @@ class GraphMetric:
         row.settle()
         return max(map(row.settled.__getitem__, points))
 
+    def within(self, x, points, t) -> bool:
+        """Settles the row of ``x`` only to ``t``. A point it leaves
+        unsettled lies beyond ``t``, and an earlier query may have settled
+        the row past ``t``, so the distances are compared, not membership."""
+        row = self.row(x)
+        row.settle(t)
+        settled = row.settled
+        for p in points:
+            d = settled.get(p)
+            if d is None or d > t:
+                return False
+        return True
+
     def neighbors_within(self, x, r):
         t = floor_units(r, self.denominator)
         row = self.row(x)
@@ -200,6 +218,10 @@ class PositionMetric:
             extent = self._extents[id(points)] = (points, min(at), max(at))
         q = self.positions[x]
         return max(q - extent[1], extent[2] - q)
+
+    def within(self, x, points, t) -> bool:
+        q, at = self.positions[x], list(map(self.positions.__getitem__, points))
+        return q - t <= min(at) and max(at) <= q + t
 
     def neighbors_within(self, x, r):
         t = floor_units(r, self.denominator)

@@ -20,16 +20,16 @@ from fractions import Fraction
 
 from .augment import AugmentedSpace, augment
 from .chains import (
-    INFINITE,
     ChainFamily,
     InstanceParams,
     InstanceReport,
+    Ratios,
     check_instance,
     format_ratio,
-    set_ratio,
+    set_terms,
 )
 # Not called here: perfbench/layers.py looks these names up in this module.
-from .chains import qualifying_pairs, variation_ratio  # noqa: F401
+from .chains import qualifying_pairs, set_ratio, variation_ratio  # noqa: F401
 from .errors import InternalInvariantError, MalformedInputError, PreconditionError
 from .flow import FlowMap, build_flow, stabilize
 from .rational import floor_units, format_rational
@@ -60,8 +60,12 @@ class Certificate:
     unit: int
 
     def to_jsonable(self) -> dict:
+        lengths = {}  # each distinct radius or bound is formatted once
+
         def length(units):
-            return format_rational(Fraction(units, self.unit))
+            if units not in lengths:
+                lengths[units] = format_rational(Fraction(units, self.unit))
+            return lengths[units]
 
         texts = {}  # each distinct ratio is formatted once; INF is a float
 
@@ -359,24 +363,21 @@ def run_pipeline(prep: Prepared):
             )
         cases[x], subsets[x], radii[x] = case, subset, radius
 
+    # (s, i) against the input ratio, which admission left finite; i = 0 (INF) exceeds it
+    values = Ratios()
     pair_rows = []
-    worst_ratio = Fraction(0)
+    worst_ratio = (0, 1)
     for x, y, rin in report.pairs:
-        rout = set_ratio(subsets[x], subsets[y])
-        if rout == INFINITE or rout > rin:
+        s, i = set_terms(subsets[x], subsets[y])
+        if s * rin.denominator > rin.numerator * i:
             raise InternalInvariantError(
-                f"output ratio for ({x!r}, {y!r}) is {rout}, input was {rin}"
+                f"output ratio for ({x!r}, {y!r}) is {values[s, i]}, input was {rin}"
             )
-        if "3b" in (cases[x], cases[y]):
-            A, B = supports[x], supports[y]
-            FA, FB = subsets[x], subsets[y]
-            if len(FA ^ FB) != len(A ^ B) or len(FA & FB) != len(A & B):
-                raise InternalInvariantError(
-                    f"tailoring distorted the pair ({x!r}, {y!r})"
-                )
-        if rout > worst_ratio:
-            worst_ratio = rout
-        pair_rows.append((x, y, rin, rout))
+        if "3b" in (cases[x], cases[y]) and (s, i) != set_terms(supports[x], supports[y]):
+            raise InternalInvariantError(f"tailoring distorted the pair ({x!r}, {y!r})")
+        if s * worst_ratio[1] > worst_ratio[0] * i:
+            worst_ratio = (s, i)
+        pair_rows.append((x, y, rin, values[s, i]))
 
     # the reported worst radius is re-derived by the rational reference metric
     # at a pair that attains it, which checks the int scaling where it shows
@@ -393,7 +394,7 @@ def run_pipeline(prep: Prepared):
         cases=cases,
         radii=radii,
         pairs=tuple(pair_rows),
-        worst_ratio=worst_ratio,
+        worst_ratio=values[worst_ratio],
         worst_radius=worst_radius,
         bounds=bounds,
         unit=aug.unit,

@@ -7,6 +7,10 @@ object once (points with equal member lists share one, see
 ``parse_subsets``); a shared subset's radius at a point is one
 ``metric.eccentricity`` over its base members, and a subset held by one
 point is measured member by member.
+As in ``chains``, a ratio is an int pair, (s, i) = (|A ^ B|, |A & B|) for
+two subsets; every verdict (a ratio against epsilon, or an output ratio
+against its input ratio) is a cross-multiplication of ints, and each call
+builds one shared Fraction per distinct ratio for its report.
 verify_certificate checks each claim of the certificate against those
 facts and the instance's ``Prepared`` (admission, classes and bounds),
 without flowing any point or reading a label from the file: the certificate
@@ -23,9 +27,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chains import INFINITE, diff_l1, format_ratio, l1_norm, meet, set_ratio
-# Not called here: perfbench/layers.py looks this name up in this module.
-from .chains import qualifying_pairs  # noqa: F401
+from .chains import Ratios, diff_l1, format_ratio, l1_norm, meet, ratio_terms, set_terms
+# Not called here: perfbench/layers.py looks these names up in this module.
+from .chains import qualifying_pairs, set_ratio  # noqa: F401
 from .errors import (
     InternalInvariantError,
     MalformedInputError,
@@ -125,12 +129,20 @@ def verify_naive(
         if not space.has(x):
             raise UnknownPointError(f"subset for unknown point {x!r}")
 
-    ratios = tuple(set_ratio(subsets[x], subsets[y]) for x, y in pairs)
-    violations = [
-        {"condition": "set_ratio", "x": x, "y": y, "ratio": format_ratio(ratio)}
-        for (x, y), ratio in zip(pairs, ratios)
-        if ratio >= epsilon
-    ]
+    values = Ratios()
+    p, q = epsilon.numerator, epsilon.denominator
+    ratios, violations = [], []
+    worst = (0, 1)  # the largest finite ratio
+    for x, y in pairs:
+        s, i = set_terms(subsets[x], subsets[y])
+        ratio = values[s, i]
+        ratios.append(ratio)
+        if s and s * q >= p * i:  # s/i >= epsilon
+            violations.append(
+                {"condition": "set_ratio", "x": x, "y": y, "ratio": format_ratio(ratio)}
+            )
+        if i and s * worst[1] > worst[0] * i:
+            worst = (s, i)
 
     # tail offsets j*S are whole in units of 1/(D*k), k the denominator of S*D
     D = space.metric.denominator
@@ -182,14 +194,14 @@ def verify_naive(
 
     stats = {
         "pairs_checked": len(pairs),
-        "worst_ratio": format_ratio(max((r for r in ratios if r != INFINITE), default=0)),
+        "worst_ratio": format_ratio(values[worst]),
         "support_radius": str(support_radius),
     }
     return VerifyReport(
         ok=not violations,
         violations=tuple(violations),
         stats=stats,
-        ratios=ratios,
+        ratios=tuple(ratios),
         radii=radii,
         support_radius=support_radius,
     )
@@ -255,18 +267,23 @@ def verify_certificate(prep, naive, certificate_jsonable) -> VerifyReport:
         cases[x] = case
         if radius > bounds["case" + case[0]]:
             violations.append({"condition": "radius_above_bound", "x": x})
-    rows = [(*pair, rout) for pair, rout in zip(report.pairs, naive.ratios, strict=True)]
-    violations.extend(
-        {"condition": "output_ratio_above_input", "x": x, "y": y}
-        for x, y, rin, rout in rows
-        if rout > rin
-    )
+    # an input ratio is finite, since the instance was admitted
+    rows = []
+    worst = Fraction(0)
+    worst_terms = (0, 1)
+    for (x, y, rin), rout in zip(report.pairs, naive.ratios, strict=True):
+        n, d = ratio_terms(rout)
+        if n * rin.denominator > rin.numerator * d:
+            violations.append({"condition": "output_ratio_above_input", "x": x, "y": y})
+        if n * worst_terms[1] > worst_terms[0] * d:
+            worst, worst_terms = rout, (n, d)
+        rows.append((x, y, rin, rout))
     recomputed = Certificate(
         params=report.params,
         cases=cases,
         radii=naive.radii,
         pairs=tuple(rows),
-        worst_ratio=max(naive.ratios, default=Fraction(0)),
+        worst_ratio=worst,
         worst_radius=naive.support_radius,
         bounds=bounds,
         unit=prep.aug.unit,

@@ -30,6 +30,7 @@ from naivea.chains import (
 from naivea.errors import MalformedInputError, PreconditionError
 from naivea.generators import gen_instance
 from naivea.rational import format_rational, parse_rational
+from naivea.space import build_space
 
 chains_st = st.dictionaries(
     st.integers(min_value=0, max_value=6).map(lambda i: f"z{i}"),
@@ -191,3 +192,93 @@ def test_check_instance_report(l10):
     assert report.pairs[0][2] == variation_ratio(family.chains["p0"], family.chains["p1"])
     params = report.params
     assert (params.L, params.N, params.S) == (9, 83, Fraction(2))
+
+
+def test_make_chain_keeps_the_first_bad_value():
+    """A chain whose values are all positive ints is copied whole; any other
+    goes through the loop, which names its first bad value and drops zeros."""
+    entries = {"a": 2, "b": 1}
+    chain = make_chain(entries)
+    assert chain == entries and chain is not entries
+    assert make_chain({"a": 1, "b": 0, "c": 3}) == {"a": 1, "c": 3}
+    for entries, message in [
+        ({"a": 1, "b": 2, "c": True}, "chain value for 'c' must be an int, got True"),
+        ({"a": 1, "b": 1.0}, "chain value for 'b' must be an int, got 1.0"),
+        ({"a": 1, "b": -1}, "chain value for 'b' is negative"),
+        ({"a": 1, "b": 0, "c": -1, "d": 1.0}, "chain value for 'c' is negative"),
+        ({"a": 1, "b": 1.0, "c": -1}, "chain value for 'b' must be an int, got 1.0"),
+    ]:
+        with pytest.raises(MalformedInputError) as exc:
+            make_chain(entries)
+        assert str(exc.value) == message
+
+
+def test_check_instance_names_the_first_unknown_member(l10):
+    chains = {x: {x: 1} for x in l10.points}
+    chains["p3"] = {"p3": 1, "p4": 1, "zz": 1, "aa": 1}
+    chains["p5"] = {"yy": 1}
+    with pytest.raises(MalformedInputError) as exc:
+        check_instance(l10, ChainFamily(chains=chains), 1, 1, 2)
+    assert str(exc.value) == "chain for 'p3' names unknown point 'zz'"
+    chains = {x: {x: 1} for x in l10.points}
+    chains.update({"ghost": {"p0": 1}, "aghost": {"p0": 1}})
+    with pytest.raises(MalformedInputError) as exc:
+        check_instance(l10, ChainFamily(chains=chains), 1, 1, 2)
+    assert str(exc.value) == "chain owner 'ghost' is not a point of the space"
+
+
+# five points a..e at 0, 1, 2, 4, 7 on each backend: a graph path, its matrix
+# and the positions
+SUPPORT_IDS = ["a", "b", "c", "d", "e"]
+SUPPORT_AT = [0, 1, 2, 4, 7]
+SUPPORT_SOURCES = {
+    "positions": {"type": "positions", "values": dict(zip(SUPPORT_IDS, SUPPORT_AT))},
+    "graph": {
+        "type": "graph",
+        "edges": [[u, v, SUPPORT_AT[i + 1] - SUPPORT_AT[i]]
+                  for i, (u, v) in enumerate(zip(SUPPORT_IDS, SUPPORT_IDS[1:]))],
+    },
+    "matrix": {"type": "matrix", "entries": [[abs(p - q) for q in SUPPORT_AT] for p in SUPPORT_AT]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUPPORT_SOURCES))
+def test_support_violations_keep_their_order(kind):
+    """Each chain's violations are listed in its own member order, chain by
+    chain in point order, with the exact distance."""
+    space = build_space(SUPPORT_IDS, SUPPORT_SOURCES[kind])
+    chains = {
+        "a": {"e": 1, "a": 1, "d": 1},  # 7 and 4 beyond S = 2
+        "b": {"b": 1, "c": 1},
+        "c": {"c": 1, "a": 1, "d": 1},  # both exactly at S
+        "d": {"b": 1, "d": 2, "c": 1},  # 3 beyond, then 2 within
+        "e": {"e": 1},
+    }
+    for x, chain in chains.items():
+        expected = all(space.metric.dist(x, z) <= 2 for z in chain)
+        assert space.metric.within(x, chain, 2) == expected
+    report = check_instance(space, ChainFamily(chains=chains), 1, 10, 2)
+    support = [v for v in report.violations if v["condition"] == "support_radius"]
+    assert support == [
+        {"condition": "support_radius", "x": "a", "point": "e", "distance": "7"},
+        {"condition": "support_radius", "x": "a", "point": "d", "distance": "4"},
+        {"condition": "support_radius", "x": "d", "point": "b", "distance": "3"},
+    ]
+
+
+def test_support_check_reads_distances_on_a_row_settled_past_s():
+    """A graph row that an earlier query settled beyond S holds points
+    beyond S; they must still be flagged."""
+    space = build_space(SUPPORT_IDS, SUPPORT_SOURCES["graph"])
+    space.metric.eccentricity("a", space.points)  # settles the row of a in full
+    assert "e" in space.metric.row("a").settled
+    chains = {x: {x: 1} for x in SUPPORT_IDS}
+    chains["a"] = {"a": 1, "e": 1}
+    report = check_instance(space, ChainFamily(chains=chains), 1, 10, 2)
+    assert [v for v in report.violations if v["condition"] == "support_radius"] == [
+        {"condition": "support_radius", "x": "a", "point": "e", "distance": "7"},
+    ]
+    # a row the check settles itself stops at S
+    fresh = build_space(SUPPORT_IDS, SUPPORT_SOURCES["graph"])
+    check_instance(fresh, ChainFamily(chains=chains), 1, 10, 2)
+    assert "e" not in fresh.metric.row("c").settled

@@ -1,6 +1,7 @@
 """Classification, annulus markers, tailoring, and the full pipeline."""
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -298,6 +299,59 @@ def test_pipeline_rejects_supports_outside_their_reach(monkeypatch, tmp_path, ca
         )
         with pytest.raises(InternalInvariantError, match=message):
             run_pipeline(prep)
+        capsys.readouterr()
+        assert main(["run", str(inst), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"internal invariant violated: {message}\n"
+
+
+def test_pipeline_rejects_output_ratios_above_their_input(monkeypatch, tmp_path, capsys):
+    """The pair check compares each output ratio with its input ratio: a
+    stabilized support that leaves two neighbours disjoint (INF) or makes
+    their ratio exceed the input one is an invariant failure (exit 4)."""
+    ids = [f"p{i:02d}" for i in range(10)]
+    doc = {
+        "space": {
+            "points": ids,
+            "metric": {"type": "positions", "values": {p: i for i, p in enumerate(ids)}},
+        },
+        "params": {"R": "1", "epsilon": "3", "S": "2"},
+        # x carries 2 and its neighbours 1, so x is the largest entry of its chain
+        "chains": {
+            x: {ids[j]: 2 if j == i else 1 for j in (i - 1, i, i + 1) if 0 <= j < len(ids)}
+            for i, x in enumerate(ids)
+        },
+        "unbounded_hints": [{"component_of": "p00", "ray": ids}],
+    }
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    write_canonical(inst, doc)
+    instance = load_instance(inst)
+    prep = prepare(instance.space, instance.family, "1", "3", "2")
+    assert main(["run", str(inst), "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())["certificate"]["cases"].values()) == {"1"}
+    assert prep.report.pairs[0] == ("p00", "p01", Fraction(3, 2))
+
+    def owner(chain):
+        return max(chain, key=chain.get)
+
+    def disjoint(chain):
+        return {owner(chain)}
+
+    def wider(chain):
+        i = ids.index(owner(chain))
+        return {ids[i], ids[i + 1] if i + 1 < len(ids) else ids[i - 1]}
+
+    # ({p00}, {p01}) is disjoint; ({p00, p01}, {p01, p02}) has ratio 2 > 3/2
+    for supports, message in [
+        (disjoint, "output ratio for ('p00', 'p01') is inf, input was 3/2"),
+        (wider, "output ratio for ('p00', 'p01') is 2, input was 3/2"),
+    ]:
+        monkeypatch.setattr(
+            "naivea.tailor.stabilize",
+            lambda flow, a, f=supports: (dict.fromkeys(f(a), 1), 0),
+        )
+        with pytest.raises(InternalInvariantError) as exc:
+            run_pipeline(prep)
+        assert str(exc.value) == message
         capsys.readouterr()
         assert main(["run", str(inst), "--out", str(out)]) == 4
         assert capsys.readouterr().err == f"internal invariant violated: {message}\n"
