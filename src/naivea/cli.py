@@ -67,6 +67,7 @@ def _load(path):
 
 
 def cmd_generate(args) -> int:
+    check_writable(args.out)
     space, family, params = gen_instance(args.kind, _gen_params(args), args.seed)
     doc = instance_to_doc(space, family, params)
     write_canonical(args.out, doc)

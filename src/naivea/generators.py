@@ -148,12 +148,14 @@ _SPACE_BUILDERS = {
 
 
 def _ball_sum_chains(space: Space, radii) -> ChainFamily:
+    """a_x(z) = #{r in radii : d(x, z) <= r}. The radii do not increase, so
+    each ball lies inside the one before it."""
+    neighbors_within = space.metric.neighbors_within
     chains = {}
     for x in space.points:
-        chain: dict = {}
-        for r in radii:
-            for z in space.metric.neighbors_within(x, r):
-                chain[z] = chain.get(z, 0) + 1
+        chain = dict.fromkeys(neighbors_within(x, radii[0]), 1)
+        for count, r in enumerate(radii[1:], 2):
+            chain.update(dict.fromkeys(neighbors_within(x, r), count))
         chains[x] = chain
     return ChainFamily(chains=chains)
 

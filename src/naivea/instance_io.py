@@ -4,12 +4,16 @@ Everything is canonical JSON: sorted keys, two-space indent, a trailing
 newline, rationals as strings. Rerunning any command with the same inputs
 must reproduce files byte for byte.
 
-``canonical_dumps`` writes the bytes of ``json.dumps(obj, sort_keys=True,
-indent=2)`` plus the newline without the stdlib's pure-Python indenting
-encoder. Strings go through the C ``encode_basestring_ascii``, and a list
-object that occurs more than once at one depth is rendered once: every case-2
-point of a component shares one subset list (``output_to_jsonable``), so that
-subset is sorted, formatted and encoded once.
+``canonical_dumps`` returns, and ``write_canonical`` streams to the file in
+batches, the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` plus the
+newline; any change here must keep every byte. A flat container (a dict with
+exact ``str`` keys, or a list or tuple, whose values all have exact type
+``str``, ``int``, ``float``, ``bool`` or ``None``) is rendered in one call of
+the stdlib's C encoder, with the indent in its item separator; every other
+container, and every container where there is no C encoder, is walked here.
+Within a batch a flat container that recurs at one depth is rendered once:
+every case-2 point of a component shares one subset list
+(``output_to_jsonable``).
 
 ``load_output`` reads that sharing back. Its decoder, ``loads_output``, is
 ``json.loads`` except in each object one level below the top: there, an
@@ -22,11 +26,13 @@ text again with ``json.loads``, so every error raised is the stdlib's own.
 from __future__ import annotations
 
 import errno
+import functools
+import itertools
 import json
 import os
 from dataclasses import dataclass, replace
 from json.decoder import WHITESPACE, JSONDecodeError, JSONObject
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .augment import format_aug, parse_aug
 from .chains import ChainFamily, InstanceParams, SetFamily, from_sets, make_chain
@@ -36,76 +42,94 @@ from .space import Space, build_space, check_points, parse_hints
 from .tailor import Certificate
 
 
+# pieces a writer holds before it hands them to the file
+_BATCH = 256
+_STR = frozenset({str})
+# the value types of a flat container; with no C encoder, none is flat
+_FLAT = frozenset({str, int, float, bool, type(None)} if c_make_encoder else ())
+
+
+def _not_serializable(obj):
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+@functools.cache
+def _flat_encoder(depth):
+    """The C encoder of a flat container at indent level ``depth``: the
+    indent rides in its item separator."""
+    return c_make_encoder(None, _not_serializable, encode_basestring_ascii, None,
+                          ": ", ",\n" + "  " * (depth + 1), True, False, True)
+
+
+def _flat_text(obj, depth) -> str:
+    """The canonical text of a non-empty flat container at level ``depth``."""
+    text = "".join(_flat_encoder(depth)(obj, 0))
+    return "".join((text[0], "\n", "  " * (depth + 1), text[1:-1], "\n", "  " * depth, text[-1]))
+
+
+def _render(obj, write):
+    """Hand the text of ``canonical_dumps(obj)`` to ``write``, joined in
+    batches of ``_BATCH`` pieces. ``memo`` maps (id(container), depth) to a
+    flat container's text until the batch goes out; every container stays
+    alive in the tree meanwhile, so no id is reused."""
+    parts, memo = [], {}
+    append = parts.append
+
+    def emit(obj, depth):
+        if isinstance(obj, str):
+            append(encode_basestring_ascii(obj))
+        elif isinstance(obj, (dict, list, tuple)):
+            is_dict = isinstance(obj, dict)
+            if not obj:
+                append("{}" if is_dict else "[]")
+                return
+            slot = (id(obj), depth)
+            text = memo.get(slot)
+            values = obj.values() if is_dict else obj
+            if text is None and set(map(type, values)) <= _FLAT and (
+                    not is_dict or set(map(type, obj)) <= _STR):
+                text = memo[slot] = _flat_text(obj, depth)
+            if text is not None:
+                append(text)
+                return
+            if is_dict:
+                # sorted by the raw key, not its escaped form; the encoder
+                # raises TypeError on a key that is not a str
+                keys = sorted(obj)
+                heads = [encode_basestring_ascii(key) + ": " for key in keys]
+                items = zip(heads, map(obj.__getitem__, keys))
+            else:
+                items = zip(itertools.repeat(""), obj)
+            inner = "\n" + "  " * (depth + 1)
+            sep = ("{" if is_dict else "[") + inner
+            for head, value in items:
+                append(sep + head)
+                emit(value, depth + 1)
+                sep = "," + inner
+                if len(parts) >= _BATCH:
+                    write("".join(parts))
+                    parts.clear()
+                    memo.clear()
+            append("\n" + "  " * depth + ("}" if is_dict else "]"))
+        elif obj is None or isinstance(obj, (bool, float)):  # bool before int
+            append(json.dumps(obj))
+        elif isinstance(obj, int):
+            append(int.__repr__(obj))
+        else:
+            _not_serializable(obj)
+
+    emit(obj, 0)
+    append("\n")
+    write("".join(parts))
+
+
 def canonical_dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte,
     for trees of str-keyed dicts, lists, tuples, str, int, float, bool and
     None; anything else raises TypeError."""
-    parts = []
-    _emit(obj, 0, parts, {})
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _emit(obj, depth, parts, seen):
-    """Append the pieces of ``obj`` at indent level ``depth`` to ``parts``.
-
-    ``seen`` maps (id(list), depth) to the (start, end) of the list's pieces
-    after its first rendering, and to their joined text once it recurs;
-    every list stays alive in the tree meanwhile, so no id is reused.
-    """
-    append = parts.append
-    if isinstance(obj, str):
-        append(encode_basestring_ascii(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            append("{}")
-            return
-        inner = "\n" + "  " * (depth + 1)
-        sep = "{" + inner
-        # sorted by the raw key, not its escaped form; the encoder raises
-        # TypeError on a key that is not a str
-        for key in sorted(obj):
-            value = obj[key]
-            head = sep + encode_basestring_ascii(key) + ": "
-            # int and str values and str items are the bulk: inline them
-            if type(value) is int:
-                append(head + int.__repr__(value))
-            elif type(value) is str:
-                append(head + encode_basestring_ascii(value))
-            else:
-                append(head)
-                _emit(value, depth + 1, parts, seen)
-            sep = "," + inner
-        append("\n" + "  " * depth + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            append("[]")
-            return
-        slot = (id(obj), depth)
-        done = seen.get(slot)
-        if done is not None:
-            if not isinstance(done, str):
-                done = seen[slot] = "".join(parts[done[0]:done[1]])
-            append(done)
-            return
-        start = len(parts)
-        inner = "\n" + "  " * (depth + 1)
-        sep = "[" + inner
-        for item in obj:
-            if type(item) is str:
-                append(sep + encode_basestring_ascii(item))
-            else:
-                append(sep)
-                _emit(item, depth + 1, parts, seen)
-            sep = "," + inner
-        append("\n" + "  " * depth + "]")
-        seen[slot] = (start, len(parts))
-    elif obj is None or isinstance(obj, (bool, float)):  # bool before int
-        append(json.dumps(obj))
-    elif isinstance(obj, int):
-        append(int.__repr__(obj))
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    chunks = []
+    _render(obj, chunks.append)
+    return "".join(chunks)
 
 
 def open_output(path):
@@ -133,8 +157,10 @@ def check_writable(path):
 
 
 def write_canonical(path, obj):
+    """Write ``canonical_dumps(obj)`` to ``path`` batch by batch, never as
+    one whole-document string."""
     with open_output(path) as fh:
-        fh.write(canonical_dumps(obj))
+        _render(obj, fh.write)
 
 
 def _read_document(path, decode):
@@ -303,7 +329,7 @@ def instance_to_doc(space: Space, family: ChainFamily, params: InstanceParams) -
             "epsilon": format_rational(params.epsilon),
             "S": format_rational(params.S),
         },
-        "chains": {x: dict(sorted(chain.items())) for x, chain in family.chains.items()},
+        "chains": family.chains,  # the writer sorts every key
     }
     if space.hints:
         doc["unbounded_hints"] = [
@@ -321,7 +347,9 @@ def output_to_jsonable(subsets: dict, certificate: Certificate) -> dict:
     def listed(pts):
         out = members.get(id(pts))
         if out is None:
-            out = members[id(pts)] = sorted(format_aug(p) for p in pts)
+            # a subset with no tail point is its own formatted members
+            tailless = set(map(type, pts)) <= _STR
+            out = members[id(pts)] = sorted(pts if tailless else map(format_aug, pts))
         return out
 
     return {
@@ -345,6 +373,13 @@ def load_output(path) -> tuple[dict, dict]:
         raise MalformedInputError("certificate field 'cases' must be a JSON object")
     if not isinstance(certificate["pairs"], list):
         raise MalformedInputError("certificate field 'pairs' must be a list")
+    cases, radii = certificate["cases"], certificate.get("radii")
+    # the maps were decoded apart, each with its own str per point id; when all
+    # three list the same ids in one order, as a canonical file does, share them
+    if isinstance(radii, dict) and list(cases) == list(subsets) == list(radii):
+        keys = list(subsets)
+        certificate["cases"] = dict(zip(keys, cases.values()))
+        certificate["radii"] = dict(zip(keys, radii.values()))
     return subsets, certificate
 
 

@@ -202,8 +202,9 @@ class PositionMetric:
     def __init__(self, positions: dict[str, int], denominator: int = 1):
         self.positions = positions
         self.denominator = denominator
-        self._order = sorted((q, pid) for pid, q in positions.items())
-        self._keys = [q for q, _ in self._order]
+        order = sorted((q, pid) for pid, q in positions.items())
+        self._keys = [q for q, _ in order]
+        self._ids = [pid for _, pid in order]
         # id(points) -> (points, lowest, highest position); holding the
         # collection keeps its id from being reused
         self._extents: dict[int, tuple] = {}
@@ -228,7 +229,7 @@ class PositionMetric:
         q = self.positions[x]
         lo = bisect_left(self._keys, q - t)
         hi = bisect_right(self._keys, q + t)
-        return [pid for _, pid in self._order[lo:hi]]
+        return self._ids[lo:hi]
 
 
 @dataclass(frozen=True)

@@ -211,14 +211,21 @@ def _all_str(values) -> bool:
     return set(map(type, values)) <= {str}
 
 
+def _str_dicts(items) -> bool:
+    """Whether ``items`` holds only dicts whose keys and values are exactly ``str``."""
+    pieces = itertools.chain.from_iterable(itertools.chain(items, map(dict.values, items)))
+    return set(map(type, items)) <= {dict} and _all_str(pieces)
+
+
 def first_divergence(a, b, path=""):
     """First differing field between two JSON-like trees, depth-first in
     sorted key order; None when equal.
 
     Equal dicts whose values are exactly ``str`` on both sides (a
-    certificate's cases, radii and bounds) return None without a walk.
-    Anything else is walked, since ``==`` alone takes ``true`` for ``1`` and
-    ``39.0`` for ``39``."""
+    certificate's cases, radii and bounds), and equal lists of dicts whose
+    keys and values are exactly ``str`` (its pairs), return None without a
+    walk. Anything else is walked, since ``==`` alone takes ``true`` for
+    ``1`` and ``39.0`` for ``39``."""
     if type(a) is not type(b):
         return path or "<root>"
     if isinstance(a, dict):
@@ -233,6 +240,8 @@ def first_divergence(a, b, path=""):
                 return sub
         return None
     if isinstance(a, list):
+        if a == b and _str_dicts(a) and _str_dicts(b):
+            return None
         for i in range(min(len(a), len(b))):
             sub = first_divergence(a[i], b[i], f"{path}[{i}]")
             if sub is not None:

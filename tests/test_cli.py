@@ -432,6 +432,20 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith(f"error: {utf16} is not valid UTF-8")
 
 
+def test_generate_checks_its_output_path_first(tmp_path, capsys, monkeypatch):
+    """An unwritable --out ends generate before any instance is built."""
+    missing = tmp_path / "missing" / "x.json"
+    built = []
+    monkeypatch.setattr(cli, "gen_instance", lambda *args: built.append(args))
+    capsys.readouterr()
+    assert run_cli("generate", "line", "--count", "20000", "--out", str(missing)) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+    assert built == []
+    assert not missing.parent.exists()
+
+
 def test_precondition_failure_prints_violations(tmp_path, capsys):
     inst = tmp_path / "v.json"
     assert run_cli(

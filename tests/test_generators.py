@@ -7,7 +7,7 @@ import pytest
 
 from naivea.chains import l1_norm
 from naivea.errors import MalformedInputError
-from naivea.generators import gen_instance
+from naivea.generators import KINDS, _ball_sum_chains, gen_instance, gen_space
 from naivea.instance_io import canonical_dumps, instance_to_doc
 from naivea.space import rips_components
 
@@ -90,6 +90,32 @@ def test_weighted_ball_masses():
     assert family.chains["p4"] == {"p2": 1, "p3": 2, "p4": 2, "p5": 2, "p6": 1}
     assert l1_norm(family.chains["p0"]) == 3 + 2
     assert set(space.metric.neighbors_within("p4", 2)) == set(family.chains["p4"])
+
+
+# one small space of every generator kind
+BALL_SPACES = {
+    "line": {"count": 9, "step": "1/2"},
+    "grid": {"rows": 3, "cols": 4},
+    "disjoint_union_paths": {"count": 3, "min_len": 2, "max_len": 5, "gap": 2},
+    "cayley_cyclic": {"n": 12, "generators": [1, 5], "folner_radius": 2},
+    "weighted_ball": {"space": {"kind": "grid", "params": {"rows": 2, "cols": 5}}},
+}
+
+
+@pytest.mark.parametrize(
+    "radii", [["2"], ["2", "2"], ["3", "1", "0"], ["0"], ["5/2", "3/2", "1/2"]]
+)
+def test_ball_sum_chains_count_the_balls(radii):
+    """a_x(z) is the number of radii r with d(x, z) <= r, on every kind."""
+    assert set(BALL_SPACES) == set(KINDS)
+    parsed = [Fraction(r) for r in radii]
+    for kind, params in BALL_SPACES.items():
+        space = gen_space(kind, params, seed=1)[0]
+        expected = {}
+        for x in space.points:
+            counts = {z: sum(space.dist(x, z) <= r for r in parsed) for z in space.points}
+            expected[x] = {z: n for z, n in counts.items() if n}
+        assert _ball_sum_chains(space, parsed).chains == expected, kind
 
 
 def test_param_validation():

@@ -9,7 +9,8 @@ integer distances and with non-integer rational ones: steps of 1/3 and 2/5,
 edge weights with denominators 2 to 6, and a tail spacing S = 3/4 on a
 1/2-step line, which is not a whole number of the line's units. Unbounded
 hints cover a ray that starts mid-component and one that falls back to the
-bounded path with a warning. A deliberate format change must update the
+bounded path with a warning. One instance gives its witness as leveled
+``sets`` instead of chains. A deliberate format change must update the
 hashes in the same commit.
 
 ``neighbors_within`` returns its points in no specified order, so every row
@@ -127,6 +128,26 @@ MATRIX_DOC = {
         for x in MATRIX_POINTS
     },
     "unbounded_hints": [{"component_of": "b0", "ray": ["b1", "b2", "b3"]}],
+}
+
+# A witness given as leveled sets: two 12-point unit lines at S = 2, the
+# a-line with a ray hint (case 1) and the b-line without one (case 2). Each
+# set lists B(x, 1) at level 2 before B(x, 2) at level 0, with no multiplicity
+# bound, so the reader derives the bound 3 and the chains B(x, 2) + B(x, 1).
+SETS_LINES = {f"{c}{i:02d}": base + i for c, base in (("a", 0), ("b", 50)) for i in range(12)}
+SETS_DOC = {
+    "space": {"points": sorted(SETS_LINES), "metric": {"type": "positions", "values": SETS_LINES}},
+    "params": {"R": "1", "epsilon": "1", "S": "2"},
+    "sets": {
+        x: [
+            [y, level]
+            for level, r in ((2, 1), (0, 2))
+            for y in sorted(SETS_LINES)
+            if abs(SETS_LINES[x] - SETS_LINES[y]) <= r
+        ]
+        for x in sorted(SETS_LINES)
+    },
+    "unbounded_hints": [{"component_of": "a00", "ray": [f"a{i:02d}" for i in range(12)]}],
 }
 
 # name, generate arguments (or an instance document), trace point, case counts,
@@ -280,6 +301,19 @@ GOLDEN = [
         "c03a8d0bfcc0a35bce1eb27fba8e97d1b16c8322d6b809789f468472dc70d0ad",
         "9755fa9dd038ba5220a93235424191bced1e6f8c8ef58b946ff838cac0a74cfa",
         "f40602145cc00e8791c327bbc8658bf63dbf8ad56faa5bbae48a194b55167024",
+    ),
+    (
+        "sets_leveled",
+        SETS_DOC,
+        "a05",
+        {"1": 12, "2": 12},
+        "0bcc0da50f0c5b8e31beb8188173f29e67e98ea9d6b150cbe70342ad56d728c4",
+        "d87f4ea7bf1ba4cce237321349bb9815083a9b238d3b8c7bae20e5cd1b37e2de",
+        "5cbbf008ba284e07a6a2e9925b59f374145556637f822b0a7677e1e0ffed004d",
+        "ef26ead073c14aa84c52a5b50de1a88bc85be2c9e2d2d73c443942ccd01d2227",
+        "4ee7a7a235196a41900ed1f9612f8988404fd79cd23b52fd4c67394d4e26e9d9",
+        "24efceecc1187e7a08f11c61422e9157fb330a6eae649ee64d2805d05f2f48f2",
+        "def0d74421fde8c96de49121638378ac2ca7cbe79749c4c039d9ca2f20fac2da",
     ),
     (
         "grid2x340",

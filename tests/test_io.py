@@ -4,11 +4,13 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from naivea import instance_io
 from naivea.cli import main
 from naivea.errors import MalformedInputError
 from naivea.generators import gen_instance
@@ -49,13 +51,36 @@ TRICKY = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u00e9", "\u2028", "\U0001f6
 texts = st.text(
     st.one_of(st.sampled_from(TRICKY), st.characters(exclude_categories=())), max_size=6
 )
+
+
+class Tag(str):
+    """A str subclass: encoded as its text, never taken for an exact str."""
+
+
+class Big(int):
+    """An int subclass whose repr the encoder must not use."""
+
+    def __repr__(self):
+        return "Big()"
+
+
 leaves = st.one_of(
     texts,
+    texts.map(Tag),
     st.integers(),
     st.integers(-(10**30), 10**30),
+    st.integers(2**64, 2**80),
+    st.integers().map(Big),
     st.booleans(),
     st.none(),
     st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, 1e16]),
+)
+# containers whose values are all scalars: the writer renders these in one call
+flat_containers = st.one_of(
+    st.lists(leaves, min_size=1, max_size=6),
+    st.lists(leaves, min_size=1, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(texts, texts.map(Tag)), leaves, min_size=1, max_size=6),
 )
 
 
@@ -72,25 +97,76 @@ def json_trees(draw):
     """Random JSON trees in which one list object may recur at any depths."""
     shared = draw(st.lists(st.one_of(leaves, st.dictionaries(texts, leaves, max_size=2)),
                            min_size=1, max_size=3))
-    return draw(st.recursive(st.one_of(leaves, st.just(shared)), containers, max_leaves=25))
+    return draw(st.recursive(st.one_of(leaves, flat_containers, st.just(shared)), containers,
+                             max_leaves=25))
 
 
 SHARED = ["x", 1]
+FLAT = ["\ud800", Tag("t"), 2**70, Big(3), -0.0, math.nan, math.inf, 1e308, True, None]
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    return tmp_path_factory.mktemp("written") / "doc.json"
 
 
 @settings(max_examples=200, deadline=None)
-@given(json_trees())
-@example({})
-@example([])
-@example({"b": SHARED, "a": [SHARED, {"c": SHARED}], "d": SHARED})
-@example({"\u00e9": 1, "z": 2, "\x00": [True, False, None, -(10**40)]})
-def test_canonical_dumps_matches_the_stdlib(tree):
-    assert canonical_dumps(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+@given(tree=json_trees())
+@example(tree={})
+@example(tree=[])
+@example(tree={"b": SHARED, "a": [SHARED, {"c": SHARED}], "d": SHARED})
+@example(tree={"\u00e9": 1, "z": 2, "\x00": [True, False, None, -(10**40)]})
+@example(tree={"f": FLAT, "g": [FLAT, {"h": FLAT}], "k": dict(zip("\x00\ud800\"é", FLAT))})
+@example(tree={Tag("b"): FLAT[:3], "a": {Tag("\udfff"): -0.0, "\n": Big(-1)}})
+def test_canonical_dumps_matches_the_stdlib(written, tree):
+    text = canonical_dumps(tree)
+    assert text == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+    write_canonical(written, tree)
+    assert written.read_bytes() == text.encode("utf-8")
+
+
+def test_write_canonical_writes_past_one_batch(tmp_path):
+    # nested lists and dicts, so the writer hands the text over in many
+    # pieces, and one flat list that recurs across the batches
+    shared = ["s", 2.5, None]
+    doc = {f"k{i:05d}": [[i, "x"], {"v": [i]}, shared] for i in range(3000)}
+    path = tmp_path / "big.json"
+    write_canonical(path, doc)
+    assert path.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_write_canonical_streams_the_output(tmp_path, monkeypatch):
+    """`run` hands an output of more than 8 MB to the file in small writes,
+    never as one whole-document string."""
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "disjoint_union_paths", "--paths", "16", "--min-len", "160",
+                     "--max-len", "170", "--radii", "12,6", "--R", "2", "--epsilon", "1/2",
+                     "--out", str(inst)]) == 0
+    writes = []
+    opened = instance_io.open_output
+
+    def spying(path):
+        fh = opened(path)
+        write = fh.write
+
+        def record(text):
+            writes.append(len(text))
+            return write(text)
+
+        fh.write = record
+        return fh
+
+    monkeypatch.setattr(instance_io, "open_output", spying)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(inst), "--out", str(out)]) == 0
+    assert sum(writes) == out.stat().st_size >= 8_000_000
+    assert max(writes) <= 1 << 20
 
 
 def test_canonical_dumps_rejects_non_json_values():
-    # a non-str key too, which json.dumps would have turned into a string
-    for bad in ({1: "a"}, {"a": {1, 2}}, [object()], {"a": [b"x"]}):
+    # non-str keys too, which json.dumps would have turned into strings
+    for bad in ({1: "a"}, {None: 1}, {"a": 1, 2: "b"}, {"a": {1, 2}}, [object()], {"a": [b"x"]}):
         with pytest.raises(TypeError):
             canonical_dumps(bad)
 
@@ -486,3 +562,32 @@ def test_shared_lists_cannot_hide_an_edit(case_2_files, tmp_path):
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(["verify", str(inst), str(edited)])
         assert (code, stdout.getvalue(), stderr.getvalue()) == want, edit.__name__
+
+
+def test_load_output_keeps_one_str_per_point(case_2_files, tmp_path):
+    inst, out = case_2_files
+    subsets, certificate = load_output(out)
+    for field in ("cases", "radii"):
+        assert list(certificate[field]) == list(subsets)
+        assert all(a is b for a, b in zip(certificate[field], subsets)), field
+    # a file that lists the cases in another order loads as written, and
+    # verify fails on its edited radius as it always did
+    doc = read_json(out)
+    cert = doc["certificate"]
+    cert["cases"] = dict(reversed(cert["cases"].items()))
+    cert["radii"]["u0p0"] = "9"
+    reordered = tmp_path / "reordered.json"
+    reordered.write_text(json.dumps(doc, indent=2))
+    _, certificate = load_output(reordered)
+    assert certificate == cert
+    assert list(certificate["cases"]) == list(cert["cases"]) != list(subsets)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["verify", str(inst), str(reordered)])
+    assert (code, stdout.getvalue(), stderr.getvalue()) == (
+        1,
+        "naive check: PASS {'pairs_checked': 11, 'worst_ratio': '0', 'support_radius': '4'}\n"
+        "certificate check: FAIL\n"
+        "  {'condition': 'certificate_mismatch', 'field': 'certificate.radii.u0p0'}\n",
+        "",
+    )

@@ -121,6 +121,24 @@ def test_first_divergence():
 
     assert first_divergence([Tagged("p0")], ["p0"]) == "[0]"
     assert first_divergence({"a": "p0"}, {"a": Tagged("p0")}) == "a"
+    assert first_divergence([{"a": Tagged("p0")}], [{"a": "p0"}]) == "[0].a"
+    assert first_divergence([{"a": "p0"}], [{"a": Tagged("p0")}]) == "[0].a"
+    assert first_divergence([{"a": 1}], [{"a": True}]) == "[0].a"
+
+
+def test_first_divergence_names_a_pair_field():
+    """Equal lists of str-to-str dicts, a certificate's pairs, are equal in
+    one pass; a ratio of any other type or text is still named."""
+    rows = [
+        {"x": f"p{i}", "y": f"p{i + 1}", "input_ratio": "1/2", "output_ratio": "1"}
+        for i in range(6)
+    ]
+    assert first_divergence({"pairs": rows}, {"pairs": [dict(r) for r in rows]}) is None
+    for bad in (1, True, "1.0", 1.0):
+        edited = [dict(r) for r in rows]
+        edited[4]["output_ratio"] = bad
+        for a, b in (({"pairs": edited}, {"pairs": rows}), ({"pairs": rows}, {"pairs": edited})):
+            assert first_divergence(a, b, "certificate") == "certificate.pairs[4].output_ratio"
 
 
 def pipeline_doc(space, family, params):
