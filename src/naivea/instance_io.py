@@ -15,23 +15,32 @@ Within a batch a flat container that recurs at one depth is rendered once:
 every case-2 point of a component shares one subset list
 (``output_to_jsonable``).
 
-``load_output`` reads that sharing back. Its decoder, ``loads_output``, is
-``json.loads`` except in each object one level below the top: there, an
-array whose text is the previous array's text again, character for
+``load_output`` reads that sharing back. Its decoder, ``decode_output``,
+never holds the whole text of a file. It reads the file in windows of
+``_WINDOW`` characters and decodes the top object, and each object one
+level below it, member by member; each of their member values is decoded
+whole by the stdlib's C scanner. A member counts only once the ``,`` or
+``}`` after it is in the window. Until then the window drops the text
+before the member, takes in more, and decodes the member again, so the
+window outgrows ``_WINDOW`` only while one member does. One level below the
+top, an array whose text is the previous array's text again, character for
 character, is the previous array's list object and is not decoded again.
 Only arrays are compared, because an array is self-delimiting, and only
-against the previous array. Any error the decoder meets makes it decode the
-text again with ``json.loads``, so every error raised is the stdlib's own.
+against the previous array. Any error that more text cannot mend makes the
+decoder decode the whole text again with ``json.loads``, so every error
+raised is the stdlib's own. A pipe cannot be read twice, so the decoder
+holds a pipe's bytes for that.
 """
 from __future__ import annotations
 
 import errno
 import functools
+import io
 import itertools
 import json
 import os
 from dataclasses import dataclass, replace
-from json.decoder import WHITESPACE, JSONDecodeError, JSONObject
+from json.decoder import WHITESPACE, WHITESPACE_STR, JSONDecodeError, scanstring
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .augment import format_aug, parse_aug
@@ -164,11 +173,11 @@ def write_canonical(path, obj):
 
 
 def _read_document(path, decode):
-    """``decode`` applied to the text of ``path``; every way the file can fail
-    to be read or decoded is malformed input."""
+    """``decode`` applied to ``path`` opened as text; every way the file can
+    fail to be read or decoded is malformed input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return decode(fh.read())
+            return decode(fh)
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -180,52 +189,131 @@ def _read_document(path, decode):
 
 
 def read_json(path):
-    return _read_document(path, json.loads)
+    return _read_document(path, json.load)
 
 
-def _repeat_scanner(scan):
-    """``scan`` for the values of one object, except that an array whose text
-    repeats the previous array's text is that array's list object again.
+# characters per read of the output decoder; a window grows past this only
+# while one member is longer
+_WINDOW = 1 << 18
 
-    Exact because an array is self-delimiting: text that starts with a whole
-    array decodes to that array and ends where it ends.
+
+def _skip(read, s, end):
+    """The window and index of the first non-space character at or past
+    ``s[end]``, refilling from ``end``; the index is ``len(s)`` at the end of
+    the file."""
+    end = WHITESPACE.match(s, end).end()
+    while end == len(s):
+        more = read(_WINDOW)
+        if not more:
+            break
+        s, end = more, WHITESPACE.match(more).end()
+    return s, end
+
+
+def _object(read, s, end, scan, top):
+    """The object whose ``{`` is ``s[end - 1]``, decoded member by member from
+    the window ``s`` and then ``read``, with the window that holds the text
+    past its ``}`` and the index there.
+
+    Each member value is decoded whole with ``scan``, except that a value of
+    the top object that is an object is decoded here too, and that below the
+    top an array whose text repeats the previous array's text is that
+    array's list object again (exact, as an array is self-delimiting). A
+    member counts only once its ``,`` or ``}`` is in the window, since a
+    number at the window's end may go on. Until then the window drops the
+    text before the member, takes in at least as much again as it keeps (so
+    a long member is decoded a logarithmic number of times) and, for an
+    array or object the window cut, more until it reads a closing bracket,
+    and the member is decoded again. A failure once the file has ended, or
+    well inside the window, is raised.
     """
+    match = WHITESPACE.match
+    obj = {}
     last_text = last = None
+    close = "}"  # '}' may follow '{' at once, but not ','
+    while True:
+        mark = end
+        try:
+            end = match(s, end).end()
+            c = s[end]
+            if c != '"':
+                if c == close:
+                    return obj, s, end + 1
+                raise JSONDecodeError("Expecting property name", s, end)
+            key, end = scanstring(s, end + 1)
+            if s[end] != ":":
+                end = match(s, end).end()
+                if s[end] != ":":
+                    raise JSONDecodeError("Expecting ':' delimiter", s, end)
+            end = match(s, end + 1).end()
+            if top and s[end] == "{":
+                mark = None  # the window moves on; nothing here is read again
+                value, s, end = _object(read, s, end + 1, scan, False)
+                s, end = _skip(read, s, end)
+            elif last_text is not None and s.startswith(last_text, end):
+                value, end = last, end + len(last_text)
+            else:
+                start = end
+                value, end = scan(s, end)
+                if type(value) is list and not top:
+                    last_text, last = s[start:end], value
+            c = s[end]
+            if c in WHITESPACE_STR:
+                end = match(s, end + 1).end()
+                c = s[end]
+            end += 1
+            if c == ",":
+                obj[key] = value
+                close = ""
+            elif c == "}":
+                obj[key] = value
+                return obj, s, end
+            else:
+                raise JSONDecodeError("Expecting ',' delimiter", s, end - 1)
+        except (ValueError, IndexError, StopIteration) as exc:
+            # a cut string errs at its start, and a cut number, name or
+            # escape (at most "-Infinity") within a few characters of the
+            # window's end; any other error well before that end is in the
+            # text itself
+            at = exc.value if type(exc) is StopIteration else getattr(exc, "pos", len(s))
+            cut_string = getattr(exc, "msg", "").startswith("Unterminated string")
+            if mark is None or (at < len(s) - 16 and not cut_string):
+                raise
+            # an array or object that the window cut (its scan failed at
+            # s[end]) cannot end before its closing bracket comes in
+            closer = {"[": "]", "{": "}"}.get(s[end:end + 1])
+            pieces = [s[mark:], read(max(_WINDOW, len(s) - mark))]
+            while closer and pieces[-1] and closer not in pieces[-1]:
+                pieces.append(read(_WINDOW))
+            if not pieces[1]:
+                raise
+            s, end = "".join(pieces), 0
 
-    def scan_once(s, idx):
-        nonlocal last_text, last
-        if last_text is not None and s.startswith(last_text, idx):
-            return last, idx + len(last_text)
-        value, end = scan(s, idx)
-        if type(value) is list:
-            last_text, last = s[idx:end], value
-        return value, end
 
-    return scan_once
-
-
-def loads_output(text):
-    """``json.loads(text)``, except that in each object one level below the
-    top an array that repeats the previous array's text is not decoded again
-    but shares its list object."""
-    scan = json.JSONDecoder().scan_once
-
-    def top_scan(s, idx):
-        if s.startswith("{", idx):
-            return JSONObject((s, idx + 1), True, _repeat_scanner(scan), None, None)
-        return scan(s, idx)
-
-    start = WHITESPACE.match(text).end()
-    if not text.startswith("{", start):
-        return json.loads(text)
+def decode_output(fh):
+    """``json.load(fh)``, except that the text is read in windows of
+    ``_WINDOW`` characters and dropped once decoded, and that in each object
+    one level below the top an array that repeats the previous array's text
+    shares its list object (``_object``). Any failure decodes the whole text
+    again with ``json.loads``, so every error raised is the stdlib's own,
+    positions included."""
+    if not fh.seekable():
+        # a pipe cannot be read again: hold its bytes for the failure path
+        fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8")
+    read = fh.read
     try:
-        doc, end = JSONObject((text, start + 1), True, top_scan, None, None)
-        if WHITESPACE.match(text, end).end() != len(text):
-            raise JSONDecodeError("Extra data", text, end)
-    except (ValueError, RecursionError):
-        # decode again so that the error raised is the stdlib's own
-        return json.loads(text)
-    return doc
+        s, end = _skip(read, "", 0)
+        if s.startswith("{", end):
+            doc, s, end = _object(read, s, end + 1, json.JSONDecoder().scan_once, True)
+            s, end = _skip(read, s, end)
+            if end == len(s):
+                return doc
+    except (ValueError, IndexError, StopIteration, RecursionError):
+        pass
+    # decode again, past the handler, whose traceback would keep the window
+    # alive, so that the error raised is the stdlib's own
+    fh.seek(0)
+    return json.loads(fh.read())
 
 
 @dataclass(frozen=True)
@@ -359,7 +447,7 @@ def output_to_jsonable(subsets: dict, certificate: Certificate) -> dict:
 
 
 def load_output(path) -> tuple[dict, dict]:
-    doc = _read_document(path, loads_output)
+    doc = _read_document(path, decode_output)
     if not isinstance(doc, dict):
         raise MalformedInputError("output document must be a JSON object")
     subsets = _require(doc, "subsets", "output")

@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import naivea
 from naivea import cli
 from naivea.cli import main
 from naivea.instance_io import read_json, write_canonical
@@ -56,6 +61,27 @@ def test_verify_rejects_tampering(line_files, tmp_path, capsys):
     write_canonical(bad, doc)
     assert run_cli("verify", str(inst), str(bad)) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_reads_a_pipe(line_files, capsys):
+    """A pipe cannot seek, so `verify` holds what it read of one for the
+    error path; its stdout, stderr and exit code are those of a file."""
+    inst, out = line_files
+    assert run_cli("verify", str(inst), str(out)) == 0
+    stdout = capsys.readouterr().out
+    text = out.read_bytes()
+    assert len(text) > 1000
+    with pytest.raises(json.JSONDecodeError) as cut:
+        json.loads(text[:1000])
+    paths = (str(Path(naivea.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    command = [sys.executable, "-m", "naivea.cli", "verify", str(inst), "/dev/stdin"]
+    for data, want in (
+        (text, (0, stdout, "")),
+        (text[:1000], (2, "", f"error: /dev/stdin is not valid JSON: {cut.value}\n")),
+    ):
+        done = subprocess.run(command, input=data, capture_output=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == want
 
 
 def test_trace_lists_iterations(line_files, capsys):

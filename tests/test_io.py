@@ -16,11 +16,11 @@ from naivea.errors import MalformedInputError
 from naivea.generators import gen_instance
 from naivea.instance_io import (
     canonical_dumps,
+    decode_output,
     instance_from_doc,
     instance_to_doc,
     load_instance,
     load_output,
-    loads_output,
     parse_subsets,
     read_json,
     write_canonical,
@@ -135,14 +135,21 @@ def test_write_canonical_writes_past_one_batch(tmp_path):
     assert path.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def test_write_canonical_streams_the_output(tmp_path, monkeypatch):
-    """`run` hands an output of more than 8 MB to the file in small writes,
-    never as one whole-document string."""
-    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+@pytest.fixture(scope="module")
+def paths_16(tmp_path_factory):
+    """An all-case-2 instance whose output is more than 8 MB."""
+    inst = tmp_path_factory.mktemp("paths16") / "inst.json"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["generate", "disjoint_union_paths", "--paths", "16", "--min-len", "160",
                      "--max-len", "170", "--radii", "12,6", "--R", "2", "--epsilon", "1/2",
                      "--out", str(inst)]) == 0
+    return inst
+
+
+def test_write_canonical_streams_the_output(paths_16, tmp_path, monkeypatch):
+    """`run` hands an output of more than 8 MB to the file in small writes,
+    never as one whole-document string."""
+    inst, out = paths_16, tmp_path / "out.json"
     writes = []
     opened = instance_io.open_output
 
@@ -162,6 +169,36 @@ def test_write_canonical_streams_the_output(tmp_path, monkeypatch):
         assert main(["run", str(inst), "--out", str(out)]) == 0
     assert sum(writes) == out.stat().st_size >= 8_000_000
     assert max(writes) <= 1 << 20
+
+
+def test_load_output_streams_the_output(paths_16, tmp_path, monkeypatch):
+    """`verify` reads an output of more than 8 MB in windows, never as one
+    whole-document string."""
+    inst, out = paths_16, tmp_path / "out.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(inst), "--out", str(out)]) == 0
+    reads = []
+
+    def spying(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if path == str(out):
+            read = fh.read
+
+            def record(*size):
+                text = read(*size)
+                reads.append((size, len(text)))
+                return text
+
+            fh.read = record
+        return fh
+
+    monkeypatch.setattr(instance_io, "open", spying, raising=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", str(inst), str(out)]) == 0
+    size = out.stat().st_size
+    assert sum(n for _, n in reads) == size >= 8_000_000
+    assert all(len(args) == 1 and args[0] > 0 for args, _ in reads)
+    assert max(n for _, n in reads) <= size // 4
 
 
 def test_canonical_dumps_rejects_non_json_values():
@@ -315,6 +352,17 @@ def test_instance_to_doc_needs_metric_spec(l10):
         instance_to_doc(bare, family, params)
 
 
+# an integer past the int-string limit, nesting past the recursion limit,
+# each at the top and below an object that load_output decodes itself
+BIG, DEEP = "9" * 5000, "[" * 100_000 + "]" * 100_000
+PAST_LIMITS = {
+    "oversized": ('{"space": ' + BIG + "}", "Exceeds the limit"),
+    "deep": (DEEP, "maximum recursion depth"),
+    "oversized_member": ('{"subsets": {"a": [' + BIG + "]}}", "Exceeds the limit"),
+    "deep_member": ('{"subsets": {"a": ' + DEEP + "}}", "maximum recursion depth"),
+}
+
+
 def test_read_json_errors(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(MalformedInputError, match="cannot read"):
@@ -327,16 +375,7 @@ def test_read_json_errors(tmp_path):
     utf16.write_bytes(b"\xff\xfe{\x00}\x00")
     with pytest.raises(MalformedInputError, match="not valid UTF-8"):
         read_json(utf16)
-    # an integer past the int-string limit, nesting past the recursion limit,
-    # each at the top and below an object that load_output decodes itself
-    big, deep = "9" * 5000, "[" * 100_000 + "]" * 100_000
-    texts = {
-        "oversized": ('{"space": ' + big + "}", "Exceeds the limit"),
-        "deep": (deep, "maximum recursion depth"),
-        "oversized_member": ('{"subsets": {"a": [' + big + "]}}", "Exceeds the limit"),
-        "deep_member": ('{"subsets": {"a": ' + deep + "}}", "maximum recursion depth"),
-    }
-    for name, (text, reason) in texts.items():
+    for name, (text, reason) in PAST_LIMITS.items():
         path = tmp_path / f"{name}.json"
         path.write_text(text)
         for reader in (read_json, load_output):
@@ -388,20 +427,77 @@ def test_parse_subsets():
         assert str(exc.value) == message, bad
 
 
-def decoded(decode, text):
-    """``decode(text)``, or the type and text of the error it raised."""
+def decoded(decode, source):
+    """``decode(source)``, or the type and text of the error it raised."""
     try:
-        return decode(text), None
-    except (ValueError, RecursionError) as exc:
+        return decode(source), None
+    except (ValueError, RecursionError, MalformedInputError) as exc:
         return None, (type(exc), str(exc))
 
 
+# window sizes of the output decoder: a member of any drawn text crosses
+# an edge of the small ones
+WINDOWS = (1, 2, 3, 7, instance_io._WINDOW)
+
+
+def at_window(window, decode):
+    """``decode`` run with the output decoder's window set to ``window``."""
+
+    def run(source):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(instance_io, "_WINDOW", window)
+            return decode(source)
+
+    return run
+
+
+def list_sharing(tree):
+    """Each list of ``tree`` in walk order, as the walk index of its object's
+    first visit, so two trees share lists alike when these are equal."""
+    first, out = {}, []
+
+    def walk(value):
+        if isinstance(value, list):
+            out.append(first.setdefault(id(value), len(out)))
+            for item in value:
+                walk(item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                walk(item)
+
+    walk(tree)
+    return out
+
+
+def assert_decodes_alike(decode, source, reference):
+    """``decode`` gives ``reference``'s tree or error at every window size,
+    and shares lists alike at every window size."""
+    theirs, their_error = decoded(reference, source)
+    sharing = set()
+    for window in WINDOWS:
+        ours, our_error = decoded(at_window(window, decode), source)
+        assert our_error == their_error, window
+        assert first_divergence(ours, theirs) is None, window
+        assert first_divergence(theirs, ours) is None, window
+        sharing.add(tuple(list_sharing(ours)))
+    assert len(sharing) == 1
+
+
+class Windows(io.StringIO):
+    """Text that can only be read a window at a time."""
+
+    def read(self, size):
+        return super().read(size)
+
+
 def assert_decodes_like_the_stdlib(text):
-    ours, our_error = decoded(loads_output, text)
-    theirs, their_error = decoded(json.loads, text)
-    assert our_error == their_error
-    assert first_divergence(ours, theirs) is None
-    assert first_divergence(theirs, ours) is None
+    assert_decodes_alike(lambda t: decode_output(io.StringIO(t)), text, json.loads)
+    doc, _ = decoded(json.loads, text)
+    if isinstance(doc, dict):
+        # a valid output-like text: decoded from its windows alone, with no
+        # whole-text read to fall back on
+        for window in WINDOWS:
+            assert at_window(window, decode_output)(Windows(text)) == doc
 
 
 # whitespace, and characters that end, open or escape a JSON token
@@ -494,8 +590,56 @@ def output_like_texts(draw):
 @example('{"o": {"a": [1], "b": [1}, "c": 2}}')
 @example('\ufeff{"o": {}}')
 @example('[1, [1]]')
-def test_loads_output_matches_the_stdlib(text):
+def test_decode_output_matches_the_stdlib(text):
     assert_decodes_like_the_stdlib(text)
+
+
+REPEATED = '["p1", "p2", "p3"]'
+# texts whose tokens cross an edge of the small windows
+EDGE_TEXTS = {
+    "number": '{"o": {"n": 12345, "m": [67890, 1.5e-3], "i": -Infinity}, "t": -1e5}',
+    "escape": '{"o": {"caf\\u00e9": "\\u00e9"}, "\\u00e9": ["\\u00e9"]}',
+    "surrogate_pair": '{"o": {"\\ud83d\\ude00": "\\ud83d\\ude00x", "b": "\U0001f600"}}',
+    "crlf": '{\r\n  "o": {\r\n    "a": [\r\n      1\r\n    ]\r\n  }\r\n}\r\n',
+    "bom": '\ufeff{"o": {}}',
+    "long_strings": '{"o": {"a": "%s"}, "%s": ["%s"]}' % ("x" * 40, "k" * 40, "y" * 40),
+    "repeated_list": '{"subsets": {"a": %s, "b": %s, "c": %s}}' % ((REPEATED,) * 3),
+    **{name: text for name, (text, _) in PAST_LIMITS.items()},
+}
+
+
+def read_output_text(path):
+    return instance_io._read_document(path, decode_output)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_TEXTS))
+def test_decode_output_across_window_edges(name, tmp_path):
+    text = EDGE_TEXTS[name]
+    assert_decodes_like_the_stdlib(text)
+    # from a file too, whose reader turns each CRLF into one newline
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.encode("utf-8"))
+    assert_decodes_alike(read_output_text, path, read_json)
+
+
+def test_a_repeated_list_across_a_refill_is_shared():
+    text = EDGE_TEXTS["repeated_list"]
+    for window in range(1, len(text) + 1):
+        subsets = at_window(window, decode_output)(io.StringIO(text))["subsets"]
+        assert subsets["a"] is subsets["b"] is subsets["c"] == ["p1", "p2", "p3"], window
+
+
+def test_invalid_utf8_after_the_first_window(tmp_path):
+    path = tmp_path / "bad.json"
+    for size in (20, instance_io._WINDOW + 20):
+        path.write_bytes(b'{"o": {"a": "' + b"x" * size + b'\xff"}}')
+        assert_decodes_alike(read_output_text, path, read_json)
+        with pytest.raises(MalformedInputError) as exc:
+            load_output(path)
+        # the position counts from the start of the file, not of a window
+        assert str(exc.value) == (
+            f"{path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position "
+            f"{13 + size}: invalid start byte")
 
 
 @pytest.fixture(scope="module")
@@ -512,7 +656,7 @@ def case_2_files(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_loads_output_matches_the_stdlib_on_run_output(case_2_files, data):
+def test_decode_output_matches_the_stdlib_on_run_output(case_2_files, data):
     text = case_2_files[1].read_text()
     assert_decodes_like_the_stdlib(text)
     i = data.draw(st.integers(0, len(text) - 1))
