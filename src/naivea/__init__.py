@@ -8,7 +8,6 @@ from .chains import (
     InstanceReport,
     check_instance,
     l1_norm,
-    meet,
     set_ratio,
     variation_ratio,
 )
@@ -20,10 +19,10 @@ from .errors import (
     UnknownPointError,
 )
 from .generators import gen_instance
-from .instance_io import Instance, load_instance, load_output, output_to_jsonable
+from .instance_io import Certificate, Instance, load_instance, load_output, output_to_jsonable
 from .space import Space, build_space, rips_components
-from .tailor import Certificate, prepare, run_pipeline
-from .verify import FlowSuiteSpec, flow_monitor, verify_certificate, verify_naive
+from .tailor import prepare, run_pipeline
+from .verify import verify_certificate, verify_naive
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,6 @@ __all__ = [
     "INFINITE",
     "Certificate",
     "ChainFamily",
-    "FlowSuiteSpec",
     "Instance",
     "InstanceParams",
     "InstanceReport",
@@ -43,12 +41,10 @@ __all__ = [
     "UnknownPointError",
     "build_space",
     "check_instance",
-    "flow_monitor",
     "gen_instance",
     "l1_norm",
     "load_instance",
     "load_output",
-    "meet",
     "output_to_jsonable",
     "prepare",
     "rips_components",

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import MalformedInputError, PreconditionError
+from .errors import InternalInvariantError, MalformedInputError, PreconditionError
 from .rational import floor_units, format_rational
 from .space import Space
 
@@ -43,24 +43,6 @@ def make_chain(entries) -> dict:
 
 def l1_norm(a) -> int:
     return sum(a.values())
-
-
-def meet(a, b) -> dict:
-    """Pointwise minimum of two chains."""
-    if len(b) < len(a):
-        a, b = b, a
-    return {p: min(v, b[p]) for p, v in a.items() if p in b}
-
-
-def diff_l1(a, b) -> int:
-    """l1 norm of the pointwise difference."""
-    total = 0
-    for p, v in a.items():
-        total += abs(v - b.get(p, 0))
-    for p, v in b.items():
-        if p not in a:
-            total += v
-    return total
 
 
 def ratio(n, d):
@@ -191,12 +173,37 @@ class InstanceParams:
                 raise MalformedInputError(f"N must equal L^2+2, got L={self.L}, N={self.N}")
 
 
+def case_bounds(params: InstanceParams, unit: int) -> dict:
+    """The radius bound of each case for completed params, as ints in units
+    of 1/unit, in which S must be whole: S+SL^2 for case 1, 6S+8SN for case
+    2 and overall, and 4S+6SN for case 3."""
+    spacing = params.S * unit
+    if spacing.denominator != 1:
+        raise InternalInvariantError(f"S = {params.S} is not whole in units of 1/{unit}")
+    S, L, N = spacing.numerator, params.L, params.N
+    return {
+        "case1": S + S * L * L,
+        "case2": 6 * S + 8 * S * N,
+        "case3": 4 * S + 6 * N * S,
+        "overall": 6 * S + 8 * S * N,
+    }
+
+
 @dataclass(frozen=True)
 class InstanceReport:
     ok: bool
     violations: tuple
     params: InstanceParams
     pairs: tuple = ()  # (x, y, variation ratio) per qualifying pair
+
+    def require_admitted(self):
+        """Admission records a failure rather than raise it: ``run`` and ``trace``
+        exit 3 on this error, and ``verify`` reports it as ``recompute_failed``."""
+        if not self.ok:
+            raise PreconditionError(
+                f"instance fails admission with {len(self.violations)} violation(s)",
+                report=self,
+            )
 
 
 def qualifying_pairs(space: Space, R):

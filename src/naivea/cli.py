@@ -25,8 +25,8 @@ from .instance_io import (
     write_canonical,
 )
 from .rational import format_rational
-from .space import CLS_UNBOUNDED
-from .tailor import prepare, run_pipeline
+from .space import component_cases
+from .tailor import admit, prepare, run_pipeline
 from .verify import verify_certificate, verify_naive
 
 
@@ -119,20 +119,22 @@ def cmd_verify(args) -> int:
     instance = _load(args.instance)
     subsets_raw, certificate_raw = load_output(args.output)
     subsets = parse_subsets(subsets_raw)
-    # both checks read one preparation: the naive check takes admission's
-    # qualifying pairs, and a tail may hang only at the anchor of a component
-    # that classify found unbounded, whatever the file's labels say
-    prep = _prepare(instance)
-    anchors = {c.anchor for c in prep.decomposition.components if c.cls == CLS_UNBOUNDED}
+    # no stage of run past admission and Rips: the cases come from the space,
+    # and a tail may hang only at the end of a ray that component_cases
+    # accepts, whatever the file's labels say
+    params = instance.params
+    report, decomp = admit(instance.space, instance.family, params.R, params.epsilon, params.S)
+    kinds, rays, _ = component_cases(instance.space, decomp, report.params.S, report.params.N)
     naive = verify_naive(
         instance.space,
         subsets,
-        [(x, y) for x, y, _ in prep.report.pairs],
-        instance.params.epsilon,
-        tail_spacing=instance.params.S,
-        hint_anchors=anchors,
+        [(x, y) for x, y, _ in report.pairs],
+        params.epsilon,
+        tail_spacing=params.S,
+        hint_anchors={ray[-1] for ray in rays.values()},
     )
-    cert = verify_certificate(prep, naive, certificate_raw)
+    cases = {x: kinds[i] for x, i in decomp.owner.items()}
+    cert = verify_certificate(report, cases, naive, certificate_raw)
     ok = naive.ok and cert.ok
     print(f"naive check: {'PASS' if naive.ok else 'FAIL'} {naive.stats}")
     if not naive.ok:
@@ -146,7 +148,7 @@ def cmd_verify(args) -> int:
 
 
 def _prepare(instance):
-    """The instance's one preparation; every subcommand but generate starts here."""
+    """The instance's one preparation, where run, trace and inspect start."""
     params = instance.params
     return prepare(instance.space, instance.family, params.R, params.epsilon, params.S)
 
@@ -161,7 +163,7 @@ def cmd_trace(args) -> int:
     if args.point not in instance.space.point_set:
         raise MalformedInputError(f"unknown point {args.point!r}")
     prep = _prepare(instance)
-    prep.require_admitted()
+    prep.report.require_admitted()
     chain = instance.family.chains[args.point]
     for line in [f"0 {_format_chain(chain)}", *_flow_lines(prep.flow_map, chain)]:
         print(line)

@@ -10,9 +10,8 @@ basepoint by ``space.rips_components`` or from the ray by ``tailor.classify``.
 
 ``stabilize`` settles a chain in one deepest-first pass, firing each point at
 most once; the pipeline uses it. ``iterate`` fires every occupied point at
-once, step after step, and yields each step: ``trace``, ``run --trace`` and
-the flow law monitor watch it, and it is the reference ``stabilize`` is
-tested against.
+once, step after step, and yields each step: ``trace`` and ``run --trace``
+watch it, and it is the reference ``stabilize`` is tested against.
 """
 from __future__ import annotations
 

@@ -40,15 +40,15 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from json.decoder import WHITESPACE, WHITESPACE_STR, JSONDecodeError, scanstring
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .augment import format_aug, parse_aug
-from .chains import ChainFamily, InstanceParams, SetFamily, from_sets, make_chain
+from .chains import ChainFamily, InstanceParams, SetFamily, format_ratio, from_sets, make_chain
 from .errors import MalformedInputError
 from .rational import format_rational, parse_rational
 from .space import Space, build_space, check_points, parse_hints
-from .tailor import Certificate
 
 
 # pieces a writer holds before it hands them to the file
@@ -424,6 +424,62 @@ def instance_to_doc(space: Space, family: ChainFamily, params: InstanceParams) -
             {"component_of": h.component_of, "ray": list(h.ray)} for h in space.hints
         ]
     return doc
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Radii and bounds are ints in units of 1/unit (the augmented space's);
+    worst_radius is their maximum as an exact rational."""
+
+    params: InstanceParams
+    cases: dict
+    radii: dict
+    pairs: tuple  # (x, y, input_ratio, output_ratio)
+    worst_ratio: Fraction
+    worst_radius: Fraction
+    bounds: dict
+    unit: int
+
+    def to_jsonable(self) -> dict:
+        lengths = {}  # each distinct radius or bound is formatted once
+
+        def length(units):
+            if units not in lengths:
+                lengths[units] = format_rational(Fraction(units, self.unit))
+            return lengths[units]
+
+        texts = {}  # each distinct ratio is formatted once; INF is a float
+
+        def ratio(q):
+            key = q.as_integer_ratio() if isinstance(q, Fraction) else q
+            if key not in texts:
+                texts[key] = format_ratio(q)
+            return texts[key]
+
+        return {
+            "params": {
+                "R": format_rational(self.params.R),
+                "epsilon": format_rational(self.params.epsilon),
+                "S": format_rational(self.params.S),
+                "L": self.params.L,
+                "N": self.params.N,
+            },
+            "cases": dict(sorted(self.cases.items())),
+            "radii": {x: length(r) for x, r in sorted(self.radii.items())},
+            "pairs": [
+                {
+                    "x": x,
+                    "y": y,
+                    "input_ratio": ratio(rin),
+                    "output_ratio": ratio(rout),
+                }
+                for x, y, rin, rout in self.pairs
+            ],
+            "worst_ratio": format_ratio(self.worst_ratio),
+            "worst_radius": format_rational(self.worst_radius),
+            "bound_radius": length(self.bounds["overall"]),
+            "bounds": {k: length(v) for k, v in sorted(self.bounds.items())},
+        }
 
 
 def output_to_jsonable(subsets: dict, certificate: Certificate) -> dict:

@@ -13,8 +13,9 @@ ever touches a float.
 ``bfs_tree`` is the package's one breadth-first search of the S-Rips graph,
 and it reads each point's S-ball once. ``rips_components`` runs it from each
 component's basepoint and keeps the tree on the ``Component``;
-``tailor.classify`` runs it again from a ray it accepts. The flow's successor
-map and the annulus markers read the stored tree and do not search the graph
+``tailor.classify`` runs it again from a ray that ``component_cases``, the
+one decision of each component's case, accepts. The flow's successor map and
+the annulus markers read the stored tree and do not search the graph
 themselves.
 
 Each backend's ``eccentricity(x, points)`` is the int ``max(dist(x, p) for p
@@ -44,7 +45,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -448,8 +449,8 @@ class Component:
     """One S-Rips component and its whole classification.
 
     ``rips_components`` groups the points; ``tailor.classify`` alone sets
-    ``cls`` and, with it, the ray of an emulated-unbounded component or the
-    markers of a large bounded one. Every later step reads it from here.
+    ``cls`` (by ``component_cases``) and the ray of an emulated-unbounded
+    component or the markers of a large bounded one. ``run`` reads it here.
     """
 
     index: int
@@ -462,7 +463,7 @@ class Component:
     markers: tuple[PointId, ...] = ()
     # BFS tree of the component's S-Rips graph (``bfs_tree``), child -> parent
     # and root -> None: rooted at the basepoint, or seeded with the whole ray
-    # once classify accepts one
+    # once component_cases accepts one
     parent: dict = field(default_factory=dict, repr=False, compare=False)
     point_set: frozenset = field(init=False, repr=False)
 
@@ -517,10 +518,10 @@ def rips_components(space: Space, S) -> Decomposition:
     point's S-ball once and takes all of it into the component, so every
     S-ball (and so every R-ball, R < S) lies inside one component, whatever
     order the backend returns it in. This only groups points:
-    every component comes out with no ray and the provisional class, and
-    ``tailor.classify`` alone reads the space's unbounded hints and decides
-    rays, basepoints, classes, annulus markers and, for a ray, the
-    ray-seeded tree.
+    every component comes out with no ray and the provisional class;
+    ``component_cases`` reads the space's unbounded hints and decides the
+    cases, and ``tailor.classify`` builds rays, basepoints, classes, annulus
+    markers and, for a ray, the ray-seeded tree.
     """
     S = Fraction(S)
     if S <= 0:
@@ -536,3 +537,58 @@ def rips_components(space: Space, S) -> Decomposition:
         pts = tuple(sorted(parent))
         components.append(Component(index=idx, points=pts, basepoint=pts[0], parent=parent))
     return Decomposition(scale=S, components=tuple(components), owner=owner)
+
+
+def ray_problem(space: Space, comp: Component, ray, S):
+    """Why ``ray`` cannot be the ray of ``comp``, or None when it can: it
+    must visit no point twice, lie in the component and hop at most S."""
+    if len(set(ray)) != len(ray):
+        return "ray revisits a point"
+    for p in ray:
+        if p not in comp.point_set:
+            return f"ray point {p!r} lies outside the component"
+    hop = floor_units(S, space.metric.denominator)
+    for a, b in zip(ray, ray[1:]):
+        if space.metric.dist(a, b) > hop:
+            return f"ray hop ({a!r}, {b!r}) exceeds the scale"
+    return None
+
+
+def annulus(space: Space, S, N) -> tuple:
+    """(inner, outer) = floor((3S+3SN) * D), floor((3S+4SN) * D)."""
+    D = space.metric.denominator
+    return floor_units(3 * S + 3 * S * N, D), floor_units(3 * S + 4 * S * N, D)
+
+
+def component_cases(space: Space, decomp: Decomposition, S, N) -> tuple:
+    """(cases, rays, warnings) from facts of the space alone: ``cases[i]`` is
+    "1" when component i carries exactly one hint and its ray passes
+    ``ray_problem`` (``rays[i]`` is then that ray), else "3" when the
+    basepoint's eccentricity over it exceeds the outer ``annulus`` radius,
+    else "2". Two hints on one component, even on one point of it, are
+    malformed input; a hint whose ray fails is ignored with a warning.
+    """
+    hints = defaultdict(list)  # component index -> the hints naming a point of it
+    for hint in space.hints:  # parse_hints admitted only known points
+        hints[decomp.owner[hint.component_of]].append(hint)
+    outer = annulus(space, S, N)[1]
+    within = space.metric.within
+    cases, rays, warnings = [], {}, []
+    for comp in decomp.components:
+        mine = hints[comp.index]
+        if len(mine) > 1:
+            raise MalformedInputError(
+                f"multiple unbounded hints target the component of {comp.points[0]!r}"
+            )
+        if mine:
+            ray = mine[0].ray
+            problem = ray_problem(space, comp, ray, S)
+            if problem is None:
+                cases.append("1")
+                rays[comp.index] = ray
+                continue
+            warnings.append(
+                f"ignoring unbounded hint for the component of {comp.points[0]!r}: {problem}"
+            )
+        cases.append("2" if within(comp.basepoint, comp.points, outer) else "3")
+    return tuple(cases), rays, tuple(warnings)

@@ -1,20 +1,19 @@
 """Classification and tailoring: turn stabilized supports into subsets of X.
 
-Components are classified by whether they carry a validated unbounded hint
-and, if not, by whether they outgrow the ball of radius 3S+4SN around the
-basepoint. Large bounded components get N marker points chosen in the annulus
-between 3S+3SN and 3S+4SN, kept on the ``Component`` with its class; tail
-points of a stabilized support are swapped for those markers, which keeps
-cardinalities of intersections and symmetric differences exactly while
-pulling everything back into the space.
+``space.component_cases`` decides each component's case, and ``classify``
+builds what the case needs. Large bounded components get N marker points
+chosen in the annulus between 3S+3SN and 3S+4SN, kept on the ``Component``
+with its class; tail points of a stabilized support are swapped for those
+markers, which keeps cardinalities of intersections and symmetric
+differences exactly while pulling everything back into the space.
 
-``prepare`` builds everything an instance decides before any point is flowed,
-once per command (``cli._prepare`` is its one caller in the CLI), and
-``run_pipeline`` takes the ``Prepared`` it returns.
+``prepare`` builds everything an instance decides before any point is
+flowed, once per ``run``, ``trace`` or ``inspect`` (through ``cli._prepare``),
+and ``run_pipeline`` takes the ``Prepared`` it returns. ``verify`` takes
+only ``admit``, the admission and S-Rips stage that ``prepare`` starts with.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -24,15 +23,15 @@ from .chains import (
     InstanceParams,
     InstanceReport,
     Ratios,
+    case_bounds,
     check_instance,
-    format_ratio,
     set_terms,
 )
 # Not called here: perfbench/layers.py looks these names up in this module.
 from .chains import qualifying_pairs, set_ratio, variation_ratio  # noqa: F401
-from .errors import InternalInvariantError, MalformedInputError, PreconditionError
+from .errors import InternalInvariantError
 from .flow import FlowMap, build_flow, stabilize
-from .rational import floor_units, format_rational
+from .instance_io import Certificate
 from .space import (
     CLS_BOUNDED_LARGE,
     CLS_BOUNDED_SMALL,
@@ -40,131 +39,38 @@ from .space import (
     Component,
     Decomposition,
     Space,
+    annulus,
     bfs_tree,
+    component_cases,
     rips_components,
 )
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Radii and bounds are ints in units of 1/unit (the augmented space's);
-    worst_radius is their maximum as an exact rational."""
-
-    params: InstanceParams
-    cases: dict
-    radii: dict
-    pairs: tuple  # (x, y, input_ratio, output_ratio)
-    worst_ratio: Fraction
-    worst_radius: Fraction
-    bounds: dict
-    unit: int
-
-    def to_jsonable(self) -> dict:
-        lengths = {}  # each distinct radius or bound is formatted once
-
-        def length(units):
-            if units not in lengths:
-                lengths[units] = format_rational(Fraction(units, self.unit))
-            return lengths[units]
-
-        texts = {}  # each distinct ratio is formatted once; INF is a float
-
-        def ratio(q):
-            key = q.as_integer_ratio() if isinstance(q, Fraction) else q
-            if key not in texts:
-                texts[key] = format_ratio(q)
-            return texts[key]
-
-        return {
-            "params": {
-                "R": format_rational(self.params.R),
-                "epsilon": format_rational(self.params.epsilon),
-                "S": format_rational(self.params.S),
-                "L": self.params.L,
-                "N": self.params.N,
-            },
-            "cases": dict(sorted(self.cases.items())),
-            "radii": {x: length(r) for x, r in sorted(self.radii.items())},
-            "pairs": [
-                {
-                    "x": x,
-                    "y": y,
-                    "input_ratio": ratio(rin),
-                    "output_ratio": ratio(rout),
-                }
-                for x, y, rin, rout in self.pairs
-            ],
-            "worst_ratio": format_ratio(self.worst_ratio),
-            "worst_radius": format_rational(self.worst_radius),
-            "bound_radius": length(self.bounds["overall"]),
-            "bounds": {k: length(v) for k, v in sorted(self.bounds.items())},
-        }
-
-
-def _ray_problem(space, comp, ray, S):
-    if len(set(ray)) != len(ray):
-        return "ray revisits a point"
-    for p in ray:
-        if p not in comp.point_set:
-            return f"ray point {p!r} lies outside the component"
-    hop = floor_units(S, space.metric.denominator)
-    for a, b in zip(ray, ray[1:]):
-        if space.metric.dist(a, b) > hop:
-            return f"ray hop ({a!r}, {b!r}) exceeds the scale"
-    return None
-
-
-def _annulus(space, params):
-    """(inner, outer) = floor((3S+3SN) * D), floor((3S+4SN) * D)."""
-    S, N, D = params.S, params.N, space.metric.denominator
-    return floor_units(3 * S + 3 * S * N, D), floor_units(3 * S + 4 * S * N, D)
-
-
 def classify(space: Space, decomp: Decomposition, params: InstanceParams):
-    """Classify every component in one pass; returns the updated
-    decomposition and a warning per ignored unbounded hint.
+    """Build what each case of ``space.component_cases`` needs; returns the
+    classified decomposition and a warning per ignored unbounded hint.
 
-    Unbounded hints are read here and counted per component: two hints on
-    one component, even on one point of it, are malformed input. A single
-    hint with a valid ray makes its component emulate an unbounded one, with
-    the ray's first point as basepoint and the ``bfs_tree`` seeded with the
-    whole ray as its tree, which is the whole component: the ray lies in it,
-    and the tree is closed under S-neighbours. An invalid hint falls back to
-    the bounded path with a warning, keeping the basepoint tree of
-    ``rips_components``. A bounded component is large exactly when
-    ``annulus_points`` finds its markers.
+    A case-1 component emulates an unbounded one, with its ray's first point
+    as basepoint and the ``bfs_tree`` seeded with the whole ray as its tree,
+    which is the whole component: the ray lies in it, and the tree is closed
+    under S-neighbours. A case-3 (large) component gets its
+    ``annulus_points``; a case-2 (small) one stays as it is.
     """
     if params.N is None:
         raise InternalInvariantError("classify needs completed params (N unset)")
-    S = params.S
-    hints = defaultdict(list)  # component index -> the hints naming a point of it
-    for hint in space.hints:  # parse_hints admitted only known points
-        hints[decomp.owner[hint.component_of]].append(hint)
-    warnings = []
+    cases, rays, warnings = component_cases(space, decomp, params.S, params.N)
     comps = []
-    for comp in decomp.components:
-        mine = hints[comp.index]
-        if len(mine) > 1:
-            raise MalformedInputError(
-                f"multiple unbounded hints target the component of {comp.points[0]!r}"
-            )
-        if mine:
-            ray = mine[0].ray
-            problem = _ray_problem(space, comp, ray, S)
-            if problem is None:
-                tree = bfs_tree(space, ray, decomp.scale)
-                comps.append(
-                    replace(comp, cls=CLS_UNBOUNDED, basepoint=ray[0], ray=ray, parent=tree)
-                )
-                continue
-            warnings.append(
-                f"ignoring unbounded hint for the component of {comp.points[0]!r}: {problem}"
-            )
-        markers = annulus_points(space, comp, params)
-        cls = CLS_BOUNDED_LARGE if markers else CLS_BOUNDED_SMALL
-        comps.append(replace(comp, cls=cls, markers=markers))
+    for comp, case in zip(decomp.components, cases):
+        if case == "1":
+            ray = rays[comp.index]
+            tree = bfs_tree(space, ray, decomp.scale)
+            comp = replace(comp, cls=CLS_UNBOUNDED, basepoint=ray[0], ray=ray, parent=tree)
+        elif case == "3":
+            markers = annulus_points(space, comp, params)
+            comp = replace(comp, cls=CLS_BOUNDED_LARGE, markers=markers)
+        comps.append(comp)
     decomp = Decomposition(scale=decomp.scale, components=tuple(comps), owner=decomp.owner)
-    return decomp, tuple(warnings)
+    return decomp, warnings
 
 
 def annulus_points(space: Space, comp: Component, params: InstanceParams) -> tuple:
@@ -179,7 +85,7 @@ def annulus_points(space: Space, comp: Component, params: InstanceParams) -> tup
     distance by at most S, so the path meets the annulus at least N times.
     """
     S, N = params.S, params.N
-    inner, outer = _annulus(space, params)
+    inner, outer = annulus(space, S, N)
     dist = space.metric.dist
     bp = comp.basepoint
     # the points are sorted, so the first hit is the lex-smallest
@@ -233,13 +139,7 @@ def tailor_subset(comp: Component, pts) -> frozenset:
 
 @dataclass(frozen=True)
 class Prepared:
-    """Everything built from an instance before any point is flowed.
-
-    A failed admission is recorded in ``report`` rather than raised, so each
-    caller reports it in its own way; ``require_admitted`` raises the
-    PreconditionError that ``run`` and ``trace`` exit 3 on and ``verify``
-    reports.
-    """
+    """Everything built from an instance before any point is flowed."""
 
     family: ChainFamily  # the chains admission checked
     report: InstanceReport  # its pairs carry every qualifying pair's input ratio
@@ -249,28 +149,19 @@ class Prepared:
     flow_map: FlowMap
     bounds: dict  # case radius bounds, ints in units of 1/aug.unit
 
-    def require_admitted(self):
-        if not self.report.ok:
-            raise PreconditionError(
-                f"instance fails admission with {len(self.report.violations)} violation(s)",
-                report=self.report,
-            )
+
+def admit(space: Space, family: ChainFamily, R, epsilon, S) -> tuple:
+    """Admission and the S-Rips components: (report, decomposition), the
+    first stage of ``prepare`` and all that ``verify`` takes from here."""
+    report = check_instance(space, family, R, epsilon, S)
+    return report, rips_components(space, report.params.S)
 
 
 def prepare(space: Space, family: ChainFamily, R, epsilon, S) -> Prepared:
     """Admission, S-Rips components, classification, tails and successor map."""
-    report = check_instance(space, family, R, epsilon, S)
-    params = report.params
-    L, N = params.L, params.N
-    decomp, warnings = classify(space, rips_components(space, params.S), params)
-    aug = augment(space, decomp, params)
-    S = aug.step  # every bound is a whole multiple of S, so exact in these units
-    bounds = {
-        "case1": S + S * L * L,
-        "case2": 6 * S + 8 * S * N,
-        "case3": 4 * S + 6 * N * S,
-        "overall": 6 * S + 8 * S * N,
-    }
+    report, decomp = admit(space, family, R, epsilon, S)
+    decomp, warnings = classify(space, decomp, report.params)
+    aug = augment(space, decomp, report.params)
     return Prepared(
         family=family,
         report=report,
@@ -278,7 +169,7 @@ def prepare(space: Space, family: ChainFamily, R, epsilon, S) -> Prepared:
         warnings=warnings,
         aug=aug,
         flow_map=build_flow(aug),
-        bounds=bounds,
+        bounds=case_bounds(report.params, aug.unit),
     )
 
 
@@ -290,14 +181,15 @@ def run_pipeline(prep: Prepared):
     instance failed admission and InternalInvariantError if any guaranteed
     bound fails to hold (which would mean the machinery is wrong, not the
     input). A case-2 point is not flowed: its subset is its component, which
-    ``classify`` found within 3S+4SN of the basepoint. Every other point's
-    flow is settled by one ``stabilize`` call; ``trace`` and ``run --trace``
-    replay the synchronous steps of any point's flow from ``prep.flow_map``.
+    lies within 3S+4SN of the basepoint (``component_cases``). Every other
+    point's flow is settled by one ``stabilize`` call; ``trace`` and ``run
+    --trace`` replay the synchronous steps of any point's flow from
+    ``prep.flow_map``.
     Every qualifying pair lies in one component, since its R-ball lies in
     the S-ball that ``bfs_tree`` swept whole.
     """
-    prep.require_admitted()
     report = prep.report
+    report.require_admitted()
     params = report.params
     N = params.N
     decomp, aug, bounds = prep.decomposition, prep.aug, prep.bounds

@@ -12,13 +12,11 @@ two subsets; every verdict (a ratio against epsilon, or an output ratio
 against its input ratio) is a cross-multiplication of ints, and each call
 builds one shared Fraction per distinct ratio for its report.
 verify_certificate checks each claim of the certificate against those
-facts and the instance's ``Prepared`` (admission, classes and bounds),
-without flowing any point or reading a label from the file: the certificate
-must equal the one the facts make, field by field and with the same JSON
-types (so the file's whitespace does not matter). The flow monitor
-brute-forces every small chain on a successor path and checks the
-redistribution laws exhaustively, and the one-pass settler against
-synchronous stepping.
+facts, admission's report, the case bounds and each point's case, as
+``space.component_cases`` decides it from the space. It never classifies,
+augments or flows anything, and reads no label from the file: the
+certificate must equal the one the facts make, field by field and with the
+same JSON types (so the file's whitespace does not matter).
 """
 from __future__ import annotations
 
@@ -27,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chains import Ratios, diff_l1, format_ratio, l1_norm, meet, ratio_terms, set_terms
+from .chains import InstanceReport, Ratios, case_bounds, format_ratio, ratio_terms, set_terms
 # Not called here: perfbench/layers.py looks these names up in this module.
 from .chains import qualifying_pairs, set_ratio  # noqa: F401
 from .errors import (
@@ -36,9 +34,8 @@ from .errors import (
     PreconditionError,
     UnknownPointError,
 )
-from .flow import FlowMap, iterate, split, stabilize, step
-from .space import CLS_BOUNDED_LARGE, CLS_BOUNDED_SMALL, CLS_UNBOUNDED, Space
-from .tailor import Certificate
+from .instance_io import Certificate
+from .space import Space
 
 
 @dataclass(frozen=True)
@@ -47,16 +44,12 @@ class VerifyReport:
     violations: tuple
     stats: dict
     # facts for verify_certificate, not printed: the set ratio of each
-    # qualifying pair in order, each point's radius in units of 1/(D*k), and
-    # the largest radius re-derived as an exact rational
+    # qualifying pair in order, each point's radius in units of 1/unit = 1/(D*k),
+    # and the largest radius re-derived as an exact rational
     ratios: tuple = ()
     radii: dict = field(default_factory=dict)
     support_radius: Fraction = Fraction(0)
-
-
-# the case label of each component class; a class-3 point is 3b exactly when its
-# radius exceeds the case-1 bound, which a 3a support stays within and 3b markers pass
-_LABELS = {CLS_UNBOUNDED: "1", CLS_BOUNDED_SMALL: "2", CLS_BOUNDED_LARGE: "3a"}
+    unit: int = 1
 
 
 def _tail_member(space, hint_anchors, spacing, p):
@@ -204,6 +197,7 @@ def verify_naive(
         ratios=tuple(ratios),
         radii=radii,
         support_radius=support_radius,
+        unit=D * k,
     )
 
 
@@ -252,28 +246,30 @@ def first_divergence(a, b, path=""):
     return None if a == b else (path or "<root>")
 
 
-def verify_certificate(prep, naive, certificate_jsonable) -> VerifyReport:
+def verify_certificate(report: InstanceReport, cases, naive, certificate_jsonable) -> VerifyReport:
     """Check the certificate's claims against facts recomputed from the instance.
 
+    ``report`` is admission's: L, N and the input ratios. ``cases`` maps each
+    point to its component's case, "1", "2" or "3" (``space.component_cases``).
     ``naive`` is ``verify_naive``'s report on the output with tail spacing S
-    and the pairs of ``prep.report``, whose set ratios and radii are facts of
-    the output's subsets; ``prep``, the instance's ``Prepared``, gives L, N,
-    the bounds, the input ratios and the classes. The certificate must equal
-    the one these facts make; no output ratio may exceed its input ratio, and
-    no radius its case bound.
+    and the pairs of ``report``: the output's set ratios and radii. A case-3
+    point is 3b exactly when its radius exceeds the case-1 bound, which a 3a
+    support stays within and 3b markers pass. The certificate must equal the
+    one these facts make; no output ratio may exceed its input ratio, and no
+    radius its case bound.
     """
     try:
-        prep.require_admitted()
+        report.require_admitted()
     except PreconditionError as exc:
         detail = {"condition": "recompute_failed", "detail": str(exc)}
         return VerifyReport(ok=False, violations=(detail,), stats={})
-    report, decomp, bounds = prep.report, prep.decomposition, prep.bounds
-    cases, violations = {}, []
+    bounds = case_bounds(report.params, naive.unit)
+    labels, violations = {}, []
     for x, radius in naive.radii.items():
-        case = _LABELS[decomp.components[decomp.owner[x]].cls]
-        if case == "3a" and radius > bounds["case1"]:
-            case = "3b"
-        cases[x] = case
+        case = cases[x]
+        if case == "3":
+            case = "3b" if radius > bounds["case1"] else "3a"
+        labels[x] = case
         if radius > bounds["case" + case[0]]:
             violations.append({"condition": "radius_above_bound", "x": x})
     # an input ratio is finite, since the instance was admitted
@@ -289,118 +285,15 @@ def verify_certificate(prep, naive, certificate_jsonable) -> VerifyReport:
         rows.append((x, y, rin, rout))
     recomputed = Certificate(
         params=report.params,
-        cases=cases,
+        cases=labels,
         radii=naive.radii,
         pairs=tuple(rows),
         worst_ratio=worst,
         worst_radius=naive.support_radius,
         bounds=bounds,
-        unit=prep.aug.unit,
+        unit=naive.unit,
     ).to_jsonable()
     divergence = first_divergence(certificate_jsonable, recomputed, "certificate")
     if divergence is not None:
         violations.insert(0, {"condition": "certificate_mismatch", "field": divergence})
     return VerifyReport(ok=not violations, violations=tuple(violations), stats={})
-
-
-@dataclass(frozen=True)
-class FlowSuiteSpec:
-    """Exhaustive suite over every chain on a successor path.
-
-    Chains live on the first ``points`` vertices with entries up to
-    ``max_value``; the path itself, which ends on a tail, is long enough that
-    no flow ever needs a successor beyond it.
-    """
-
-    points: int
-    max_value: int
-
-    def window(self) -> int:
-        return self.points + self.points * self.max_value + 1
-
-
-@dataclass(frozen=True)
-class MonitorReport:
-    ok: bool
-    chains_checked: int
-    pairs_checked: int
-    failures: tuple
-
-
-def _leq(a, b):
-    return all(b.get(p, 0) >= v for p, v in a.items())
-
-
-def flow_monitor(suite: FlowSuiteSpec) -> MonitorReport:
-    """Brute-force oracle for the redistribution laws.
-
-    Checks, for every chain: l1 preservation, the fixed-point
-    characterization (one step is the identity exactly when there is no
-    excess), the stabilization bound and final support size, support drift
-    by at most one successor hop, and that ``stabilize`` ends where
-    synchronous stepping ends, within ||a|| firings. For every ordered pair:
-    meet growth, difference contraction, and monotonicity.
-    """
-    if suite.points < 1 or suite.max_value < 0:
-        raise MalformedInputError("suite needs >= 1 point and a nonnegative max value")
-    width = len(str(suite.window() - 1))
-    ids = [f"w{i:0{width}d}" for i in range(suite.window())]
-    successor = {ids[i]: ids[i + 1] for i in range(len(ids) - 1)}
-    successor[ids[-1]] = (ids[-1], 1)
-    flow = FlowMap(base_successor=successor, tail_cap=0)
-    failures = []
-
-    def fail(msg):
-        if len(failures) < 10:
-            failures.append(msg)
-
-    all_chains = []
-    for values in itertools.product(range(suite.max_value + 1), repeat=suite.points):
-        chain = {ids[i]: v for i, v in enumerate(values) if v > 0}
-        all_chains.append(chain)
-
-    stepped = []
-    for a in all_chains:
-        s1 = step(flow, a)
-        stepped.append(s1)
-        mass = l1_norm(a)
-        if l1_norm(s1) != mass:
-            fail(f"l1 changed for {a}")
-        base, excess = split(a)
-        if (s1 == a) != (not excess):
-            fail(f"fixed-point law broken for {a}")
-        allowed = set(a) | {successor[p] for p in a}
-        if not set(s1) <= allowed:
-            fail(f"support drifted more than one hop for {a}")
-        final, count = a, 0
-        for final in iterate(flow, a):
-            count += 1
-        if count > mass * l1_norm(excess):
-            fail(f"stabilization bound exceeded for {a}")
-        if len(final) != mass or any(v != 1 for v in final.values()):
-            fail(f"stabilized result is not an indicator of mass {mass} for {a}")
-        settled, firings = stabilize(flow, a)
-        if settled != final:
-            fail(f"one-pass settling differs from synchronous stepping for {a}")
-        if firings > mass:
-            fail(f"{firings} firings exceed the mass {mass} for {a}")
-
-    pairs = 0
-    for i, a in enumerate(all_chains):
-        sa = stepped[i]
-        for j, b in enumerate(all_chains):
-            sb = stepped[j]
-            pairs += 1
-            if l1_norm(meet(sa, sb)) < l1_norm(meet(a, b)):
-                fail(f"meet shrank for {a} vs {b}")
-            if diff_l1(sa, sb) > diff_l1(a, b):
-                fail(f"difference grew for {a} vs {b}")
-            if _leq(a, b) and not _leq(sa, sb):
-                fail(f"monotonicity broken for {a} <= {b}")
-
-    return MonitorReport(
-        ok=not failures,
-        chains_checked=len(all_chains),
-        pairs_checked=pairs,
-        failures=tuple(failures),
-    )

@@ -11,6 +11,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from oracles import FlowSuiteSpec, flow_monitor
 
 from naivea.augment import augment
 from naivea.chains import check_instance, qualifying_pairs, variation_ratio
@@ -20,7 +21,7 @@ from naivea.generators import gen_instance
 from naivea.instance_io import read_json, write_canonical
 from naivea.space import rips_components
 from naivea.tailor import classify, prepare, run_pipeline, tailor_subset
-from naivea.verify import FlowSuiteSpec, flow_monitor, verify_naive
+from naivea.verify import verify_naive
 
 CRIT2_PARAMS = {
     "count": 20,

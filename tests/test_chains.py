@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import diff_l1, meet
 
 from naivea.chains import (
     INFINITE,
@@ -17,12 +18,10 @@ from naivea.chains import (
     InstanceParams,
     SetFamily,
     check_instance,
-    diff_l1,
     format_ratio,
     from_sets,
     l1_norm,
     make_chain,
-    meet,
     qualifying_pairs,
     set_ratio,
     variation_ratio,

@@ -5,14 +5,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import naivea
-from naivea import cli
+from naivea import cli, tailor
 from naivea.cli import main
 from naivea.instance_io import read_json, write_canonical
+from naivea.space import CLS_BOUNDED_SMALL
 
 
 def run_cli(*argv):
@@ -206,8 +208,9 @@ def test_generated_unbounded_instance_runs(tmp_path, capsys):
     assert run_cli("verify", str(inst), str(out)) == 0
     doc = read_json(out)
     assert set(doc["certificate"]["cases"].values()) == {"1"}
-    # tail anchors come from classify, not from the labels: relabelling the
-    # hinted point is a false claim (exit 1), not a bad subset (exit 2)
+    # tail anchors come from the space's own case decision, not from the
+    # labels: relabelling the hinted point is a false claim (exit 1), not a
+    # bad subset (exit 2)
     doc["certificate"]["cases"]["p00"] = "2"
     bad = tmp_path / "bad.json"
     write_canonical(bad, doc)
@@ -216,6 +219,27 @@ def test_generated_unbounded_instance_runs(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "'field': 'certificate.cases.p00'" in captured.out
     assert captured.err == ""
+
+
+def test_verify_decides_cases_without_classify(tmp_path, monkeypatch, capsys):
+    """verify decides each component's case from the space, never through
+    run's classify: a classify that calls every component small makes run
+    claim case 2 for a large one, and verify names the false label."""
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert run_cli(
+        "generate", "line", "--count", "100", "--radii", "1", "--R", "1/2", "--epsilon", "1",
+        "--out", str(inst),
+    ) == 0
+
+    def all_small(space, decomp, params):
+        comps = tuple(replace(c, cls=CLS_BOUNDED_SMALL, markers=()) for c in decomp.components)
+        return replace(decomp, components=comps), ()
+
+    monkeypatch.setattr(tailor, "classify", all_small)
+    assert run_cli("run", str(inst), "--out", str(out)) == 0
+    assert "worst radius 99" in capsys.readouterr().out
+    assert run_cli("verify", str(inst), str(out)) == 1
+    assert "'field': 'certificate.cases.p00'" in capsys.readouterr().out
 
 
 def test_verify_rejects_malformed_certificate_fields(tmp_path, capsys):

@@ -3,7 +3,9 @@ document (exit 2 or 3) or writes an output that `verify` accepts.
 
 Documents are small: 2-12 points on the positions, graph (rational edge
 weights) or matrix backend (a graph's shortest-path distances), with
-denominators up to 6, ball-sum chains and 0-2 ray hints. Each document also
+denominators up to 6, ball-sum chains and 0-2 ray hints. A hint's ray is a
+slice of the points, or one broken on purpose: it repeats a point, hops
+beyond S, leaves its component, or is named on another component. Each document also
 runs with its chains written as leveled ``sets`` (levels 0..m-1, or spaced
 levels under an explicit bound when the point count is even), with the same
 exit code and output bytes. Exit 4 (an internal invariant) and any traceback fail the test.
@@ -81,6 +83,54 @@ def shortest_paths(ids, edges):
     return dist
 
 
+def s_components(ids, dist, S):
+    """Each id's S-Rips component, as the smallest id in it."""
+    owner = {}
+    for start in sorted(ids):
+        if start in owner:
+            continue
+        owner[start], todo = start, [start]
+        while todo:
+            p = todo.pop()
+            for q in ids:
+                if q not in owner and dist[p, q] <= S:
+                    owner[q] = start
+                    todo.append(q)
+    return owner
+
+
+def draw_hint(draw, ids, dist, S):
+    """A ray hint: a slice of ``ids``, reversed or not, on a drawn point, or
+    one broken on purpose. A broken ray repeats a point, skips to a point of
+    its component beyond S, or leaves its component, and is named on a
+    point of its first point's component; a ray named elsewhere is a slice
+    named on a point of another component. A form with no such point stays
+    a slice."""
+    owner = s_components(ids, dist, S)
+    i = draw(st.integers(0, len(ids) - 1))
+    ray = ids[i:draw(st.integers(i + 1, len(ids)))]
+    if draw(st.booleans()):
+        ray.reverse()
+    home = [q for q in ids if owner[q] == owner[ray[0]]]
+    form = draw(st.sampled_from(["slice", "slice", "repeat", "skip", "leave", "elsewhere"]))
+    if form == "slice":
+        return {"component_of": draw(st.sampled_from(ids)), "ray": ray}
+    if form == "elsewhere":
+        away = [q for q in ids if owner[q] != owner[ray[0]]]
+        return {"component_of": draw(st.sampled_from(away or ids)), "ray": ray}
+    if form == "repeat":
+        ray.append(draw(st.sampled_from(ray)))
+    else:
+        last = ray[-1]
+        if form == "skip":
+            ends = [q for q in ids if owner[q] == owner[last] and dist[last, q] > S]
+        else:
+            ends = [q for q in ids if owner[q] != owner[ray[0]]]
+        if ends:
+            ray.append(draw(st.sampled_from(ends)))
+    return {"component_of": draw(st.sampled_from(home)), "ray": ray}
+
+
 @st.composite
 def documents(draw):
     n = draw(st.integers(2, 12))
@@ -113,16 +163,10 @@ def documents(draw):
         x: {y: sum(dist[x, y] <= r for r in radii) for y in ids if dist[x, y] <= radii[0]}
         for x in ids
     }
-    hints = []
-    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
-        i = draw(st.integers(0, n - 1))
-        ray = ids[i:draw(st.integers(i + 1, n))]
-        if draw(st.booleans()):
-            ray.reverse()
-        hints.append({"component_of": draw(st.sampled_from(ids)), "ray": ray})
     # mostly S >= radii[0] > R; S = radii[0]/2 and R = S are drawn too, which admission may reject
     S = radii[0] * draw(st.sampled_from([1, 1, 1, 2, Fraction(1, 2)]))
     R = S * draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(5, 6), 1]))
+    hints = [draw_hint(draw, ids, dist, S) for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2])))]
     doc = {
         "space": {"points": ids, "metric": metric},
         "params": {"R": str(R), "epsilon": draw(st.sampled_from(["1/2", "1", "2"])), "S": str(S)},

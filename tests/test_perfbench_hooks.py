@@ -71,13 +71,16 @@ def test_traced_cycle_reaches_every_count(layers, tmp_path):
         # crit2-paths (all case 2) no longer reaches this hook; every flowed point does
         assert calls["tailor.tailor_subset"] == flowed, name
     for name, op in ops.items():
-        # one prepare per operation, also when run replays the flow for
-        # --trace, and verify takes admission's qualifying pairs; the S-Rips
-        # search is split between space.rips and tailor.classify, and each
-        # stage must stay traced
-        for stage in ("chains.admission", "space.rips", "tailor.classify", "flow.build",
-                      "chains.pairs"):
+        # one admission and one S-Rips search per operation, also when run
+        # replays the flow for --trace, and verify takes admission's
+        # qualifying pairs; each stage must stay traced
+        for stage in ("chains.admission", "space.rips", "chains.pairs"):
             assert op["calls"][stage] == 1, (name, stage)
+    # run prepares once; verify decides the cases from the space and runs
+    # none of run's later stages
+    for stage in ("tailor.classify", "augment.augment", "flow.build"):
+        assert ops["run"]["calls"][stage] == 1, stage
+        assert ops["verify"]["calls"][stage] == 0, stage
     # both halves of verify stay traced
     for half in ("verify.naive", "verify.certificate"):
         assert ops["verify"]["calls"][half] == 1, half

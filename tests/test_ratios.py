@@ -18,16 +18,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import diff_l1, meet
 from test_e2e import documents
 
 from naivea.chains import (
     INFINITE,
     ChainFamily,
     check_instance,
-    diff_l1,
     format_ratio,
     l1_norm,
-    meet,
     qualifying_pairs,
     set_ratio,
     variation_ratio,

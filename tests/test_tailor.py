@@ -17,11 +17,11 @@ from naivea.space import (
     CLS_BOUNDED_LARGE,
     CLS_BOUNDED_SMALL,
     CLS_UNBOUNDED,
+    annulus,
     build_space,
     rips_components,
 )
 from naivea.tailor import (
-    _annulus,
     annulus_points,
     classify,
     prepare,
@@ -47,7 +47,7 @@ def test_classify_small_vs_large():
     assert small.components[0].markers == ()
     large, _ = classify(unit_line(60), rips_components(unit_line(60), 2), SMALL_PARAMS)
     assert large.components[0].cls == CLS_BOUNDED_LARGE
-    assert _annulus(unit_line(60), SMALL_PARAMS) == (42, 54)
+    assert annulus(unit_line(60), SMALL_PARAMS.S, SMALL_PARAMS.N) == (42, 54)
     assert len(large.components[0].markers) == SMALL_PARAMS.N
 
 

@@ -1,18 +1,22 @@
 """Independent re-checking of outputs and the exhaustive flow monitor."""
 from __future__ import annotations
 
+import ast
 import io
 import json
 from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import FlowSuiteSpec, flow_monitor
 from test_e2e import LONG_LINE_DOC, documents
 from test_trees import clustered_spaces
 
+import naivea
 from naivea.chains import INFINITE, format_ratio, qualifying_pairs, set_ratio
 from naivea.cli import main
 from naivea.errors import MalformedInputError, UnknownPointError
@@ -24,16 +28,9 @@ from naivea.instance_io import (
     read_json,
     write_canonical,
 )
-from naivea.space import build_space
-from naivea.tailor import prepare, run_pipeline
-from naivea.verify import (
-    FlowSuiteSpec,
-    VerifyReport,
-    first_divergence,
-    flow_monitor,
-    verify_certificate,
-    verify_naive,
-)
+from naivea.space import build_space, component_cases
+from naivea.tailor import admit, prepare, run_pipeline
+from naivea.verify import VerifyReport, first_divergence, verify_certificate, verify_naive
 
 
 def test_verify_naive_pass_and_fail(l10):
@@ -147,12 +144,14 @@ def pipeline_doc(space, family, params):
 
 
 def check_certificate(space, family, params, doc):
-    prep = prepare(space, family, params.R, params.epsilon, params.S)
-    pairs = [(x, y) for x, y, _ in prep.report.pairs]
+    report, decomp = admit(space, family, params.R, params.epsilon, params.S)
+    kinds, _, _ = component_cases(space, decomp, report.params.S, report.params.N)
+    pairs = [(x, y) for x, y, _ in report.pairs]
     naive = verify_naive(
         space, parse_subsets(doc["subsets"]), pairs, params.epsilon, tail_spacing=params.S
     )
-    return verify_certificate(prep, naive, doc["certificate"])
+    cases = {x: kinds[i] for x, i in decomp.owner.items()}
+    return verify_certificate(report, cases, naive, doc["certificate"])
 
 
 def test_verify_certificate_round_trip():
@@ -185,6 +184,29 @@ def test_verify_certificate_recompute_failure():
     report = check_certificate(space, family, strict, doc)
     assert not report.ok
     assert report.violations[0]["condition"] == "recompute_failed"
+
+
+def package_imports(module) -> set:
+    """The naivea modules that ``module``'s source imports, at any depth."""
+    tree = ast.parse((Path(naivea.__file__).parent / module).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("naivea."):
+            names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names if a.name.startswith("naivea."))
+    return names
+
+
+def test_checker_shares_no_producer_stage():
+    """The checker is smaller than what it checks: verify.py imports
+    nothing of the flow, the tailoring or the tails, and instance_io, which
+    holds the certificate, nothing of the tailoring."""
+    assert package_imports("verify.py").isdisjoint({"flow", "tailor", "augment"})
+    assert "tailor" not in package_imports("instance_io.py")
+    assert {"chains", "instance_io"} <= package_imports("verify.py")  # the scan sees imports
 
 
 def test_flow_monitor_small_suite():
