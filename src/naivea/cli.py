@@ -117,8 +117,10 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     instance = _load(args.instance)
-    subsets_raw, certificate_raw = load_output(args.output)
-    subsets = parse_subsets(subsets_raw)
+    # the subsets are built from the instance's own ids as the file is
+    # decoded; rebinding drops the loaded map once parse_subsets is done
+    subsets, certificate_raw = load_output(args.output, instance.space.points)
+    subsets = parse_subsets(subsets)
     # no stage of run past admission and Rips: the cases come from the space,
     # and a tail may hang only at the end of a ray that component_cases
     # accepts, whatever the file's labels say

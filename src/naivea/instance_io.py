@@ -30,6 +30,14 @@ against the previous array. Any error that more text cannot mend makes the
 decoder decode the whole text again with ``json.loads``, so every error
 raised is the stdlib's own. A pipe cannot be read twice, so the decoder
 holds a pipe's bytes for that.
+
+``verify`` gives ``load_output`` the instance's points, and the decoder then
+builds each subset while it decodes it: a member list of ``"subsets"`` whose
+members are distinct ids of the instance, or tail points at them, becomes
+at once the frozenset of the instance's own id objects, so the decoded
+strings are freed and the subsets are never held twice. Equal sets share one
+frozenset. Any other list stays a list, and ``parse_subsets`` decides it as
+it always has, so every error, and the order of errors, is unchanged.
 """
 from __future__ import annotations
 
@@ -210,7 +218,7 @@ def _skip(read, s, end):
     return s, end
 
 
-def _object(read, s, end, scan, top):
+def _object(read, s, end, scan, top, make=None):
     """The object whose ``{`` is ``s[end - 1]``, decoded member by member from
     the window ``s`` and then ``read``, with the window that holds the text
     past its ``}`` and the index there.
@@ -218,7 +226,9 @@ def _object(read, s, end, scan, top):
     Each member value is decoded whole with ``scan``, except that a value of
     the top object that is an object is decoded here too, and that below the
     top an array whose text repeats the previous array's text is that
-    array's list object again (exact, as an array is self-delimiting). A
+    array's value again (exact, as an array is self-delimiting). The top
+    object hands ``make`` to its ``"subsets"`` member; below the top, each
+    array decoded is replaced by ``make(array)`` when ``make`` is given. A
     member counts only once its ``,`` or ``}`` is in the window, since a
     number at the window's end may go on. Until then the window drops the
     text before the member, takes in at least as much again as it keeps (so
@@ -248,7 +258,8 @@ def _object(read, s, end, scan, top):
             end = match(s, end + 1).end()
             if top and s[end] == "{":
                 mark = None  # the window moves on; nothing here is read again
-                value, s, end = _object(read, s, end + 1, scan, False)
+                value, s, end = _object(
+                    read, s, end + 1, scan, False, make if key == "subsets" else None)
                 s, end = _skip(read, s, end)
             elif last_text is not None and s.startswith(last_text, end):
                 value, end = last, end + len(last_text)
@@ -256,6 +267,8 @@ def _object(read, s, end, scan, top):
                 start = end
                 value, end = scan(s, end)
                 if type(value) is list and not top:
+                    if make is not None:
+                        value = make(value)
                     last_text, last = s[start:end], value
             c = s[end]
             if c in WHITESPACE_STR:
@@ -290,13 +303,49 @@ def _object(read, s, end, scan, top):
             s, end = "".join(pieces), 0
 
 
-def decode_output(fh):
+def _subset_maker(points):
+    """The function that ``decode_output`` applies to each member list of
+    ``"subsets"``. A list of distinct members, each an id of ``points`` or a
+    tail point ``parse_aug`` reads at one, becomes their frozenset, built
+    from the instance's own id objects, so the decoded strings are freed at
+    once; equal sets share the first such frozenset. Any other list is
+    returned as it stands, for ``parse_subsets`` to decide; this never
+    raises."""
+    ids = dict(zip(points, points))
+    made = {}
+
+    def member(m):
+        if "#" not in m:  # no point id holds a "#"
+            return ids[m]
+        anchor, index = parse_aug(m)
+        return ids[anchor], index
+
+    def make(members):
+        if not set(map(type, members)) <= _STR:
+            return members
+        try:
+            subset = frozenset(map(ids.__getitem__, members))
+        except KeyError:  # a tail point, or an unknown or malformed member
+            try:
+                subset = frozenset(map(member, members))
+            except (KeyError, MalformedInputError):
+                return members
+        if len(subset) != len(members):  # a duplicate
+            return members
+        return made.setdefault(subset, subset)
+
+    return make
+
+
+def decode_output(fh, points=None):
     """``json.load(fh)``, except that the text is read in windows of
     ``_WINDOW`` characters and dropped once decoded, and that in each object
     one level below the top an array that repeats the previous array's text
-    shares its list object (``_object``). Any failure decodes the whole text
-    again with ``json.loads``, so every error raised is the stdlib's own,
-    positions included."""
+    shares its list object (``_object``). Given the instance's ``points``,
+    each member list of ``"subsets"`` that names distinct points, or tail
+    points at them, is decoded as their frozenset (``_subset_maker``). Any failure decodes the
+    whole text again with ``json.loads``, so every error raised is the
+    stdlib's own, positions included, and every list stays a list."""
     if not fh.seekable():
         # a pipe cannot be read again: hold its bytes for the failure path
         fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8")
@@ -304,7 +353,8 @@ def decode_output(fh):
     try:
         s, end = _skip(read, "", 0)
         if s.startswith("{", end):
-            doc, s, end = _object(read, s, end + 1, json.JSONDecoder().scan_once, True)
+            doc, s, end = _object(read, s, end + 1, json.JSONDecoder().scan_once, True,
+                                  None if points is None else _subset_maker(points))
             s, end = _skip(read, s, end)
             if end == len(s):
                 return doc
@@ -502,8 +552,14 @@ def output_to_jsonable(subsets: dict, certificate: Certificate) -> dict:
     }
 
 
-def load_output(path) -> tuple[dict, dict]:
-    doc = _read_document(path, decode_output)
+def load_output(path, points=None) -> tuple[dict, dict]:
+    """The output's subsets and certificate, checked for shape. Given the
+    instance's ``points``, as ``verify`` gives them, each member list of
+    distinct known points, or tail points at them, comes back as a frozenset
+    built from the instance's own id objects as it is decoded
+    (``decode_output``); every other member list comes back as a list, for
+    ``parse_subsets``."""
+    doc = _read_document(path, functools.partial(decode_output, points=points))
     if not isinstance(doc, dict):
         raise MalformedInputError("output document must be a JSON object")
     subsets = _require(doc, "subsets", "output")
@@ -539,10 +595,11 @@ def _parse_members(members) -> frozenset:
 def parse_subsets(raw) -> dict:
     """Decode the serialized subsets into frozensets of augmented points.
 
-    Points whose member lists are equal get one shared frozenset, so a pair
-    of them is ``A is B`` in ``set_ratio``. A list object that recurs (as
-    ``load_output`` returns a repeated list) is looked up by its id before
-    its content.
+    A frozenset, which ``load_output`` builds while decoding, passes through
+    as it stands. Points whose member lists are equal get one shared
+    frozenset, so a pair of them is ``A is B`` in ``set_ratio``. A list
+    object that recurs (as ``load_output`` returns a repeated list) is looked
+    up by its id before its content.
     """
     out = {}
     # id of a member list -> its frozenset; every list stays alive in raw
@@ -551,6 +608,9 @@ def parse_subsets(raw) -> dict:
     # so no list is copied into a key that outlives its point
     shared = {}
     for x, members in raw.items():
+        if type(members) is frozenset:
+            out[x] = members
+            continue
         parsed = by_id.get(id(members))
         if parsed is not None:
             out[x] = parsed

@@ -25,6 +25,7 @@ from .chains import (
     Ratios,
     case_bounds,
     check_instance,
+    l1_norm,
     set_terms,
 )
 # Not called here: perfbench/layers.py looks these names up in this module.
@@ -226,6 +227,15 @@ def run_pipeline(prep: Prepared):
             reach = max(reach, k * dist(x, comp.anchor) + top * aug.step)
         if reach > bounds["case1"]:
             raise InternalInvariantError(f"stabilized support of {x!r} escaped the radius bound")
+        # each point fires at most once and each hop is at most S, so the
+        # support lies within ||a_x||_1 hops of supp(a_x), itself within S of x
+        mass = l1_norm(chains[x])
+        if top > mass:
+            raise InternalInvariantError(f"tail index beyond ||a_x||_1 in the support of {x!r}")
+        if reach > aug.step * (1 + mass):
+            raise InternalInvariantError(
+                f"stabilized support of {x!r} reaches past S(1 + ||a_x||_1)"
+            )
         subset = tailor_subset(comp, support)
         # in cases 1 and 3a the subset is the support itself, so its reach is the radius
         if comp.cls == CLS_UNBOUNDED:

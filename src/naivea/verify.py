@@ -3,8 +3,10 @@
 verify_naive re-derives the ratio of every qualifying pair it is given
 (admission's, which come from the space alone) and the support radius from
 the space and the proposed subsets alone. It checks each distinct subset
-object once (points with equal member lists share one, see
-``parse_subsets``); a shared subset's radius at a point is one
+object once (points with equal members share one, which ``verify`` builds
+from the instance's ids while ``load_output`` decodes the file, see
+``parse_subsets``), and keeps a subset's split only when two or more
+points hold it; a shared subset's radius at a point is one
 ``metric.eccentricity`` over its base members, and a subset held by one
 point is measured member by member.
 As in ``chains``, a ratio is an int pair, (s, i) = (|A ^ B|, |A & B|) for
@@ -156,7 +158,9 @@ def verify_naive(
         A = subsets[x]
         part = parts.get(id(A))
         if part is None:
-            part = parts[id(A)] = _split(space, hint_anchors, spacing, A)
+            part = _split(space, hint_anchors, spacing, A)
+            if holders[id(A)] > 1:  # only a shared split is read again
+                parts[id(A)] = part
         base, tails = part
         if not base:
             d = 0

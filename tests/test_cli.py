@@ -264,6 +264,51 @@ def test_verify_rejects_malformed_certificate_fields(tmp_path, capsys):
         assert captured.err == f"error: certificate field {field!r} must be {shape}\n"
 
 
+def _append(member):
+    return lambda members: members.append(member)
+
+
+# each edit of one subset list, and the first line verify prints on stderr
+MALFORMED_SUBSETS = {
+    "unknown id": (_append("zz"), "subset contains unknown point 'zz'"),
+    "duplicate": (lambda m: m.insert(1, m[0]), "subset for 'p03' has duplicate members"),
+    "bad tail anchor": (_append("p05#1"), "subset contains unknown tail anchor 'p05'"),
+    "unknown tail anchor": (_append("zz#1"), "subset contains unknown tail anchor 'zz'"),
+    "bad tail index": (_append("p19#01"), "bad augmented point 'p19#01'"),
+    "non-str member": (_append(5), "bad augmented point 5"),
+    "list member": (_append(["p01"]), "bad augmented point ['p01']"),
+    "non-list subset": (None, "subset for 'p03' must be a list"),
+}
+
+
+def test_verify_reports_malformed_subsets(tmp_path, capsys):
+    """Each malformed subset exits 2 with its own error, and a missing
+    certificate field is still reported before any subset: building the
+    subsets while the output is decoded changes neither."""
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert run_cli(
+        "generate", "line", "--count", "20", "--radii", "2,1", "--unbounded",
+        "--out", str(inst),
+    ) == 0
+    assert run_cli("run", str(inst), "--out", str(out)) == 0
+    bad = tmp_path / "bad.json"
+    for name, (edit, message) in MALFORMED_SUBSETS.items():
+        for missing in (None, "worst_ratio"):
+            doc = read_json(out)
+            if edit is None:
+                doc["subsets"]["p03"] = "p03"
+            else:
+                edit(doc["subsets"]["p03"])
+            if missing:
+                del doc["certificate"][missing]
+                message = f"certificate is missing the {missing!r} field"
+            write_canonical(bad, doc)
+            capsys.readouterr()
+            assert run_cli("verify", str(inst), str(bad)) == 2, (name, missing)
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n"), (name, missing)
+
+
 def test_large_matrix_warns_that_the_triangle_check_was_skipped(tmp_path, capsys):
     # the same 201-point unit line as a matrix and as positions: only stderr differs
     ids = [f"m{i:03d}" for i in range(201)]

@@ -735,3 +735,78 @@ def test_load_output_keeps_one_str_per_point(case_2_files, tmp_path):
         "  {'condition': 'certificate_mismatch', 'field': 'certificate.radii.u0p0'}\n",
         "",
     )
+
+
+@pytest.fixture(scope="module")
+def ray_files(tmp_path_factory):
+    """A case-1 line and its output, with tail points at the ray's end p19."""
+    root = tmp_path_factory.mktemp("ray")
+    inst, out = root / "inst.json", root / "out.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "line", "--count", "20", "--radii", "2,1", "--unbounded",
+                     "--out", str(inst)]) == 0
+        assert main(["run", str(inst), "--out", str(out)]) == 0
+    return inst, out
+
+
+def test_verify_builds_subsets_from_the_instance_ids(ray_files, monkeypatch):
+    """Every member `verify` checks, base point or tail anchor, is the loaded
+    instance's own id object, not a string decoded from the output."""
+    from naivea import cli
+
+    inst, out = ray_files
+    seen = {}
+
+    def spy(name):
+        original = getattr(cli, name)
+
+        def call(arg):
+            seen[name] = original(arg)
+            return seen[name]
+
+        return call
+
+    for name in ("load_instance", "parse_subsets"):
+        monkeypatch.setattr(cli, name, spy(name))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", str(inst), str(out)]) == 0
+    ids = {p: p for p in seen["load_instance"].space.points}
+    tails = 0
+    for subset in seen["parse_subsets"].values():
+        for p in subset:
+            if isinstance(p, tuple):
+                tails += 1
+                p = p[0]
+            assert ids[p] is p, p
+    assert tails
+
+
+def test_equal_subsets_share_one_frozenset_apart(ray_files, tmp_path):
+    """Equal member lists that are not consecutive decode as one frozenset,
+    with tail points or without."""
+    inst, out = ray_files
+    doc = read_json(out)
+    doc["subsets"]["p02"] = list(doc["subsets"]["p00"])
+    doc["subsets"]["p17"] = list(doc["subsets"]["p19"])
+    edited = tmp_path / "edited.json"
+    write_canonical(edited, doc)
+    subsets, _ = load_output(edited, load_instance(inst).space.points)
+    assert subsets["p00"] is subsets["p02"] is not subsets["p01"]
+    assert subsets["p17"] is subsets["p19"] is not subsets["p18"]
+    assert subsets["p19"] == {"p17", "p18", "p19", ("p19", 1), ("p19", 2)}
+    assert parse_subsets(subsets) == subsets
+    # without the instance's points every subset stays a list
+    subsets, _ = load_output(edited)
+    assert set(map(type, subsets.values())) == {list}
+
+
+def test_subsets_that_stay_lists(ray_files):
+    """A member list the decoder cannot take as it stands stays a list, for
+    parse_subsets to decide as it always did."""
+    points = load_instance(ray_files[0]).space.points
+    for members in (["p00", "zz"], ["p00", "p00"], ["p00", "zz#1"], ["p00", "p19#01"],
+                    ["p00", "p19#0"], ["p00", ""], ["p00", 5], ["p00", ["p01"]]):
+        text = json.dumps({"subsets": {"p00": members}})
+        assert decode_output(io.StringIO(text), points)["subsets"]["p00"] == members
+    text = json.dumps({"subsets": {"p00": "p00", "p01": {"p00": 1}}})
+    assert decode_output(io.StringIO(text), points) == json.loads(text)

@@ -81,6 +81,11 @@ def test_traced_cycle_reaches_every_count(layers, tmp_path):
     for stage in ("tailor.classify", "augment.augment", "flow.build"):
         assert ops["run"]["calls"][stage] == 1, stage
         assert ops["verify"]["calls"][stage] == 0, stage
+    # verify loads and parses the output once each, and builds its subsets
+    # while it decodes; run reads no output
+    for stage in ("instance_io.load_output", "instance_io.parse_subsets"):
+        assert ops["verify"]["calls"][stage] == 1, stage
+        assert ops["run"]["calls"][stage] == 0, stage
     # both halves of verify stay traced
     for half in ("verify.naive", "verify.certificate"):
         assert ops["verify"]["calls"][half] == 1, half

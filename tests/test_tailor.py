@@ -304,6 +304,56 @@ def test_pipeline_rejects_supports_outside_their_reach(monkeypatch, tmp_path, ca
         assert capsys.readouterr().err == f"internal invariant violated: {message}\n"
 
 
+def test_pipeline_holds_flowed_supports_to_the_flow_bound(monkeypatch, tmp_path, capsys):
+    """A flowed support lies within S(1 + ||a_x||_1) of x, with tail indices
+    at most ||a_x||_1: supports inside the case-1 bound S + S*L^2 but past
+    either of these are invariant failures (exit 4)."""
+    ids = [f"p{i:02d}" for i in range(60)]  # beyond the outer radius 54: BOUNDED_LARGE
+    doc = {
+        "space": {"points": ids,
+                  "metric": {"type": "positions", "values": {p: i for i, p in enumerate(ids)}}},
+        "params": {"R": "1/2", "epsilon": "1", "S": "2"},  # no pair is within R
+        "chains": {x: {x: 1} for x in ids},
+    }
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    write_canonical(inst, doc)
+    assert main(["run", str(inst), "--out", str(out)]) == 0
+    # each mass is 1, so the reach may be S(1 + 1) = 4 and a tail index 1,
+    # against a case-1 bound of 2 + 2 * 2^2 = 10 and N = 6
+
+    def five_on(chain):  # x and the point 5 from it: reach 5
+        i = ids.index(next(iter(chain)))
+        return {ids[i], ids[i + 5 if i + 5 < len(ids) else i - 5]}
+
+    def second_tail(chain):  # p00 and its anchor's second tail point: reach 4
+        x = next(iter(chain))
+        return {x, ("p00", 2)} if x == "p00" else {x}
+
+    for supports, message in [
+        (five_on, "stabilized support of 'p00' reaches past S(1 + ||a_x||_1)"),
+        (second_tail, "tail index beyond ||a_x||_1 in the support of 'p00'"),
+    ]:
+        monkeypatch.setattr(
+            "naivea.tailor.stabilize",
+            lambda flow, a, f=supports: (dict.fromkeys(f(a), 1), 0),
+        )
+        capsys.readouterr()
+        assert main(["run", str(inst), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"internal invariant violated: {message}\n"
+
+
+def test_repeated_radii_stay_within_the_flow_bound(tmp_path, capsys):
+    """Eight equal radii put a line's supports near S(1 + ||a_x||_1): its
+    largest radius, 256, is about 0.88 of that bound; run and verify pass."""
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert main(["generate", "line", "--count", "300", "--radii", "4,4,4,4,4,4,4,4",
+                 "--unbounded", "--R", "1", "--epsilon", "1", "--out", str(inst)]) == 0
+    assert main(["run", str(inst), "--out", str(out)]) == 0
+    assert "worst radius 256" in capsys.readouterr().out
+    assert main(["verify", str(inst), str(out)]) == 0
+    assert capsys.readouterr().out.endswith("certificate check: PASS\n")
+
+
 def test_pipeline_rejects_output_ratios_above_their_input(monkeypatch, tmp_path, capsys):
     """The pair check compares each output ratio with its input ratio: a
     stabilized support that leaves two neighbours disjoint (INF) or makes
