@@ -8,14 +8,14 @@ ones), so firing spreads any chain into a set indicator of the same mass.
 The tree is not searched here: it is ``Component.parent``, grown from the
 basepoint by ``space.rips_components`` or from the ray by ``tailor.classify``.
 
-``stabilize`` settles a chain in one deepest-first pass, firing each point at
-most once; the pipeline uses it. ``iterate`` fires every occupied point at
-once, step after step, and yields each step: ``trace`` and ``run --trace``
-watch it, and it is the reference ``stabilize`` is tested against.
+``stabilize`` settles a chain in one deepest-first pass, level by level with
+no heap, firing each point at most once; the pipeline uses it. ``iterate``
+fires every occupied point at once, step after step, and yields each step:
+``trace`` and ``run --trace`` watch it, and it is the reference
+``stabilize`` is tested against.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .augment import AugmentedSpace
@@ -156,44 +156,53 @@ def stabilize(flow: FlowMap, a) -> tuple[dict, int]:
     Bond & Levine, "Abelian networks I", SIAM J. Discrete Math. 2016): the
     stable indicator does not depend on the order in which points fire, so
     any order reaches the result of synchronous stepping. Points with excess
-    fire deepest first, bucketed by ``FlowMap.depth``. A point receives mass
-    only from points one level deeper, so it fires after all of them, once,
-    with everything it will ever hold.
+    fire level by level, deepest first, by ``FlowMap.depth``. A point
+    receives mass only from points one level deeper, so once a level has
+    fired, what the next level up holds is final: its points fire next, each
+    once, with everything it will ever hold. That list is the level's own
+    excess points of ``a`` followed by the points the firing pushed past one
+    unit, in the order they were pushed; when it is empty, the walk jumps to
+    the deepest level of ``a`` left. No heap is needed, since the levels are
+    visited in falling order.
 
     Firing bound: no point fires twice, so the points of supp(a) fire at most
     |supp(a)| times. A point outside supp(a) that fires keeps one unit of the
     excess, a different unit for each point, so at most ||a|| - |supp(a)| of
-    them fire. Hence firings <= ||a||_1, and more is a hard failure. The tail
-    cap is enforced by ``FlowMap.successor``, and the result always occupies
-    exactly ||a|| points.
+    them fire. Hence firings <= ||a||_1, and more is a hard failure. Base
+    successors are read from ``FlowMap.base_successor``; tail points, and any
+    point without one, go through ``FlowMap.successor``, which enforces the
+    tail cap. The result always occupies exactly ||a|| points.
     """
     mass = l1_norm(a)
-    depth, succ = flow.depth, flow.successor
+    depth, base, succ = flow.depth, flow.base_successor, flow.successor
     held = dict(a)
-    levels = {}  # depth -> the points there that hold more than one unit
+    levels = {}  # depth -> the points of a there that hold more than one unit
     for p, v in a.items():
         if v > 1:
             d = -p[1] if isinstance(p, tuple) else depth.get(p)
             if d is None:
                 raise InternalInvariantError(f"no successor defined for {p!r}")
             levels.setdefault(d, []).append(p)
-    heap = [-d for d in levels]
-    heapq.heapify(heap)
     firings = 0
-    while heap:
-        d = -heapq.heappop(heap)
-        for p in levels.pop(d):
-            q = succ(p)
+    d = max(levels, default=0)
+    fire = levels.pop(d, None)
+    while fire:
+        firings += len(fire)
+        d -= 1
+        rising = levels.pop(d, [])  # the next level up, final once this one fired
+        for p in fire:
+            q = base.get(p)
+            if q is None:
+                q = succ(p)
             before = held.get(q, 0)
             after = held[q] = before + held[p] - 1
             held[p] = 1
-            firings += 1
-            if before <= 1 < after:  # q, one level shallower, is not queued yet
-                if d - 1 in levels:
-                    levels[d - 1].append(q)
-                else:
-                    levels[d - 1] = [q]
-                    heapq.heappush(heap, 1 - d)
+            if before <= 1 < after:
+                rising.append(q)
+        if not rising and levels:
+            d = max(levels)
+            rising = levels.pop(d)
+        fire = rising
     if firings > mass:
         raise InternalInvariantError(f"flow fired {firings} times, more than its mass {mass}")
     if len(held) != mass:

@@ -22,8 +22,15 @@ Each backend's ``eccentricity(x, points)`` is the int ``max(dist(x, p) for p
 in points)`` without a ``dist`` call per point: one row maximum on a matrix
 or graph, and on the line the farther of the two extreme positions, which are
 found once per points collection. A case-2 radius is such an eccentricity
-over the component. ``within(x, points, t)`` is ``eccentricity(x, points)
-<= t``, the support check of one chain (``chains.check_instance``); the
+over the component. ``farthest(x, points)`` is the same int with no memo:
+the line takes the two extreme positions of ``points`` afresh, and the graph
+settles the row of ``x`` only until every member is settled, as far as a
+``dist`` call per member would. Use ``eccentricity`` for one collection
+measured from many points (a component), and ``farthest`` for one measured
+from a single point (a flowed support, or a subset that one point holds),
+where a kept extent would never be read again and a whole graph row would be
+settled for nothing. ``within(x, points, t)`` is ``farthest(x, points) <=
+t``, the support check of one chain (``chains.check_instance``); the
 graph backend settles the row of ``x`` only as far as ``t`` for it.
 
 The graph backend settles each source's Dijkstra only as far as the queries
@@ -79,12 +86,14 @@ class MatrixMetric:
     def dist(self, x, y) -> int:
         return self.rows[x][y]
 
-    def eccentricity(self, x, points) -> int:
+    def farthest(self, x, points) -> int:
         row = self.rows[x]
         return max(map(row.__getitem__, points))
 
+    eccentricity = farthest  # a matrix row is whole already: nothing to keep
+
     def within(self, x, points, t) -> bool:
-        return self.eccentricity(x, points) <= t
+        return self.farthest(x, points) <= t
 
     def neighbors_within(self, x, r):
         t = floor_units(r, self.denominator)
@@ -140,8 +149,9 @@ class GraphMetric:
     Weights are ints in units of 1/denominator. Each source gets one
     resumable Dijkstra (``row``), which settles points only as far as the
     queries on it reach: a ball of radius r settles the points within r, a
-    distance settles up to its target, and an eccentricity settles the whole
-    row. On a space of bounded geometry most rows therefore stay a small ball.
+    distance settles up to its target, a farthest settles until all its
+    points are, and an eccentricity settles the whole row. On a space of
+    bounded geometry most rows therefore stay a small ball.
     """
 
     def __init__(self, adjacency: dict[str, list[tuple[str, int]]], denominator: int = 1):
@@ -162,6 +172,16 @@ class GraphMetric:
         if y not in settled:
             row.settle(target=y)
         return settled[y]
+
+    def farthest(self, x, points) -> int:
+        """Settles the row of ``x`` only until every one of ``points`` is,
+        which is as far as a ``dist`` call per point would settle it."""
+        row = self.row(x)
+        settled = row.settled
+        for p in points:
+            if p not in settled:
+                row.settle(target=p)
+        return max(map(settled.__getitem__, points))
 
     def eccentricity(self, x, points) -> int:
         row = self.row(x)
@@ -213,6 +233,11 @@ class PositionMetric:
     def dist(self, x, y) -> int:
         return abs(self.positions[x] - self.positions[y])
 
+    def farthest(self, x, points) -> int:
+        at = list(map(self.positions.__getitem__, points))
+        q = self.positions[x]
+        return max(q - min(at), max(at) - q)
+
     def eccentricity(self, x, points) -> int:
         extent = self._extents.get(id(points))
         if extent is None:
@@ -222,8 +247,7 @@ class PositionMetric:
         return max(q - extent[1], extent[2] - q)
 
     def within(self, x, points, t) -> bool:
-        q, at = self.positions[x], list(map(self.positions.__getitem__, points))
-        return q - t <= min(at) and max(at) <= q + t
+        return self.farthest(x, points) <= t
 
     def neighbors_within(self, x, r):
         t = floor_units(r, self.denominator)
@@ -396,11 +420,13 @@ def _build_graph(point_set, edges):
     return metric
 
 
-def _build_positions(point_set, values):
+def _build_positions(points, values):
+    """Positions of ``points``, read in the order given, so an error names
+    the first point (in sorted order, the smallest) without a valid one."""
     if not isinstance(values, dict):
         raise MalformedInputError(f"positions must map point ids to rationals, got {values!r}")
     parsed = {}
-    for p in point_set:
+    for p in points:
         if p not in values:
             raise MalformedInputError(f"no position for point {p!r}")
         parsed[p] = parse_rational(values[p])
@@ -426,7 +452,7 @@ def build_space(points, metric_source, hints=()) -> Space:
     elif kind == "graph":
         metric = _build_graph(set(sorted_points), metric_source.get("edges", []))
     elif kind == "positions":
-        metric = _build_positions(set(sorted_points), metric_source.get("values", {}))
+        metric = _build_positions(sorted_points, metric_source.get("values", {}))
     else:
         raise MalformedInputError(f"unknown metric type {kind!r}")
     parsed_hints = parse_hints(hints, set(sorted_points))

@@ -196,7 +196,8 @@ def run_pipeline(prep: Prepared):
     decomp, aug, bounds = prep.decomposition, prep.aug, prep.bounds
     space = aug.space
     # distances below are ints in units of 1/aug.unit; base ones count k times
-    dist, eccentricity, k = space.metric.dist, space.metric.eccentricity, aug.k
+    metric, k = space.metric, aug.k
+    dist, eccentricity, farthest = metric.dist, metric.eccentricity, metric.farthest
     locality = aug.step + 2 * N * aug.step
     owner = decomp.owner
     chains = prep.family.chains
@@ -208,27 +209,22 @@ def run_pipeline(prep: Prepared):
         if comp.cls == CLS_BOUNDED_SMALL:
             # the subset is the component, with no tail points
             return "2", comp.point_set, k * eccentricity(x, comp.points), bounds["case2"]
-        support = set(stabilize(prep.flow_map, chains[x])[0])
-        far = 0  # the largest base distance from x to a base point of the support
+        support = frozenset(stabilize(prep.flow_map, chains[x])[0])
+        base = support & comp.point_set
         top = 0  # the largest tail index in the support
-        for p in support:
-            if isinstance(p, tuple):
-                if p[0] != comp.anchor:
-                    raise InternalInvariantError(f"flow left the component at {x!r}")
-                if not 1 <= p[1] <= N:
-                    raise InternalInvariantError(f"tail index beyond N in the support of {x!r}")
-                top = max(top, p[1])
-            elif owner.get(p) != comp.index:
+        for p in support - base:  # tail points, or points of another component
+            if not isinstance(p, tuple) or p[0] != comp.anchor:
                 raise InternalInvariantError(f"flow left the component at {x!r}")
-            else:
-                far = max(far, dist(x, p))
-        reach = k * far  # the largest distance from x to a support point
+            if not 1 <= p[1] <= N:
+                raise InternalInvariantError(f"tail index beyond N in the support of {x!r}")
+            top = max(top, p[1])
+        # the largest distance from x to a support point
+        reach = k * farthest(x, base) if base else 0
         if top:
             reach = max(reach, k * dist(x, comp.anchor) + top * aug.step)
-        if reach > bounds["case1"]:
-            raise InternalInvariantError(f"stabilized support of {x!r} escaped the radius bound")
         # each point fires at most once and each hop is at most S, so the
-        # support lies within ||a_x||_1 hops of supp(a_x), itself within S of x
+        # support lies within ||a_x||_1 hops of supp(a_x), itself within S of
+        # x; with L = 1 + max ||a_x||_1 this also keeps it within S + S*L^2
         mass = l1_norm(chains[x])
         if top > mass:
             raise InternalInvariantError(f"tail index beyond ||a_x||_1 in the support of {x!r}")

@@ -6,9 +6,11 @@ the space and the proposed subsets alone. It checks each distinct subset
 object once (points with equal members share one, which ``verify`` builds
 from the instance's ids while ``load_output`` decodes the file, see
 ``parse_subsets``), and keeps a subset's split only when two or more
-points hold it; a shared subset's radius at a point is one
-``metric.eccentricity`` over its base members, and a subset held by one
-point is measured member by member.
+points hold it. The split checks only the members outside the space, in
+sorted order, so a bad member is named the same whatever the hash seed.
+A shared subset's radius at a point is one ``metric.eccentricity`` over its
+base members, and a subset held by one point takes one ``metric.farthest``
+over them, not a distance per member.
 As in ``chains``, a ratio is an int pair, (s, i) = (|A ^ B|, |A & B|) for
 two subsets; every verdict (a ratio against epsilon, or an output ratio
 against its input ratio) is a cross-multiplication of ints, and each call
@@ -69,21 +71,35 @@ def _tail_member(space, hint_anchors, spacing, p):
     return anchor, index
 
 
+def _member_key(p):
+    """``augment.aug_sort_key`` (kept apart, since the checker imports
+    nothing of the tails): each base id, then the tail points at it by index."""
+    if isinstance(p, tuple):
+        return (p[0], 1, p[1])
+    return (p, 0, 0)
+
+
 def _split(space, hint_anchors, spacing, subset):
-    """Check every member of ``subset`` in its iteration order, so the first
-    bad one raises; return its base members and, per tail anchor, the
-    largest tail index."""
-    base, tails = [], {}
-    for p in subset:
-        if isinstance(p, tuple):
-            anchor, index = _tail_member(space, hint_anchors, spacing, p)
-            if index > tails.get(anchor, 0):
-                tails[anchor] = index
-        elif space.has(p):
-            base.append(p)
-        else:
+    """Return the base members of ``subset`` and, per tail anchor, the
+    largest tail index. A member of the space is never bad, so only the
+    others are checked, in ``_member_key`` order: the first bad one there
+    raises, whatever the hash seed (members that key cannot compare, which
+    ``parse_subsets`` never yields, go in ``repr`` order)."""
+    rest = subset - space.point_set
+    if not rest:
+        return subset, {}
+    try:
+        rest = sorted(rest, key=_member_key)
+    except TypeError:
+        rest = sorted(rest, key=repr)
+    tails = {}
+    for p in rest:
+        if not isinstance(p, tuple):
             raise UnknownPointError(f"subset contains unknown point {p!r}")
-    return base, tails
+        anchor, index = _tail_member(space, hint_anchors, spacing, p)
+        if index > tails.get(anchor, 0):
+            tails[anchor] = index
+    return subset & space.point_set, tails
 
 
 def _units(metric, spacing, k, x, p) -> int:
@@ -145,10 +161,9 @@ def verify_naive(
     if tail_spacing is not None:
         scaled = Fraction(tail_spacing) * D
         spacing, k = scaled.numerator, scaled.denominator
-    # each distinct subset object is checked and split once; a subset that
-    # several points share takes one eccentricity per point, while a subset
-    # held once keeps a dist per member (an eccentricity settles a whole
-    # graph row)
+    # each distinct subset object is checked and split once. A subset that
+    # several points share takes one eccentricity per point; one held once
+    # takes one farthest, which settles a graph row no further than its members
     metric = space.metric
     holders = Counter(id(subsets[x]) for x in space.points)
     parts = {}
@@ -167,7 +182,7 @@ def verify_naive(
         elif holders[id(A)] > 1:
             d = k * metric.eccentricity(x, base)
         else:
-            d = k * max(map(metric.dist, itertools.repeat(x), base))
+            d = k * metric.farthest(x, base)
         for anchor, index in tails.items():
             d = max(d, k * metric.dist(x, anchor) + index * spacing)
         radii[x] = d

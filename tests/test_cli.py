@@ -309,6 +309,44 @@ def test_verify_reports_malformed_subsets(tmp_path, capsys):
             assert (captured.out, captured.err) == ("", f"error: {message}\n"), (name, missing)
 
 
+def test_errors_do_not_depend_on_the_hash_seed(tmp_path):
+    """An input with several bad members names the same one in every
+    process: a subset with three tails at anchors that are not its ray's end
+    (set order), and a positions source that misses three points."""
+    inst, out, bad = tmp_path / "inst.json", tmp_path / "out.json", tmp_path / "bad.json"
+    assert run_cli(
+        "generate", "line", "--count", "20", "--radii", "2,1", "--unbounded",
+        "--out", str(inst),
+    ) == 0
+    assert run_cli("run", str(inst), "--out", str(out)) == 0
+    doc = read_json(out)
+    doc["subsets"]["p03"] += ["p05#1", "p06#1", "p07#1"]
+    write_canonical(bad, doc)
+    ids = [f"x{i:02d}" for i in range(12)]
+    gaps = tmp_path / "gaps.json"
+    write_canonical(gaps, {
+        "space": {"points": ids, "metric": {
+            "type": "positions",
+            "values": {p: i for i, p in enumerate(ids) if p not in ("x03", "x07", "x10")},
+        }},
+        "params": {"R": "1", "epsilon": "1", "S": "2"},
+        "chains": {x: {x: 1} for x in ids},
+    })
+    paths = (str(Path(naivea.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    for argv, message in (
+        (["verify", str(inst), str(bad)], "subset contains unknown tail anchor 'p05'"),
+        (["inspect", str(gaps)], "no position for point 'x03'"),
+    ):
+        seen = set()
+        for seed in ("0", "1", "5"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+                   "PYTHONHASHSEED": seed}
+            done = subprocess.run([sys.executable, "-m", "naivea.cli", *argv],
+                                  capture_output=True, env=env, timeout=120)
+            seen.add((done.returncode, done.stderr.decode()))
+        assert seen == {(2, f"error: {message}\n")}
+
+
 def test_large_matrix_warns_that_the_triangle_check_was_skipped(tmp_path, capsys):
     # the same 201-point unit line as a matrix and as positions: only stderr differs
     ids = [f"m{i:03d}" for i in range(201)]

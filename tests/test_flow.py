@@ -84,6 +84,32 @@ def test_iterate_yields_every_step_in_order():
         assert replay == chain
 
 
+# r anchors the tail; a and b share r as successor, and f hangs five levels deep
+TREE = {"r": ("r", 1), "a": "r", "b": "r", "c": "a", "d": "c", "e": "d", "f": "e"}
+
+
+def test_stabilize_walks_the_levels_once():
+    """Level by level: f fires alone at depth 5 and pushes nothing past one
+    unit, so the walk jumps the gap to c at depth 2; c tops up a, whose own
+    excess waits at depth 1 beside b's; a and b merge onto r, whose mass
+    runs down the tail. Seven firings, one per point, in that order."""
+    fm = FlowMap(base_successor=TREE, tail_cap=3)
+    assert fm.depth == {"r": 0, "a": 1, "b": 1, "c": 2, "d": 3, "e": 4, "f": 5}
+    a = {"f": 2, "c": 2, "a": 3, "b": 2}
+    final, firings = stabilize(fm, a)
+    assert list(final.items()) == [
+        ("f", 1), ("c", 1), ("a", 1), ("b", 1), ("e", 1),
+        ("r", 1), (("r", 1), 1), (("r", 2), 1), (("r", 3), 1),
+    ]
+    assert firings == 7
+    assert final == list(iterate(fm, a))[-1]
+    # the same walk one tail point short: the cap stops the last firing
+    with pytest.raises(InternalInvariantError, match="tail cap 2 at 'r'"):
+        stabilize(FlowMap(base_successor=TREE, tail_cap=2), a)
+    with pytest.raises(InternalInvariantError, match="no successor defined for 'z'"):
+        stabilize(fm, {"z": 2})
+
+
 chains_st = st.dictionaries(
     st.integers(min_value=0, max_value=8).map(lambda i: f"c{i}"),
     st.integers(min_value=1, max_value=4),

@@ -3,7 +3,8 @@
 Graph distances are checked against a Floyd-Warshall oracle, also while rows
 are only partly settled, and components on every backend against a union-find
 oracle, both written independently of the package.
-Each backend's ``eccentricity`` is checked against a maximum over ``dist``.
+Each backend's ``eccentricity`` and ``farthest`` are checked against a
+maximum over ``dist``.
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ from naivea.space import (
     CLS_UNBOUNDED,
     TRIANGLE_CHECK_LIMIT,
     Component,
+    GraphMetric,
+    PositionMetric,
     build_space,
     rips_components,
 )
@@ -340,6 +343,31 @@ def test_eccentricity_matches_brute_force(space, data):
             expected = max(metric.dist(x, p) for p in points)
             assert metric.eccentricity(x, points) == expected
             assert type(metric.eccentricity(x, points)) is int
+
+
+@settings(max_examples=150, deadline=None)
+@given(eccentricity_spaces, st.data())
+def test_farthest_matches_brute_force(space, data):
+    """farthest keeps no memo: the line keeps no extent, and a graph row is
+    settled exactly as far as one dist per member on a fresh metric."""
+    metric = space.metric
+    for _ in range(4):
+        x = data.draw(st.sampled_from(space.points))
+        points = data.draw(st.lists(st.sampled_from(space.points), min_size=1))
+        if data.draw(st.booleans()):
+            points = frozenset(points)
+        kept = len(metric._extents) if isinstance(metric, PositionMetric) else None
+        far = metric.farthest(x, points)
+        assert type(far) is int and far == max(metric.dist(x, p) for p in points)
+        if kept is not None:
+            assert len(metric._extents) == kept
+        if isinstance(metric, GraphMetric):
+            # the rebuilt spaces settle the same connectivity row; nothing else
+            one, two = (build_space(space.points, space.metric_spec).metric for _ in "12")
+            assert one.farthest(x, points) == far
+            for p in points:
+                two.dist(x, p)
+            assert list(one.row(x).settled) == list(two.row(x).settled)
 
 
 @st.composite

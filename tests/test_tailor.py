@@ -270,7 +270,7 @@ def test_pipeline_rejects_bad_instances(two):
 def test_pipeline_rejects_supports_outside_their_reach(monkeypatch, tmp_path, capsys):
     """Each support point is checked once, against x's own component: a base
     point of another component, a tail at another anchor, a tail index outside
-    1..N and a point beyond the case-1 bound are invariant failures (exit 4)."""
+    1..N and a point beyond S(1 + ||a_x||_1) are invariant failures (exit 4)."""
     ids = [f"p{i:02d}" for i in range(60)]  # beyond the outer radius 54: BOUNDED_LARGE
     values = {p: i for i, p in enumerate(ids)}
     values["q0"] = 100  # a second component, anchored at q0
@@ -286,13 +286,13 @@ def test_pipeline_rejects_supports_outside_their_reach(monkeypatch, tmp_path, ca
     prep = prepare(space, family, "1/2", 1, 2)
     N = prep.report.params.N
     assert main(["run", str(inst), "--out", str(out)]) == 0
-    # p00 is flowed first; the case-1 bound is 2 + 2 * L^2 = 10 with L = 2
+    # p00 is flowed first; its mass is 1, so its reach may be S(1 + 1) = 4
     for support, message in [
         ({"p00", "q0"}, "flow left the component at 'p00'"),
         ({"p00", ("q0", 1)}, "flow left the component at 'p00'"),
         ({"p00", ("p00", N + 1)}, "tail index beyond N in the support of 'p00'"),
         ({"p00", ("p00", 0)}, "tail index beyond N in the support of 'p00'"),
-        ({"p00", "p19"}, "stabilized support of 'p00' escaped the radius bound"),
+        ({"p00", "p19"}, "stabilized support of 'p00' reaches past S(1 + ||a_x||_1)"),
     ]:
         monkeypatch.setattr(
             "naivea.tailor.stabilize", lambda flow, a, s=support: (dict.fromkeys(s, 1), 0)

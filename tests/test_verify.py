@@ -17,6 +17,7 @@ from test_e2e import LONG_LINE_DOC, documents
 from test_trees import clustered_spaces
 
 import naivea
+from naivea.augment import aug_sort_key
 from naivea.chains import INFINITE, format_ratio, qualifying_pairs, set_ratio
 from naivea.cli import main
 from naivea.errors import MalformedInputError, UnknownPointError
@@ -91,6 +92,20 @@ def test_verify_naive_input_validation(l10):
     extra = dict(subsets, zzz={"p0"})
     with pytest.raises(UnknownPointError, match="subset for unknown point 'zzz'"):
         verify_naive(l10, extra, pairs, 1)
+
+
+def test_verify_naive_names_incomparable_members_in_repr_order(l10):
+    """Members whose sort keys cannot be compared (an int id beside a str
+    one, an int tail index beside a str one) still raise the input errors,
+    naming the first bad member in repr order, not a TypeError."""
+    subsets = {x: {x} for x in l10.points}
+    pairs = qualifying_pairs(l10, 1)
+    mixed = dict(subsets, p3={"p3", 0, "zz"})
+    with pytest.raises(UnknownPointError, match="unknown point 'zz'"):
+        verify_naive(l10, mixed, pairs, 100)
+    tails = dict(subsets, p3={"p3", ("p3", "x"), ("p3", 1)})
+    with pytest.raises(MalformedInputError, match=r"bad tail index in subset member \('p3', 'x'\)"):
+        verify_naive(l10, tails, pairs, 100, tail_spacing=Fraction(2))
 
 
 def test_first_divergence():
@@ -224,7 +239,8 @@ def test_flow_monitor_validation():
 
 def reference_naive(space, subsets, R, epsilon, tail_spacing=None, hint_anchors=None):
     """verify_naive with its radius pass as one check and one exact distance
-    per (point, member), in each subset's iteration order."""
+    per (point, member), in each subset's sorted order (``aug_sort_key``),
+    so an error names the first bad member there."""
     epsilon = Fraction(epsilon)
     pairs = qualifying_pairs(space, Fraction(R))
     ratios = [(x, y, set_ratio(subsets[x], subsets[y])) for x, y in pairs]
@@ -236,7 +252,7 @@ def reference_naive(space, subsets, R, epsilon, tail_spacing=None, hint_anchors=
     worst = max((r for *_, r in ratios if r != INFINITE), default=Fraction(0))
     radius = Fraction(0)
     for x in space.points:
-        for p in subsets[x]:
+        for p in sorted(subsets[x], key=aug_sort_key):
             if isinstance(p, tuple):
                 anchor, index = p
                 if tail_spacing is None:
