@@ -12,7 +12,7 @@ import sys
 
 from .augment import aug_sort_key, format_aug
 from .chains import format_ratio
-from .errors import InternalInvariantError, MalformedInputError, PreconditionError
+from .errors import InternalInvariantError, MalformedInputError, NaiveAError, PreconditionError
 from .flow import iterate
 from .generators import KINDS, SPACE_KINDS, gen_instance
 from .instance_io import (
@@ -85,10 +85,12 @@ def cmd_run(args) -> int:
     subsets, certificate = run_pipeline(prep)
     for warning in prep.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    # only --trace reads the preparation again, so the rest of it is freed
-    # before the output is serialized, which is when run's memory peaks
-    flow_map = prep.flow_map if args.trace else None
-    del prep
+    # only --trace reads the flow map and the chains again, so the rest of
+    # the preparation and of the instance, chains included, is freed before
+    # the output is serialized, which is when run's memory peaks
+    points = instance.space.points
+    flow_map, chains = (prep.flow_map, instance.family.chains) if args.trace else (None, None)
+    del prep, instance
     # imported at call time, so a tracer that wraps
     # instance_io.output_to_jsonable sees this call; do not hoist
     from .instance_io import output_to_jsonable
@@ -104,9 +106,8 @@ def cmd_run(args) -> int:
             os.remove(args.trace)
         raise
     if trace is not None:
-        chains = instance.family.chains
         with trace as fh:
-            for x in instance.space.points:
+            for x in points:
                 fh.writelines(f"{x} {line}\n" for line in _flow_lines(flow_map, chains[x]))
     print(
         f"wrote {args.out}: worst ratio {format_ratio(certificate.worst_ratio)}, "
@@ -117,25 +118,34 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     instance = _load(args.instance)
-    # the subsets are built from the instance's own ids as the file is
-    # decoded; rebinding drops the loaded map once parse_subsets is done
-    subsets, certificate_raw = load_output(args.output, instance.space.points)
-    subsets = parse_subsets(subsets)
+    space, params = instance.space, instance.params
     # no stage of run past admission and Rips: the cases come from the space,
     # and a tail may hang only at the end of a ray that component_cases
-    # accepts, whatever the file's labels say
-    params = instance.params
-    report, decomp = admit(instance.space, instance.family, params.R, params.epsilon, params.S)
-    kinds, rays, _ = component_cases(instance.space, decomp, report.params.S, report.params.N)
+    # accepts, whatever the file's labels say. Both run before the output is
+    # decoded, so the chains are freed first; an error from either is raised
+    # only once the output has been read, since the output's errors come first
+    held = None
+    try:
+        report, decomp = admit(space, instance.family, params.R, params.epsilon, params.S)
+        kinds, rays, _ = component_cases(space, decomp, report.params.S, report.params.N)
+        cases = {x: kinds[i] for x, i in decomp.owner.items()}
+    except NaiveAError as exc:
+        held = exc
+    del instance
+    # the subsets are built from the instance's own ids as the file is
+    # decoded; rebinding drops the loaded map once parse_subsets is done
+    subsets, certificate_raw = load_output(args.output, space.points)
+    subsets = parse_subsets(subsets)
+    if held is not None:
+        raise held
     naive = verify_naive(
-        instance.space,
+        space,
         subsets,
         [(x, y) for x, y, _ in report.pairs],
         params.epsilon,
         tail_spacing=params.S,
         hint_anchors={ray[-1] for ray in rays.values()},
     )
-    cases = {x: kinds[i] for x, i in decomp.owner.items()}
     cert = verify_certificate(report, cases, naive, certificate_raw)
     ok = naive.ok and cert.ok
     print(f"naive check: {'PASS' if naive.ok else 'FAIL'} {naive.stats}")

@@ -37,7 +37,14 @@ members are distinct ids of the instance, or tail points at them, becomes
 at once the frozenset of the instance's own id objects, so the decoded
 strings are freed and the subsets are never held twice. Equal sets share one
 frozenset. Any other list stays a list, and ``parse_subsets`` decides it as
-it always has, so every error, and the order of errors, is unchanged.
+it always has, so every error, and the order of errors, is unchanged. The
+certificate's ``"pairs"`` is then decoded row by row through the same
+window, and each row as the file writes it (keys ``input_ratio``,
+``output_ratio``, ``x``, ``y`` with str values, ``x`` and ``y`` ids of the
+instance) becomes the tuple of its values in that order, with the
+instance's own id objects and one shared str per distinct ratio text. Any
+other row stays the dict the stdlib makes, for ``verify_certificate`` to
+compare as it stands.
 """
 from __future__ import annotations
 
@@ -47,6 +54,7 @@ import io
 import itertools
 import json
 import os
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.decoder import WHITESPACE, WHITESPACE_STR, JSONDecodeError, scanstring
@@ -218,7 +226,65 @@ def _skip(read, s, end):
     return s, end
 
 
-def _object(read, s, end, scan, top, make=None):
+def _refill(read, s, mark, end, exc):
+    """The window to decode a member or element again from, once ``exc``
+    stopped its decode at ``s[end]``: the text from ``mark``, where it
+    starts, and at least as much again (so a long member is decoded a
+    logarithmic number of times) and, for an array or object the window cut,
+    more until a closing bracket comes in. A failure once the file has
+    ended, or well inside the window, is raised."""
+    # a cut string errs at its start, and a cut number, name or escape (at
+    # most "-Infinity") within a few characters of the window's end; any
+    # other error well before that end is in the text itself
+    at = exc.value if type(exc) is StopIteration else getattr(exc, "pos", len(s))
+    cut_string = getattr(exc, "msg", "").startswith("Unterminated string")
+    if mark is None or (at < len(s) - 16 and not cut_string):
+        raise exc
+    # an array or object that the window cut (its scan failed at s[end])
+    # cannot end before its closing bracket comes in
+    closer = {"[": "]", "{": "}"}.get(s[end:end + 1])
+    pieces = [s[mark:], read(max(_WINDOW, len(s) - mark))]
+    while closer and pieces[-1] and closer not in pieces[-1]:
+        pieces.append(read(_WINDOW))
+    if not pieces[1]:
+        raise exc
+    return "".join(pieces)
+
+
+def _array(read, s, end, scan):
+    """The array whose ``[`` is ``s[end - 1]``, decoded element by element,
+    each whole with ``scan``, from the window ``s`` and then ``read``, with
+    the window that holds the text past its ``]`` and the index there. An
+    element counts only once its ``,`` or ``]`` is in the window; until then
+    ``_refill`` gives the window it is decoded again from."""
+    match = WHITESPACE.match
+    out = []
+    close = "]"  # ']' may follow '[' at once, but not ','
+    while True:
+        mark = end
+        try:
+            end = match(s, end).end()
+            if s[end] == close:
+                return out, s, end + 1
+            value, end = scan(s, end)
+            c = s[end]
+            if c in WHITESPACE_STR:
+                end = match(s, end + 1).end()
+                c = s[end]
+            end += 1
+            if c == ",":
+                out.append(value)
+                close = ""
+            elif c == "]":
+                out.append(value)
+                return out, s, end
+            else:
+                raise JSONDecodeError("Expecting ',' delimiter", s, end - 1)
+        except (ValueError, IndexError, StopIteration) as exc:
+            s, end = _refill(read, s, mark, end, exc), 0
+
+
+def _object(read, s, end, scan, top, make=None, scan_row=None):
     """The object whose ``{`` is ``s[end - 1]``, decoded member by member from
     the window ``s`` and then ``read``, with the window that holds the text
     past its ``}`` and the index there.
@@ -227,15 +293,13 @@ def _object(read, s, end, scan, top, make=None):
     the top object that is an object is decoded here too, and that below the
     top an array whose text repeats the previous array's text is that
     array's value again (exact, as an array is self-delimiting). The top
-    object hands ``make`` to its ``"subsets"`` member; below the top, each
-    array decoded is replaced by ``make(array)`` when ``make`` is given. A
-    member counts only once its ``,`` or ``}`` is in the window, since a
-    number at the window's end may go on. Until then the window drops the
-    text before the member, takes in at least as much again as it keeps (so
-    a long member is decoded a logarithmic number of times) and, for an
-    array or object the window cut, more until it reads a closing bracket,
-    and the member is decoded again. A failure once the file has ended, or
-    well inside the window, is raised.
+    object hands ``make`` to its ``"subsets"`` member and ``scan_row`` to its
+    ``"certificate"`` member; below the top, each array decoded is replaced
+    by ``make(array)`` when ``make`` is given, and a ``"pairs"`` array is
+    decoded element by element with ``scan_row`` (``_array``) when that is
+    given. A member counts only once its ``,`` or ``}`` is in the window,
+    since a number at the window's end may go on. Until then ``_refill``
+    gives the window the member is decoded again from.
     """
     match = WHITESPACE.match
     obj = {}
@@ -259,7 +323,12 @@ def _object(read, s, end, scan, top, make=None):
             if top and s[end] == "{":
                 mark = None  # the window moves on; nothing here is read again
                 value, s, end = _object(
-                    read, s, end + 1, scan, False, make if key == "subsets" else None)
+                    read, s, end + 1, scan, False, make if key == "subsets" else None,
+                    scan_row if key == "certificate" else None)
+                s, end = _skip(read, s, end)
+            elif scan_row is not None and not top and key == "pairs" and s[end] == "[":
+                mark = None
+                value, s, end = _array(read, s, end + 1, scan_row)
                 s, end = _skip(read, s, end)
             elif last_text is not None and s.startswith(last_text, end):
                 value, end = last, end + len(last_text)
@@ -284,33 +353,37 @@ def _object(read, s, end, scan, top, make=None):
             else:
                 raise JSONDecodeError("Expecting ',' delimiter", s, end - 1)
         except (ValueError, IndexError, StopIteration) as exc:
-            # a cut string errs at its start, and a cut number, name or
-            # escape (at most "-Infinity") within a few characters of the
-            # window's end; any other error well before that end is in the
-            # text itself
-            at = exc.value if type(exc) is StopIteration else getattr(exc, "pos", len(s))
-            cut_string = getattr(exc, "msg", "").startswith("Unterminated string")
-            if mark is None or (at < len(s) - 16 and not cut_string):
-                raise
-            # an array or object that the window cut (its scan failed at
-            # s[end]) cannot end before its closing bracket comes in
-            closer = {"[": "]", "{": "}"}.get(s[end:end + 1])
-            pieces = [s[mark:], read(max(_WINDOW, len(s) - mark))]
-            while closer and pieces[-1] and closer not in pieces[-1]:
-                pieces.append(read(_WINDOW))
-            if not pieces[1]:
-                raise
-            s, end = "".join(pieces), 0
+            s, end = _refill(read, s, mark, end, exc), 0
 
 
-def _subset_maker(points):
-    """The function that ``decode_output`` applies to each member list of
-    ``"subsets"``. A list of distinct members, each an id of ``points`` or a
-    tail point ``parse_aug`` reads at one, becomes their frozenset, built
-    from the instance's own id objects, so the decoded strings are freed at
-    once; equal sets share the first such frozenset. Any other list is
-    returned as it stands, for ``parse_subsets`` to decide; this never
-    raises."""
+# the keys of a certificate's pair row, in the order a canonical file lists them
+PAIR_KEYS = ("input_ratio", "output_ratio", "x", "y")
+# the text of a pair row with exactly those keys, in that order and each
+# once, JSON whitespace around them, and a string for each value
+_WS = WHITESPACE.pattern
+_match_row = re.compile(r"\{%s\}" % ",".join(
+    rf'{_WS}"{key}"{_WS}:{_WS}"([^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*)"{_WS}'
+    for key in PAIR_KEYS)).match
+
+
+def _makers(points, scan):
+    """What ``decode_output`` applies given the instance's ``points``: a
+    function to each member list of ``"subsets"``, and a scanner, in place
+    of ``scan``, to each row of the certificate's ``"pairs"``. Neither ever
+    raises where ``scan`` would not.
+
+    A member list of distinct members, each an id of ``points`` or a tail
+    point ``parse_aug`` reads at one, becomes their frozenset, built from the
+    instance's own id objects, so the decoded strings are freed at once;
+    equal sets share the first such frozenset. Any other list is returned as
+    it stands, for ``parse_subsets`` to decide.
+
+    A pair row whose keys are exactly ``PAIR_KEYS``, in that order and each
+    once, with string values and ``x`` and ``y`` ids of ``points``, is read
+    by one match of ``_match_row`` and becomes the tuple of its values in
+    that order: ``x`` and ``y`` are the instance's own id objects, and equal
+    ratio texts share one str. Any other row is decoded with ``scan``, so it
+    is the stdlib's own dict."""
     ids = dict(zip(points, points))
     made = {}
 
@@ -334,7 +407,20 @@ def _subset_maker(points):
             return members
         return made.setdefault(subset, subset)
 
-    return make
+    texts = {}
+
+    def scan_row(s, end):
+        m = _match_row(s, end)
+        if m is not None:
+            rin, rout, x, y = m.groups()
+            if "\\" in m.group():  # an escape: decode each value as the stdlib does
+                rin, rout, x, y = (scanstring(s, m.start(i))[0] for i in range(1, 5))
+            x, y = ids.get(x), ids.get(y)
+            if x is not None and y is not None:
+                return (texts.setdefault(rin, rin), texts.setdefault(rout, rout), x, y), m.end()
+        return scan(s, end)
+
+    return make, scan_row
 
 
 def decode_output(fh, points=None):
@@ -343,7 +429,9 @@ def decode_output(fh, points=None):
     one level below the top an array that repeats the previous array's text
     shares its list object (``_object``). Given the instance's ``points``,
     each member list of ``"subsets"`` that names distinct points, or tail
-    points at them, is decoded as their frozenset (``_subset_maker``). Any failure decodes the
+    points at them, is decoded as their frozenset, and the certificate's
+    ``"pairs"`` is decoded row by row, each canonical row as a tuple of its
+    values in ``PAIR_KEYS`` order (``_makers``). Any failure decodes the
     whole text again with ``json.loads``, so every error raised is the
     stdlib's own, positions included, and every list stays a list."""
     if not fh.seekable():
@@ -353,8 +441,9 @@ def decode_output(fh, points=None):
     try:
         s, end = _skip(read, "", 0)
         if s.startswith("{", end):
-            doc, s, end = _object(read, s, end + 1, json.JSONDecoder().scan_once, True,
-                                  None if points is None else _subset_maker(points))
+            scan = json.JSONDecoder().scan_once
+            makers = () if points is None else _makers(points, scan)
+            doc, s, end = _object(read, s, end + 1, scan, True, *makers)
             s, end = _skip(read, s, end)
             if end == len(s):
                 return doc
@@ -476,6 +565,20 @@ def instance_to_doc(space: Space, family: ChainFamily, params: InstanceParams) -
     return doc
 
 
+def ratio_texts():
+    """``format_ratio`` that formats each distinct ratio once, so equal
+    ratios share one str; INF is a float."""
+    texts = {}
+
+    def ratio(q):
+        key = q.as_integer_ratio() if isinstance(q, Fraction) else q
+        if key not in texts:
+            texts[key] = format_ratio(q)
+        return texts[key]
+
+    return ratio
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Radii and bounds are ints in units of 1/unit (the augmented space's);
@@ -498,14 +601,7 @@ class Certificate:
                 lengths[units] = format_rational(Fraction(units, self.unit))
             return lengths[units]
 
-        texts = {}  # each distinct ratio is formatted once; INF is a float
-
-        def ratio(q):
-            key = q.as_integer_ratio() if isinstance(q, Fraction) else q
-            if key not in texts:
-                texts[key] = format_ratio(q)
-            return texts[key]
-
+        ratio = ratio_texts()
         return {
             "params": {
                 "R": format_rational(self.params.R),
@@ -558,7 +654,10 @@ def load_output(path, points=None) -> tuple[dict, dict]:
     distinct known points, or tail points at them, comes back as a frozenset
     built from the instance's own id objects as it is decoded
     (``decode_output``); every other member list comes back as a list, for
-    ``parse_subsets``."""
+    ``parse_subsets``. The certificate's pair rows are then decoded row by
+    row too, and each canonical row comes back as the tuple of its values
+    in ``PAIR_KEYS`` order, for ``verify_certificate``; every other row
+    comes back as a dict."""
     doc = _read_document(path, functools.partial(decode_output, points=points))
     if not isinstance(doc, dict):
         raise MalformedInputError("output document must be a JSON object")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .augment import AugmentedSpace, augment
+from .augment import AugmentedSpace, aug_sort_key, augment
 from .chains import (
     ChainFamily,
     InstanceParams,
@@ -212,7 +212,9 @@ def run_pipeline(prep: Prepared):
         support = frozenset(stabilize(prep.flow_map, chains[x])[0])
         base = support & comp.point_set
         top = 0  # the largest tail index in the support
-        for p in support - base:  # tail points, or points of another component
+        # tail points, or points of another component; sorted, so the first
+        # bad one is named the same whatever the hash seed
+        for p in sorted(support - base, key=aug_sort_key):
             if not isinstance(p, tuple) or p[0] != comp.anchor:
                 raise InternalInvariantError(f"flow left the component at {x!r}")
             if not 1 <= p[1] <= N:

@@ -20,11 +20,14 @@ facts, admission's report, the case bounds and each point's case, as
 ``space.component_cases`` decides it from the space. It never classifies,
 augments or flows anything, and reads no label from the file: the
 certificate must equal the one the facts make, field by field and with the
-same JSON types (so the file's whitespace does not matter).
+same JSON types (so the file's whitespace does not matter). The facts'
+pair rows are never built as a list: the file's rows, which the decoder
+hands over as tuples in ``PAIR_KEYS`` order where it can, are compared one
+at a time with the rows admission's pairs and the set ratios make, and the
+first differing field is the one ``first_divergence`` would name.
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,7 +41,7 @@ from .errors import (
     PreconditionError,
     UnknownPointError,
 )
-from .instance_io import Certificate
+from .instance_io import PAIR_KEYS, Certificate, ratio_texts
 from .space import Space
 
 
@@ -224,21 +227,14 @@ def _all_str(values) -> bool:
     return set(map(type, values)) <= {str}
 
 
-def _str_dicts(items) -> bool:
-    """Whether ``items`` holds only dicts whose keys and values are exactly ``str``."""
-    pieces = itertools.chain.from_iterable(itertools.chain(items, map(dict.values, items)))
-    return set(map(type, items)) <= {dict} and _all_str(pieces)
-
-
 def first_divergence(a, b, path=""):
     """First differing field between two JSON-like trees, depth-first in
     sorted key order; None when equal.
 
     Equal dicts whose values are exactly ``str`` on both sides (a
-    certificate's cases, radii and bounds), and equal lists of dicts whose
-    keys and values are exactly ``str`` (its pairs), return None without a
-    walk. Anything else is walked, since ``==`` alone takes ``true`` for
-    ``1`` and ``39.0`` for ``39``."""
+    certificate's cases, radii and bounds) return None without a walk.
+    Anything else is walked, since ``==`` alone takes ``true`` for ``1``
+    and ``39.0`` for ``39``."""
     if type(a) is not type(b):
         return path or "<root>"
     if isinstance(a, dict):
@@ -253,8 +249,6 @@ def first_divergence(a, b, path=""):
                 return sub
         return None
     if isinstance(a, list):
-        if a == b and _str_dicts(a) and _str_dicts(b):
-            return None
         for i in range(min(len(a), len(b))):
             sub = first_divergence(a[i], b[i], f"{path}[{i}]")
             if sub is not None:
@@ -263,6 +257,48 @@ def first_divergence(a, b, path=""):
             return f"{path}[{min(len(a), len(b))}]"
         return None
     return None if a == b else (path or "<root>")
+
+
+def _pairs_divergence(rows, report: InstanceReport, naive, path):
+    """``first_divergence`` of the file's pair rows and the rows that
+    admission's pairs and the output's set ratios make, one row at a time.
+    A tuple row (the decoder's, in ``PAIR_KEYS`` order) is compared field by
+    field, and any other row against the expected row's dict."""
+    if type(rows) is not list:
+        return path
+    ratio = ratio_texts()
+    for i, (row, (x, y, rin), rout) in enumerate(zip(rows, report.pairs, naive.ratios)):
+        expected = (ratio(rin), ratio(rout), x, y)
+        if type(row) is tuple:
+            if row != expected:
+                return next(f"{path}[{i}].{key}"
+                            for key, a, b in zip(PAIR_KEYS, row, expected) if a != b)
+        else:
+            sub = first_divergence(row, dict(zip(PAIR_KEYS, expected)), f"{path}[{i}]")
+            if sub is not None:
+                return sub
+    if len(rows) != len(report.pairs):
+        return f"{path}[{min(len(rows), len(report.pairs))}]"
+    return None
+
+
+def _certificate_divergence(cert, recomputed, report: InstanceReport, naive):
+    """``first_divergence(cert, the recomputed certificate, "certificate")``,
+    where ``recomputed`` lacks only its pair rows, which
+    ``_pairs_divergence`` takes at their place in the walk."""
+    if type(cert) is not dict:
+        return "certificate"
+    for key in sorted(set(cert) | set(recomputed)):
+        here = f"certificate.{key}"
+        if key not in cert or key not in recomputed:
+            return here
+        if key == "pairs":
+            sub = _pairs_divergence(cert[key], report, naive, here)
+        else:
+            sub = first_divergence(cert[key], recomputed[key], here)
+        if sub is not None:
+            return sub
+    return None
 
 
 def verify_certificate(report: InstanceReport, cases, naive, certificate_jsonable) -> VerifyReport:
@@ -292,7 +328,6 @@ def verify_certificate(report: InstanceReport, cases, naive, certificate_jsonabl
         if radius > bounds["case" + case[0]]:
             violations.append({"condition": "radius_above_bound", "x": x})
     # an input ratio is finite, since the instance was admitted
-    rows = []
     worst = Fraction(0)
     worst_terms = (0, 1)
     for (x, y, rin), rout in zip(report.pairs, naive.ratios, strict=True):
@@ -301,18 +336,17 @@ def verify_certificate(report: InstanceReport, cases, naive, certificate_jsonabl
             violations.append({"condition": "output_ratio_above_input", "x": x, "y": y})
         if n * worst_terms[1] > worst_terms[0] * d:
             worst, worst_terms = rout, (n, d)
-        rows.append((x, y, rin, rout))
     recomputed = Certificate(
         params=report.params,
         cases=labels,
         radii=naive.radii,
-        pairs=tuple(rows),
+        pairs=(),
         worst_ratio=worst,
         worst_radius=naive.support_radius,
         bounds=bounds,
         unit=naive.unit,
     ).to_jsonable()
-    divergence = first_divergence(certificate_jsonable, recomputed, "certificate")
+    divergence = _certificate_divergence(certificate_jsonable, recomputed, report, naive)
     if divergence is not None:
         violations.insert(0, {"condition": "certificate_mismatch", "field": divergence})
     return VerifyReport(ok=not violations, violations=tuple(violations), stats={})

@@ -1,19 +1,24 @@
-"""Brute-force oracles for the flow's redistribution laws.
+"""Brute-force oracles for the flow's redistribution laws and the
+certificate check.
 
 The package never calls these; they check it from outside. ``meet`` and
 ``diff_l1`` compute a meet and an l1 difference from first principles, and
 ``flow_monitor`` brute-forces every small chain on a successor path, checks
 the redistribution laws exhaustively, and checks the one-pass settler
-against synchronous stepping.
+against synchronous stepping. ``certificate_violations`` checks a
+certificate by building the whole recomputed one, every pair row included,
+and walking both trees with ``tree_divergence``.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
-from naivea.chains import l1_norm
-from naivea.errors import MalformedInputError
+from naivea.chains import case_bounds, l1_norm
+from naivea.errors import MalformedInputError, PreconditionError
 from naivea.flow import FlowMap, iterate, split, stabilize, step
+from naivea.instance_io import Certificate
 
 
 def meet(a, b) -> dict:
@@ -135,3 +140,67 @@ def flow_monitor(suite: FlowSuiteSpec) -> MonitorReport:
         pairs_checked=pairs,
         failures=tuple(failures),
     )
+
+
+def tree_divergence(a, b, path=""):
+    """The first differing field of two JSON-like trees, depth-first in
+    sorted key order and with exact types (``1`` is not ``true``, nor
+    ``39.0`` ``39``); None when equal."""
+    if type(a) is not type(b):
+        return path or "<root>"
+    if isinstance(a, dict):
+        for key in sorted(set(a) | set(b)):
+            here = f"{path}.{key}" if path else str(key)
+            if key not in a or key not in b:
+                return here
+            sub = tree_divergence(a[key], b[key], here)
+            if sub is not None:
+                return sub
+        return None
+    if isinstance(a, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            sub = tree_divergence(x, y, f"{path}[{i}]")
+            if sub is not None:
+                return sub
+        return None if len(a) == len(b) else f"{path}[{min(len(a), len(b))}]"
+    return None if a == b else (path or "<root>")
+
+
+def certificate_violations(report, cases, naive, certificate_jsonable) -> tuple:
+    """The violations ``verify_certificate(report, cases, naive,
+    certificate_jsonable)`` reports, found by recomputing the whole
+    certificate, every pair row included, through ``Certificate.to_jsonable``
+    and comparing it with ``tree_divergence``."""
+    try:
+        report.require_admitted()
+    except PreconditionError as exc:
+        return ({"condition": "recompute_failed", "detail": str(exc)},)
+    bounds = case_bounds(report.params, naive.unit)
+    labels, violations = {}, []
+    for x, radius in naive.radii.items():
+        case = cases[x]
+        if case == "3":
+            case = "3b" if radius > bounds["case1"] else "3a"
+        labels[x] = case
+        if radius > bounds["case" + case[0]]:
+            violations.append({"condition": "radius_above_bound", "x": x})
+    rows, worst = [], Fraction(0)
+    for (x, y, rin), rout in zip(report.pairs, naive.ratios, strict=True):
+        if rout > rin:  # the infinite ratio is a float, above every Fraction
+            violations.append({"condition": "output_ratio_above_input", "x": x, "y": y})
+        worst = max(worst, rout)
+        rows.append((x, y, rin, rout))
+    recomputed = Certificate(
+        params=report.params,
+        cases=labels,
+        radii=naive.radii,
+        pairs=tuple(rows),
+        worst_ratio=worst,
+        worst_radius=naive.support_radius,
+        bounds=bounds,
+        unit=naive.unit,
+    ).to_jsonable()
+    divergence = tree_divergence(certificate_jsonable, recomputed, "certificate")
+    if divergence is not None:
+        violations.insert(0, {"condition": "certificate_mismatch", "field": divergence})
+    return tuple(violations)

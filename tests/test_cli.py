@@ -1,10 +1,12 @@
 """The command-line interface: subcommands, exit codes, reproducibility."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -345,6 +347,44 @@ def test_errors_do_not_depend_on_the_hash_seed(tmp_path):
                                   capture_output=True, env=env, timeout=120)
             seen.add((done.returncode, done.stderr.decode()))
         assert seen == {(2, f"error: {message}\n")}
+
+
+def test_commands_free_the_chains_once_done(tmp_path, monkeypatch):
+    """No chain is alive when `verify` decodes the output, nor when `run`
+    writes it without --trace; with --trace the replay still writes the
+    same trace."""
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert run_cli("generate", "line", "--count", "20", "--radii", "2,1", "--unbounded",
+                   "--out", str(inst)) == 0
+    families, alive = [], {}
+    load = cli._load
+
+    def spy_load(path):
+        instance = load(path)
+        families.append(weakref.ref(instance.family))
+        return instance
+
+    def spy(name):
+        original = getattr(cli, name)
+
+        def call(*args):
+            alive[name] = families[-1]() is not None
+            return original(*args)
+
+        return call
+
+    monkeypatch.setattr(cli, "_load", spy_load)
+    for name in ("load_output", "write_canonical"):
+        monkeypatch.setattr(cli, name, spy(name))
+    assert run_cli("run", str(inst), "--out", str(out)) == 0
+    assert alive == {"write_canonical": False}
+    assert run_cli("verify", str(inst), str(out)) == 0
+    assert alive == {"write_canonical": False, "load_output": False}
+    trace = tmp_path / "trace.txt"
+    assert run_cli("run", str(inst), "--out", str(out), "--trace", str(trace)) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+        "3578f7f7a0615a031fcae16aebfb2cbe34ae608fd0e0012e4ab136e4e21df950"
+    )
 
 
 def test_large_matrix_warns_that_the_triangle_check_was_skipped(tmp_path, capsys):

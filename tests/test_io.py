@@ -810,3 +810,124 @@ def test_subsets_that_stay_lists(ray_files):
         assert decode_output(io.StringIO(text), points)["subsets"]["p00"] == members
     text = json.dumps({"subsets": {"p00": "p00", "p01": {"p00": 1}}})
     assert decode_output(io.StringIO(text), points) == json.loads(text)
+
+
+def test_pair_rows_decode_as_tuples_of_the_instance_ids(ray_files):
+    """Given the instance's points, each canonical pair row decodes, at every
+    window size, as the tuple of its values in PAIR_KEYS order: x and y are
+    the instance's own id objects, and equal ratio texts are one str."""
+    inst, out = ray_files
+    points = load_instance(inst).space.points
+    ids = dict(zip(points, points))
+    text = out.read_text()
+    rows = json.loads(text)["certificate"]["pairs"]
+    assert len({row["output_ratio"] for row in rows}) < len(rows)
+    for window in WINDOWS:
+        decode = at_window(window, lambda t: decode_output(Windows(t), points))
+        pairs = decode(text)["certificate"]["pairs"]
+        assert [dict(zip(instance_io.PAIR_KEYS, row)) for row in pairs] == rows, window
+        texts = {}
+        for row in pairs:
+            assert type(row) is tuple and ids[row[2]] is row[2] and ids[row[3]] is row[3], window
+            assert all(texts.setdefault(ratio, ratio) is ratio for ratio in row[:2]), window
+
+
+ROW = '"input_ratio": "1/2", "output_ratio": "0", "x": "p00", "y": "p01"'
+# pair rows that stay the stdlib's dicts
+ROWS_KEPT = {
+    "extra key": '{%s, "z": "1"}' % ROW,
+    "missing key": '{"input_ratio": "1/2", "output_ratio": "0", "x": "p00"}',
+    "non-str value": '{"input_ratio": 0.5, "output_ratio": "0", "x": "p00", "y": "p01"}',
+    "nested object": '{"input_ratio": {%s}, "output_ratio": "0", "x": "p00", "y": "p01"}' % ROW,
+    "duplicate key": '{"input_ratio": "1/2", "output_ratio": "0", "x": "p02", "x": "p00", '
+                     '"y": "p01"}',
+    "key order": '{"output_ratio": "0", "input_ratio": "1/2", "x": "p00", "y": "p01"}',
+    "unknown id": '{"input_ratio": "1/2", "output_ratio": "0", "x": "zz", "y": "p01"}',
+    "row in a list": '[{%s}]' % ROW,
+    "not an object": '"p00"',
+}
+# pair rows that are tuples all the same
+ROWS_TAKEN = {
+    "escaped value": '{"input_ratio": "1\\/2", "output_ratio": "0", "x": "p\\u0030\\u0030", '
+                     '"y": "p01"}',
+    "compact": '{"input_ratio":"1/2","output_ratio":"0","x":"p00","y":"p01"}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROWS_KEPT))
+def test_pair_rows_that_stay_dicts(ray_files, name):
+    """A row the decoder cannot take as it stands is what the stdlib makes of
+    it, at every window size, and the canonical rows around it are tuples."""
+    points = load_instance(ray_files[0]).space.points
+    text = '{"certificate": {"pairs": [{%s}, %s, {%s}]}, "subsets": {}}' % (
+        ROW, ROWS_KEPT[name], ROW)
+    expected = json.loads(text)["certificate"]["pairs"]
+    for window in WINDOWS:
+        decode = at_window(window, lambda t: decode_output(io.StringIO(t), points))
+        first, kept, last = decode(text)["certificate"]["pairs"]
+        assert first_divergence(kept, expected[1]) is None, window
+        assert first == last == ("1/2", "0", "p00", "p01"), window
+
+
+def as_stdlib(tree):
+    """``tree`` with each tuple row read back as the dict the stdlib makes."""
+    if isinstance(tree, tuple):
+        return dict(zip(instance_io.PAIR_KEYS, tree))
+    if isinstance(tree, dict):
+        return {key: as_stdlib(value) for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [as_stdlib(value) for value in tree]
+    return tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pair_rows_decode_like_the_stdlib_on_run_output(ray_files, data):
+    """Given the points, any edit of an output decodes, at every window size,
+    to the stdlib's error or to its certificate once tuple rows are read as
+    dicts."""
+    inst, out = ray_files
+    points = load_instance(inst).space.points
+    text = out.read_text()
+    i = data.draw(st.integers(text.index('"pairs"'), text.index('"params"')))
+    how = data.draw(st.sampled_from(["truncate", "change", "drop", "add"]))
+    if how == "truncate":
+        text = text[:i]
+    elif how == "drop":
+        text = text[:i] + text[i + 1:]
+    else:
+        mutant = data.draw(MUTANTS | st.sampled_from(["\\u0030", "\\", "\f", "\x01"]))
+        text = text[:i] + mutant + text[i + (how == "change"):]
+    theirs, their_error = decoded(json.loads, text)
+    for window in WINDOWS:
+        decode = at_window(window, lambda t: decode_output(io.StringIO(t), points))
+        ours, our_error = decoded(decode, text)
+        assert our_error == their_error, window
+        if their_error is None:
+            certificate = as_stdlib(ours["certificate"])
+            assert first_divergence(certificate, theirs["certificate"]) is None, window
+
+
+@pytest.mark.parametrize("name", sorted(ROWS_TAKEN))
+def test_pair_rows_taken_as_they_decode(ray_files, name):
+    """The tuple of a row is of its values as decoded, whatever their escapes
+    or the whitespace around them."""
+    points = load_instance(ray_files[0]).space.points
+    text = '{"certificate": {"pairs": [%s]}}' % ROWS_TAKEN[name]
+    for window in WINDOWS:
+        decode = at_window(window, lambda t: decode_output(io.StringIO(t), points))
+        (row,) = decode(text)["certificate"]["pairs"]
+        assert row == ("1/2", "0", "p00", "p01"), window
+        assert row[2] is points[0], window
+
+
+def test_pairs_that_are_not_a_list(ray_files, tmp_path, capsys):
+    inst, out = ray_files
+    doc = read_json(out)
+    bad = tmp_path / "bad.json"
+    for pairs in ({}, "rows", None):
+        doc["certificate"]["pairs"] = pairs
+        write_canonical(bad, doc)
+        capsys.readouterr()
+        assert main(["verify", str(inst), str(bad)]) == 2
+        assert capsys.readouterr() == ("", "error: certificate field 'pairs' must be a list\n")

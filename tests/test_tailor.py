@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import naivea
 from naivea.chains import ChainFamily, InstanceParams, set_ratio, variation_ratio
 from naivea.cli import main
 from naivea.errors import InternalInvariantError, MalformedInputError, PreconditionError
@@ -267,20 +272,24 @@ def test_pipeline_rejects_bad_instances(two):
     assert set(prep.flow_map.base_successor) == set(two.points)
 
 
-def test_pipeline_rejects_supports_outside_their_reach(monkeypatch, tmp_path, capsys):
-    """Each support point is checked once, against x's own component: a base
-    point of another component, a tail at another anchor, a tail index outside
-    1..N and a point beyond S(1 + ||a_x||_1) are invariant failures (exit 4)."""
+def two_component_doc():
+    """A large bounded component p00..p59 and a second one, q0, far off."""
     ids = [f"p{i:02d}" for i in range(60)]  # beyond the outer radius 54: BOUNDED_LARGE
     values = {p: i for i, p in enumerate(ids)}
     values["q0"] = 100  # a second component, anchored at q0
-    doc = {
+    return {
         "space": {"points": sorted(values), "metric": {"type": "positions", "values": values}},
         "params": {"R": "1/2", "epsilon": "1", "S": "2"},  # no pair is within R
         "chains": {x: {x: 1} for x in values},
     }
+
+
+def test_pipeline_rejects_supports_outside_their_reach(monkeypatch, tmp_path, capsys):
+    """Each support point is checked once, against x's own component: a base
+    point of another component, a tail at another anchor, a tail index outside
+    1..N and a point beyond S(1 + ||a_x||_1) are invariant failures (exit 4)."""
     inst, out = tmp_path / "inst.json", tmp_path / "out.json"
-    write_canonical(inst, doc)
+    write_canonical(inst, two_component_doc())
     instance = load_instance(inst)
     space, family = instance.space, instance.family
     prep = prepare(space, family, "1/2", 1, 2)
@@ -302,6 +311,35 @@ def test_pipeline_rejects_supports_outside_their_reach(monkeypatch, tmp_path, ca
         capsys.readouterr()
         assert main(["run", str(inst), "--out", str(out)]) == 4
         assert capsys.readouterr().err == f"internal invariant violated: {message}\n"
+
+
+def test_pipeline_names_the_same_bad_support_member_under_any_hash_seed(tmp_path):
+    """A support with several bad points outside x's component names the
+    first in ``aug_sort_key`` order, not in set order: the tail (p00, N+1)
+    sorts before q0 and (q0, 2)."""
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    write_canonical(inst, two_component_doc())
+    instance = load_instance(inst)
+    N = prepare(instance.space, instance.family, "1/2", 1, 2).report.params.N
+    support = {"p00", "q0", ("p00", N + 1), ("q0", 2), "p01"}
+    script = (
+        "import sys\n"
+        "from naivea import tailor\n"
+        "from naivea.cli import main\n"
+        f"tailor.stabilize = lambda flow, a: (dict.fromkeys({support!r}, 1), 0)\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    paths = (str(Path(naivea.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    seen = set()
+    for seed in ("0", "1", "4"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+               "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-c", script, "run", str(inst), "--out", str(out)],
+                              capture_output=True, env=env, timeout=120)
+        seen.add((done.returncode, done.stderr.decode()))
+    assert seen == {
+        (4, "internal invariant violated: tail index beyond N in the support of 'p00'\n")
+    }
 
 
 def test_pipeline_holds_flowed_supports_to_the_flow_bound(monkeypatch, tmp_path, capsys):

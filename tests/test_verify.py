@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import FlowSuiteSpec, flow_monitor
+from oracles import FlowSuiteSpec, certificate_violations, flow_monitor
 from test_e2e import LONG_LINE_DOC, documents
 from test_trees import clustered_spaces
 
@@ -23,7 +23,10 @@ from naivea.cli import main
 from naivea.errors import MalformedInputError, UnknownPointError
 from naivea.generators import gen_instance
 from naivea.instance_io import (
+    PAIR_KEYS,
     canonical_dumps,
+    load_instance,
+    load_output,
     output_to_jsonable,
     parse_subsets,
     read_json,
@@ -139,8 +142,8 @@ def test_first_divergence():
 
 
 def test_first_divergence_names_a_pair_field():
-    """Equal lists of str-to-str dicts, a certificate's pairs, are equal in
-    one pass; a ratio of any other type or text is still named."""
+    """Equal lists of str-to-str dicts, as pair rows the decoder keeps as
+    dicts, are equal; a ratio of any other type or text is still named."""
     rows = [
         {"x": f"p{i}", "y": f"p{i + 1}", "input_ratio": "1/2", "output_ratio": "1"}
         for i in range(6)
@@ -190,6 +193,71 @@ def test_verify_certificate_round_trip():
     assert report.violations == (
         {"condition": "certificate_mismatch", "field": "certificate.worst_ratio"},
     )
+
+
+@pytest.fixture(scope="module")
+def ray_checked(tmp_path_factory):
+    """A case-1 line with tails at its ray's end, its output's text, the
+    instance's points, and the facts ``verify`` checks its certificate with."""
+    root = tmp_path_factory.mktemp("ray")
+    inst, out = root / "inst.json", root / "out.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(["generate", "line", "--count", "20", "--radii", "2,1", "--unbounded",
+                     "--out", str(inst)]) == 0
+        assert main(["run", str(inst), "--out", str(out)]) == 0
+    instance = load_instance(inst)
+    space, params = instance.space, instance.params
+    report, decomp = admit(space, instance.family, params.R, params.epsilon, params.S)
+    kinds, rays, _ = component_cases(space, decomp, report.params.S, report.params.N)
+    subsets, _ = load_output(out, space.points)
+    naive = verify_naive(space, parse_subsets(subsets), [(x, y) for x, y, _ in report.pairs],
+                         params.epsilon, tail_spacing=params.S,
+                         hint_anchors={ray[-1] for ray in rays.values()})
+    cases = {x: kinds[i] for x, i in decomp.owner.items()}
+    return out.read_text(), space.points, (report, cases, naive)
+
+
+TAMPERS = ("value", "type", "add key", "delete key", "drop row", "add row", "key order",
+           "indentation")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_certificate_check_matches_the_whole_row_oracle(ray_checked, tmp_path_factory, data):
+    """One tampered pair row, decoded as ``verify`` decodes it (tuples where
+    it can), gets the violations of the oracle that builds every row and
+    walks the whole certificate."""
+    text, points, facts = ray_checked
+    doc = json.loads(text)
+    rows = doc["certificate"]["pairs"]
+    kind = data.draw(st.sampled_from(TAMPERS))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    key = data.draw(st.sampled_from(PAIR_KEYS))
+    row = rows[i]
+    indent = 2
+    if kind == "value":
+        row[key] = data.draw(st.sampled_from(["0", "1/2", "1/3", "2/3", "INF", "", *points[:3]]))
+    elif kind == "type":
+        row[key] = data.draw(st.sampled_from([0, 0.5, None, True, [row[key]], {key: row[key]}]))
+    elif kind == "add key":
+        row[data.draw(st.sampled_from(["z", "X", "x ", "ratio"]))] = data.draw(
+            st.sampled_from(["1", 1, row[key]]))
+    elif kind == "delete key":
+        del row[key]
+    elif kind == "drop row":
+        del rows[i]
+    elif kind == "add row":
+        rows.insert(data.draw(st.integers(0, len(rows))), dict(row))
+    elif kind == "key order":
+        rows[i] = {k: row[k] for k in data.draw(st.permutations(PAIR_KEYS))}
+    else:
+        indent = data.draw(st.sampled_from([None, 0, 1, 4, "\t"]))
+    path = tmp_path_factory.mktemp("tampered") / "out.json"
+    path.write_text(json.dumps(doc, indent=indent))
+    _, certificate = load_output(path, points)
+    assert tuple in set(map(type, certificate["pairs"]))
+    expected = certificate_violations(*facts, json.loads(path.read_text())["certificate"])
+    assert verify_certificate(*facts, certificate).violations == expected, kind
 
 
 def test_verify_certificate_recompute_failure():

@@ -1,0 +1,141 @@
+"""A standing byte-identity corpus for `verify`.
+
+Three instances (a good one, one missing a chain, one whose chain names a
+point the space lacks) against seven outputs of the good one (as written,
+cut short, with an unknown subset member, with a pair row whose x is an
+int, with a row that has an extra key, with a changed y, and with a row
+dropped). Each of the 21 calls runs in its own process under two hash
+seeds, from the corpus directory, so no message holds a temporary path.
+Its exit code and the sha256 of its stdout and stderr are pinned, so a
+change that moves any byte `verify` prints, or makes it depend on the hash
+seed, fails here.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import naivea
+from naivea.cli import main
+from naivea.instance_io import read_json, write_canonical
+
+
+def _drop_chain(doc):
+    del doc["chains"]["p05"]
+
+
+def _unknown_point(doc):
+    doc["chains"]["p05"]["zz"] = 1
+
+
+INSTANCES = {"good": None, "missing_chain": _drop_chain, "unknown_point": _unknown_point}
+
+
+def _pairs(doc):
+    return doc["certificate"]["pairs"]
+
+
+OUTPUTS = {
+    "good": lambda doc: None,
+    "unknown_member": lambda doc: doc["subsets"]["p03"].append("zz"),
+    "int_x": lambda doc: _pairs(doc)[4].update(x=4),
+    "extra_key": lambda doc: _pairs(doc)[6].update(z="1"),
+    "changed_y": lambda doc: _pairs(doc)[8].update(y="p11"),
+    "dropped_row": lambda doc: _pairs(doc).pop(10),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """The directory holding every instance and output of the corpus."""
+    root = tmp_path_factory.mktemp("corpus")
+    inst, out = root / "good.inst.json", root / "good.out.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "line", "--count", "20", "--radii", "2,1", "--unbounded",
+                     "--out", str(inst)]) == 0
+        assert main(["run", str(inst), "--out", str(out)]) == 0
+    for name, edit in INSTANCES.items():
+        if edit is not None:
+            doc = read_json(inst)
+            edit(doc)
+            write_canonical(root / f"{name}.inst.json", doc)
+    for name, edit in OUTPUTS.items():
+        if name != "good":
+            doc = read_json(out)
+            edit(doc)
+            write_canonical(root / f"{name}.out.json", doc)
+    text = out.read_bytes()
+    (root / "truncated.out.json").write_bytes(text[:len(text) // 2])
+    return root
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+# (instance, output) -> (exit code, sha256 of stdout, sha256 of stderr)
+PINNED = {
+    ("good", "changed_y"):
+        (1, "50830b27016495ff45a1df2cc0f10dc1f8e22b75966dcd56ed85122027952430", EMPTY),
+    ("good", "dropped_row"):
+        (1, "0e1c501a15988851215222471731ecb2ec300948ecea7398c538ee757a475416", EMPTY),
+    ("good", "extra_key"):
+        (1, "d3fed58094ef3ff811b4407a5ccea713c307e3c4b580127a53650132618dff68", EMPTY),
+    ("good", "good"):
+        (0, "1d4d7dda297d2511278446d85ee6d3004956e7da75547c26b9c1b532da2e32be", EMPTY),
+    ("good", "int_x"):
+        (1, "4c1ae2e20ee71e4889b0557cb411d0b278708f4b19dfc0bb46ba2c41d0ffb4ef", EMPTY),
+    ("good", "truncated"):
+        (2, EMPTY, "9a607149fc32d7079265f241379cddbb8dd9362e750cb9518c75c54977e89b3b"),
+    ("good", "unknown_member"):
+        (2, EMPTY, "29c09f94b181f0c8972ab8585ba9a68e663091e803e89e31870998e200aef90e"),
+    ("missing_chain", "changed_y"):
+        (3, EMPTY, "a38230210aadecd182619759b6b3637071139774e2988720410cee8f318d5935"),
+    ("missing_chain", "dropped_row"):
+        (3, EMPTY, "a38230210aadecd182619759b6b3637071139774e2988720410cee8f318d5935"),
+    ("missing_chain", "extra_key"):
+        (3, EMPTY, "a38230210aadecd182619759b6b3637071139774e2988720410cee8f318d5935"),
+    ("missing_chain", "good"):
+        (3, EMPTY, "a38230210aadecd182619759b6b3637071139774e2988720410cee8f318d5935"),
+    ("missing_chain", "int_x"):
+        (3, EMPTY, "a38230210aadecd182619759b6b3637071139774e2988720410cee8f318d5935"),
+    ("missing_chain", "truncated"):
+        (2, EMPTY, "9a607149fc32d7079265f241379cddbb8dd9362e750cb9518c75c54977e89b3b"),
+    ("missing_chain", "unknown_member"):
+        (3, EMPTY, "a38230210aadecd182619759b6b3637071139774e2988720410cee8f318d5935"),
+    ("unknown_point", "changed_y"):
+        (2, EMPTY, "6c819c65f57390c887b662ee8ae81315959e29781af32b65c74dc201422322d4"),
+    ("unknown_point", "dropped_row"):
+        (2, EMPTY, "6c819c65f57390c887b662ee8ae81315959e29781af32b65c74dc201422322d4"),
+    ("unknown_point", "extra_key"):
+        (2, EMPTY, "6c819c65f57390c887b662ee8ae81315959e29781af32b65c74dc201422322d4"),
+    ("unknown_point", "good"):
+        (2, EMPTY, "6c819c65f57390c887b662ee8ae81315959e29781af32b65c74dc201422322d4"),
+    ("unknown_point", "int_x"):
+        (2, EMPTY, "6c819c65f57390c887b662ee8ae81315959e29781af32b65c74dc201422322d4"),
+    ("unknown_point", "truncated"):
+        (2, EMPTY, "9a607149fc32d7079265f241379cddbb8dd9362e750cb9518c75c54977e89b3b"),
+    ("unknown_point", "unknown_member"):
+        (2, EMPTY, "6c819c65f57390c887b662ee8ae81315959e29781af32b65c74dc201422322d4"),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("instance, output", sorted(PINNED))
+def test_verify_prints_the_pinned_bytes(corpus, instance, output):
+    paths = (str(Path(naivea.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    argv = ["verify", f"{instance}.inst.json", f"{output}.out.json"]
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+               "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-m", "naivea.cli", *argv], cwd=corpus,
+                              capture_output=True, env=env, timeout=120)
+        seen = (done.returncode, sha256(done.stdout), sha256(done.stderr))
+        assert seen == PINNED[instance, output], (seed, done.stdout, done.stderr)
