@@ -132,17 +132,6 @@ class AugmentedSpace:
             u, v = v, u  # now u is the base point, v the tail
         return self.k * base(u, v[0]) + v[1] * self.step
 
-    def materialize(self, max_index: int) -> list:
-        """Every base point plus tail points up to max_index (tests only)."""
-        if max_index > self.params.N:
-            raise InternalInvariantError(
-                f"materialization depth {max_index} exceeds the cap {self.params.N}"
-            )
-        pts: list = list(self.space.points)
-        for comp in self.decomposition.components:
-            pts.extend((comp.anchor, j) for j in range(1, max_index + 1))
-        return pts
-
 
 def augment(space: Space, decomposition: Decomposition, params: InstanceParams) -> AugmentedSpace:
     if params.N is None:

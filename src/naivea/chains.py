@@ -25,11 +25,12 @@ INFINITE = math.inf
 
 def make_chain(entries) -> dict:
     """Validate and normalize a chain: positive int values, zeros dropped.
-    Only a chain with another value goes through the loop, which raises at
-    its first bad value."""
+    A chain of positive ints is returned as it stands, since no caller
+    mutates a chain; any other goes through the loop, which raises at its
+    first bad value."""
     values = entries.values()
     if set(map(type, values)) <= {int} and min(values, default=1) > 0:
-        return dict(entries)
+        return entries
     out = {}
     for p, v in entries.items():
         if not isinstance(v, int) or isinstance(v, bool):

@@ -4,12 +4,12 @@ Everything is canonical JSON: sorted keys, two-space indent, a trailing
 newline, rationals as strings. Rerunning any command with the same inputs
 must reproduce files byte for byte.
 
-``canonical_dumps`` returns, and ``write_canonical`` streams to the file in
-batches, the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` plus the
-newline; any change here must keep every byte. A flat container (a dict with
-exact ``str`` keys, or a list or tuple, whose values all have exact type
-``str``, ``int``, ``float``, ``bool`` or ``None``) is rendered in one call of
-the stdlib's C encoder, with the indent in its item separator; every other
+``write_canonical`` streams to the file, in batches, the bytes of
+``json.dumps(obj, sort_keys=True, indent=2)`` plus the newline; any change
+here must keep every byte. A flat container (a dict with exact ``str``
+keys, or a list or tuple, whose values all have exact type ``str``,
+``int``, ``float``, ``bool`` or ``None``) is rendered in one call of the
+stdlib's C encoder, with the indent in its item separator; every other
 container, and every container where there is no C encoder, is walked here.
 Within a batch a flat container that recurs at one depth is rendered once:
 every case-2 point of a component shares one subset list
@@ -24,27 +24,25 @@ whole by the stdlib's C scanner. A member counts only once the ``,`` or
 before the member, takes in more, and decodes the member again, so the
 window outgrows ``_WINDOW`` only while one member does. One level below the
 top, an array whose text is the previous array's text again, character for
-character, is the previous array's list object and is not decoded again.
+character, is the previous array's value and is not decoded again.
 Only arrays are compared, because an array is self-delimiting, and only
 against the previous array. Any error that more text cannot mend makes the
 decoder decode the whole text again with ``json.loads``, so every error
 raised is the stdlib's own. A pipe cannot be read twice, so the decoder
 holds a pipe's bytes for that.
 
-``verify`` gives ``load_output`` the instance's points, and the decoder then
-builds each subset while it decodes it: a member list of ``"subsets"`` whose
-members are distinct ids of the instance, or tail points at them, becomes
-at once the frozenset of the instance's own id objects, so the decoded
-strings are freed and the subsets are never held twice. Equal sets share one
-frozenset. Any other list stays a list, and ``parse_subsets`` decides it as
-it always has, so every error, and the order of errors, is unchanged. The
-certificate's ``"pairs"`` is then decoded row by row through the same
-window, and each row as the file writes it (keys ``input_ratio``,
-``output_ratio``, ``x``, ``y`` with str values, ``x`` and ``y`` ids of the
-instance) becomes the tuple of its values in that order, with the
-instance's own id objects and one shared str per distinct ratio text. Any
-other row stays the dict the stdlib makes, for ``verify_certificate`` to
-compare as it stands.
+``load_output`` takes the instance's points, and the decoder builds each
+subset while it decodes it: a member list of ``"subsets"`` whose members are
+distinct ids of the instance, or tail points at them, becomes at once the
+frozenset of the instance's own id objects, so the decoded strings are freed
+and the subsets are never held twice. Any other list stays a list, for
+``parse_subsets`` to decide. The certificate's ``"pairs"`` is then decoded
+row by row through the same window, and each row as the file writes it (keys
+``input_ratio``, ``output_ratio``, ``x``, ``y`` with str values, ``x`` and
+``y`` ids of the instance) becomes the tuple of its values in that order,
+with the instance's own id objects and one shared str per distinct ratio
+text. Any other row stays the dict the stdlib makes, for
+``verify_certificate`` to compare as it stands.
 """
 from __future__ import annotations
 
@@ -93,8 +91,10 @@ def _flat_text(obj, depth) -> str:
 
 
 def _render(obj, write):
-    """Hand the text of ``canonical_dumps(obj)`` to ``write``, joined in
-    batches of ``_BATCH`` pieces. ``memo`` maps (id(container), depth) to a
+    """Hand the text of ``json.dumps(obj, sort_keys=True, indent=2)`` plus
+    the newline to ``write``, joined in batches of ``_BATCH`` pieces, for
+    trees of str-keyed dicts, lists, tuples, str, int, float, bool and None;
+    anything else raises TypeError. ``memo`` maps (id(container), depth) to a
     flat container's text until the batch goes out; every container stays
     alive in the tree meanwhile, so no id is reused."""
     parts, memo = [], {}
@@ -148,15 +148,6 @@ def _render(obj, write):
     write("".join(parts))
 
 
-def canonical_dumps(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte,
-    for trees of str-keyed dicts, lists, tuples, str, int, float, bool and
-    None; anything else raises TypeError."""
-    chunks = []
-    _render(obj, chunks.append)
-    return "".join(chunks)
-
-
 def open_output(path):
     """``path`` opened for writing text; failing to open it is malformed input."""
     try:
@@ -182,8 +173,8 @@ def check_writable(path):
 
 
 def write_canonical(path, obj):
-    """Write ``canonical_dumps(obj)`` to ``path`` batch by batch, never as
-    one whole-document string."""
+    """Write the canonical text of ``obj`` to ``path`` batch by batch, never
+    as one whole-document string."""
     with open_output(path) as fh:
         _render(obj, fh.write)
 
@@ -374,9 +365,8 @@ def _makers(points, scan):
 
     A member list of distinct members, each an id of ``points`` or a tail
     point ``parse_aug`` reads at one, becomes their frozenset, built from the
-    instance's own id objects, so the decoded strings are freed at once;
-    equal sets share the first such frozenset. Any other list is returned as
-    it stands, for ``parse_subsets`` to decide.
+    instance's own id objects, so the decoded strings are freed at once. Any
+    other list is returned as it stands, for ``parse_subsets`` to decide.
 
     A pair row whose keys are exactly ``PAIR_KEYS``, in that order and each
     once, with string values and ``x`` and ``y`` ids of ``points``, is read
@@ -385,7 +375,6 @@ def _makers(points, scan):
     ratio texts share one str. Any other row is decoded with ``scan``, so it
     is the stdlib's own dict."""
     ids = dict(zip(points, points))
-    made = {}
 
     def member(m):
         if "#" not in m:  # no point id holds a "#"
@@ -405,7 +394,7 @@ def _makers(points, scan):
                 return members
         if len(subset) != len(members):  # a duplicate
             return members
-        return made.setdefault(subset, subset)
+        return subset
 
     texts = {}
 
@@ -428,12 +417,13 @@ def decode_output(fh, points=None):
     ``_WINDOW`` characters and dropped once decoded, and that in each object
     one level below the top an array that repeats the previous array's text
     shares its list object (``_object``). Given the instance's ``points``,
-    each member list of ``"subsets"`` that names distinct points, or tail
-    points at them, is decoded as their frozenset, and the certificate's
-    ``"pairs"`` is decoded row by row, each canonical row as a tuple of its
-    values in ``PAIR_KEYS`` order (``_makers``). Any failure decodes the
-    whole text again with ``json.loads``, so every error raised is the
-    stdlib's own, positions included, and every list stays a list."""
+    as ``load_output`` gives them, each member list of ``"subsets"`` that
+    names distinct points, or tail points at them, is decoded as their
+    frozenset, and the certificate's ``"pairs"`` row by row, each canonical
+    row as a tuple of its values in ``PAIR_KEYS`` order (``_makers``). Any
+    failure decodes the whole text again with ``json.loads``, so every error
+    raised is the stdlib's own, positions included, and every list stays a
+    list."""
     if not fh.seekable():
         # a pipe cannot be read again: hold its bytes for the failure path
         fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8")
@@ -631,7 +621,7 @@ class Certificate:
 def output_to_jsonable(subsets: dict, certificate: Certificate) -> dict:
     """The output document for ``run_pipeline``'s subsets (point id ->
     frozenset) and certificate; points that share one subset object share
-    its member list, which ``canonical_dumps`` then renders once."""
+    its member list, which the writer then renders once."""
     members = {}  # id(subset) -> its sorted member list; subsets stay alive meanwhile
 
     def listed(pts):
@@ -648,16 +638,15 @@ def output_to_jsonable(subsets: dict, certificate: Certificate) -> dict:
     }
 
 
-def load_output(path, points=None) -> tuple[dict, dict]:
-    """The output's subsets and certificate, checked for shape. Given the
-    instance's ``points``, as ``verify`` gives them, each member list of
-    distinct known points, or tail points at them, comes back as a frozenset
-    built from the instance's own id objects as it is decoded
-    (``decode_output``); every other member list comes back as a list, for
-    ``parse_subsets``. The certificate's pair rows are then decoded row by
-    row too, and each canonical row comes back as the tuple of its values
-    in ``PAIR_KEYS`` order, for ``verify_certificate``; every other row
-    comes back as a dict."""
+def load_output(path, points) -> tuple[dict, dict]:
+    """The output's subsets and certificate, checked for shape, decoded
+    against the instance's ``points`` (``decode_output``). Each member list
+    of distinct known points, or tail points at them, comes back as a
+    frozenset built from the instance's own id objects; every other member
+    list comes back as a list, for ``parse_subsets``. Each canonical pair
+    row of the certificate comes back as the tuple of its values in
+    ``PAIR_KEYS`` order, for ``verify_certificate``; every other row comes
+    back as a dict."""
     doc = _read_document(path, functools.partial(decode_output, points=points))
     if not isinstance(doc, dict):
         raise MalformedInputError("output document must be a JSON object")
@@ -682,51 +671,23 @@ def load_output(path, points=None) -> tuple[dict, dict]:
     return subsets, certificate
 
 
-def _parse_members(members) -> frozenset:
-    """The frozenset of a list of str members; a non-empty one with no '#' is
-    a base id as it stands, and every other goes through ``parse_aug`` in
-    list order, so the first bad member raises."""
-    if "#" not in "".join(members) and "" not in members:
-        return frozenset(members)
-    return frozenset(m if m and "#" not in m else parse_aug(m) for m in members)
-
-
 def parse_subsets(raw) -> dict:
     """Decode the serialized subsets into frozensets of augmented points.
 
     A frozenset, which ``load_output`` builds while decoding, passes through
-    as it stands. Points whose member lists are equal get one shared
-    frozenset, so a pair of them is ``A is B`` in ``set_ratio``. A list
-    object that recurs (as ``load_output`` returns a repeated list) is looked
-    up by its id before its content.
+    as it stands. A list, which the decoder could not take, raises at its
+    first bad member in list order, and then at a duplicate; one that names
+    an unknown point or anchor becomes the frozenset of its members, for
+    ``verify_naive`` to reject.
     """
     out = {}
-    # id of a member list -> its frozenset; every list stays alive in raw
-    by_id = {}
-    # hash of a member list -> (that list, its frozenset); keyed by the hash,
-    # so no list is copied into a key that outlives its point
-    shared = {}
     for x, members in raw.items():
-        if type(members) is frozenset:
-            out[x] = members
-            continue
-        parsed = by_id.get(id(members))
-        if parsed is not None:
-            out[x] = parsed
-            continue
-        if not isinstance(members, list):
-            raise MalformedInputError(f"subset for {x!r} must be a list")
-        if not set(map(type, members)) <= {str}:
-            for m in members:
-                parse_aug(m)  # raises at the first bad member, before any hashing
-        h = hash(tuple(members))
-        earlier = shared.get(h)
-        if earlier is not None and earlier[0] == members:
-            parsed = earlier[1]
-        else:
-            parsed = _parse_members(members)
-            shared[h] = (members, parsed)
-        if len(parsed) != len(members):
-            raise MalformedInputError(f"subset for {x!r} has duplicate members")
-        out[x] = by_id[id(members)] = parsed
+        if type(members) is not frozenset:
+            if not isinstance(members, list):
+                raise MalformedInputError(f"subset for {x!r} must be a list")
+            parsed = frozenset(map(parse_aug, members))
+            if len(parsed) != len(members):
+                raise MalformedInputError(f"subset for {x!r} has duplicate members")
+            members = parsed
+        out[x] = members
     return out

@@ -3,9 +3,9 @@
 verify_naive re-derives the ratio of every qualifying pair it is given
 (admission's, which come from the space alone) and the support radius from
 the space and the proposed subsets alone. It checks each distinct subset
-object once (points with equal members share one, which ``verify`` builds
-from the instance's ids while ``load_output`` decodes the file, see
-``parse_subsets``), and keeps a subset's split only when two or more
+object once (a point whose member list repeats the previous point's list
+shares its subset, which ``load_output`` builds from the instance's ids as
+it decodes the file), and keeps a subset's split only when two or more
 points hold it. The split checks only the members outside the space, in
 sorted order, so a bad member is named the same whatever the hash seed.
 A shared subset's radius at a point is one ``metric.eccentricity`` over its

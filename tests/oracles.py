@@ -7,7 +7,9 @@ The package never calls these; they check it from outside. ``meet`` and
 the redistribution laws exhaustively, and checks the one-pass settler
 against synchronous stepping. ``certificate_violations`` checks a
 certificate by building the whole recomputed one, every pair row included,
-and walking both trees with ``tree_divergence``.
+and walking both trees with ``tree_divergence``. ``canonical_dumps`` is the
+canonical writer's text as one string, and ``materialize`` lists an
+augmented space's points up to a tail depth.
 """
 from __future__ import annotations
 
@@ -18,7 +20,24 @@ from fractions import Fraction
 from naivea.chains import case_bounds, l1_norm
 from naivea.errors import MalformedInputError, PreconditionError
 from naivea.flow import FlowMap, iterate, split, stabilize, step
-from naivea.instance_io import Certificate
+from naivea.instance_io import Certificate, _render
+
+
+def canonical_dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+    as ``write_canonical`` writes it."""
+    chunks = []
+    _render(obj, chunks.append)
+    return "".join(chunks)
+
+
+def materialize(aug, max_index: int) -> list:
+    """Every base point of ``aug``, then each component's tail points up to
+    ``max_index``."""
+    pts = list(aug.space.points)
+    for comp in aug.decomposition.components:
+        pts.extend((comp.anchor, j) for j in range(1, max_index + 1))
+    return pts
 
 
 def meet(a, b) -> dict:

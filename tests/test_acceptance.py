@@ -11,7 +11,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from oracles import FlowSuiteSpec, flow_monitor
+from oracles import FlowSuiteSpec, flow_monitor, materialize
 
 from naivea.augment import augment
 from naivea.chains import check_instance, qualifying_pairs, variation_ratio
@@ -112,7 +112,7 @@ def test_criterion_2_end_to_end(crit2, criterion):
 def test_criterion_3_augmented_metric_axioms(two, two_params, criterion):
     t0 = time.monotonic()
     aug = augment(two, rips_components(two, two_params.S), two_params)
-    pts = aug.materialize(10)
+    pts = materialize(aug, 10)
     assert len(pts) == 26 <= 40
     for u in pts:
         assert aug.dist(u, u) == 0

@@ -194,11 +194,12 @@ def test_check_instance_report(l10):
 
 
 def test_make_chain_keeps_the_first_bad_value():
-    """A chain whose values are all positive ints is copied whole; any other
-    goes through the loop, which names its first bad value and drops zeros."""
+    """A chain whose values are all positive ints is returned as it stands;
+    any other goes through the loop, which names its first bad value and
+    drops zeros."""
     entries = {"a": 2, "b": 1}
     chain = make_chain(entries)
-    assert chain == entries and chain is not entries
+    assert chain == entries and chain is entries
     assert make_chain({"a": 1, "b": 0, "c": 3}) == {"a": 1, "c": 3}
     for entries, message in [
         ({"a": 1, "b": 2, "c": True}, "chain value for 'c' must be an int, got True"),

@@ -4,11 +4,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from oracles import canonical_dumps
 
 from naivea.chains import l1_norm
 from naivea.errors import MalformedInputError
 from naivea.generators import KINDS, _ball_sum_chains, gen_instance, gen_space
-from naivea.instance_io import canonical_dumps, instance_to_doc
+from naivea.instance_io import instance_to_doc
 from naivea.space import rips_components
 
 

@@ -9,13 +9,14 @@ import math
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import canonical_dumps
+from test_golden import MATRIX_DOC
 
 from naivea import instance_io
 from naivea.cli import main
 from naivea.errors import MalformedInputError
 from naivea.generators import gen_instance
 from naivea.instance_io import (
-    canonical_dumps,
     decode_output,
     instance_from_doc,
     instance_to_doc,
@@ -378,7 +379,7 @@ def test_read_json_errors(tmp_path):
     for name, (text, reason) in PAST_LIMITS.items():
         path = tmp_path / f"{name}.json"
         path.write_text(text)
-        for reader in (read_json, load_output):
+        for reader in (read_json, lambda path: load_output(path, ())):
             with pytest.raises(MalformedInputError) as exc:
                 reader(path)
             assert str(exc.value).startswith(f"{path} is not valid JSON: {reason}"), name
@@ -388,18 +389,16 @@ def test_load_output_validation(tmp_path):
     path = tmp_path / "o.json"
     write_canonical(path, {"subsets": {}})
     with pytest.raises(MalformedInputError, match="missing the 'certificate'"):
-        load_output(path)
+        load_output(path, ())
     write_canonical(path, {"subsets": {}, "certificate": {"cases": {}}})
     with pytest.raises(MalformedInputError, match="worst_ratio"):
-        load_output(path)
+        load_output(path, ())
 
 
 def test_parse_subsets():
     parsed = parse_subsets({"x": ["a", "b#2"]})
     assert parsed == {"x": {"a", ("b", 2)}}
-    # equal member lists share one frozenset
     parsed = parse_subsets({"x": ["a", "b#2"], "y": ["a", "b#2"], "z": ["b#2", "a"]})
-    assert parsed["x"] is parsed["y"]
     assert parsed["z"] == parsed["x"]
     for bad in (["a", ["b"]], [{"a": 1}], ["a", "b#0"], [5]):
         with pytest.raises(MalformedInputError, match="augmented point|tail index"):
@@ -408,13 +407,13 @@ def test_parse_subsets():
         parse_subsets({"x": ["a", "a"]})
     with pytest.raises(MalformedInputError, match="must be a list"):
         parse_subsets({"x": "a"})
-    # a list object that recurs is parsed once; its duplicates still raise
+    # a list object that recurs is parsed at each point; its duplicates raise
     shared = ["a", "b#2"]
     parsed = parse_subsets({"x": shared, "y": ["c"], "z": shared})
-    assert parsed["x"] is parsed["z"] == {"a", ("b", 2)}
+    assert parsed["x"] == parsed["z"] == {"a", ("b", 2)}
     with pytest.raises(MalformedInputError, match="'x' has duplicate"):
         parse_subsets({"x": ["a", "a"], "y": ["a", "a"]})
-    # plain base ids skip parse_aug, so the first other bad member raises
+    # the first bad member in list order raises
     for bad, message in (
         (["a", ""], "bad augmented point ''"),
         (["a", "", "b#0"], "bad augmented point ''"),
@@ -635,7 +634,7 @@ def test_invalid_utf8_after_the_first_window(tmp_path):
         path.write_bytes(b'{"o": {"a": "' + b"x" * size + b'\xff"}}')
         assert_decodes_alike(read_output_text, path, read_json)
         with pytest.raises(MalformedInputError) as exc:
-            load_output(path)
+            load_output(path, ())
         # the position counts from the start of the file, not of a window
         assert str(exc.value) == (
             f"{path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position "
@@ -672,9 +671,9 @@ def test_decode_output_matches_the_stdlib_on_run_output(case_2_files, data):
 
 def test_shared_lists_cannot_hide_an_edit(case_2_files, tmp_path):
     inst, out = case_2_files
-    subsets, _ = load_output(out)
+    subsets, _ = load_output(out, load_instance(inst).space.points)
     lists = list(subsets.values())
-    # one list object per distinct list, and one frozenset per component
+    # one object per distinct list, and one frozenset per component
     assert len({id(m) for m in lists}) == len({tuple(m) for m in lists}) == 3
     assert len({id(s) for s in parse_subsets(subsets).values()}) == 3
     first, second = sorted(subsets)[:2]
@@ -710,7 +709,7 @@ def test_shared_lists_cannot_hide_an_edit(case_2_files, tmp_path):
 
 def test_load_output_keeps_one_str_per_point(case_2_files, tmp_path):
     inst, out = case_2_files
-    subsets, certificate = load_output(out)
+    subsets, certificate = load_output(out, load_instance(inst).space.points)
     for field in ("cases", "radii"):
         assert list(certificate[field]) == list(subsets)
         assert all(a is b for a, b in zip(certificate[field], subsets)), field
@@ -722,7 +721,8 @@ def test_load_output_keeps_one_str_per_point(case_2_files, tmp_path):
     cert["radii"]["u0p0"] = "9"
     reordered = tmp_path / "reordered.json"
     reordered.write_text(json.dumps(doc, indent=2))
-    _, certificate = load_output(reordered)
+    # read with no instance, so the pair rows stay the dicts the file holds
+    _, certificate = load_output(reordered, ())
     assert certificate == cert
     assert list(certificate["cases"]) == list(cert["cases"]) != list(subsets)
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -749,55 +749,49 @@ def ray_files(tmp_path_factory):
     return inst, out
 
 
-def test_verify_builds_subsets_from_the_instance_ids(ray_files, monkeypatch):
-    """Every member `verify` checks, base point or tail anchor, is the loaded
-    instance's own id object, not a string decoded from the output."""
+def test_verify_builds_subsets_from_the_instance_ids(ray_files, tmp_path, monkeypatch):
+    """On a canonical output of each backend, `verify` hands parse_subsets
+    only frozensets, and every member it checks, base point or tail anchor,
+    is the loaded instance's own id object, not a string decoded from the
+    output."""
     from naivea import cli
 
-    inst, out = ray_files
+    graph = tmp_path / "graph.json", tmp_path / "graph.out.json"
+    matrix = tmp_path / "matrix.json", tmp_path / "matrix.out.json"
+    write_canonical(matrix[0], MATRIX_DOC)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "cayley_cyclic", "--n", "24", "--k", "2",
+                     "--out", str(graph[0])]) == 0
+        for inst, out in (graph, matrix):
+            assert main(["run", str(inst), "--out", str(out)]) == 0
     seen = {}
 
     def spy(name):
         original = getattr(cli, name)
 
         def call(arg):
-            seen[name] = original(arg)
-            return seen[name]
+            seen[name] = arg, original(arg)
+            return seen[name][1]
 
         return call
 
     for name in ("load_instance", "parse_subsets"):
         monkeypatch.setattr(cli, name, spy(name))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["verify", str(inst), str(out)]) == 0
-    ids = {p: p for p in seen["load_instance"].space.points}
-    tails = 0
-    for subset in seen["parse_subsets"].values():
-        for p in subset:
-            if isinstance(p, tuple):
-                tails += 1
-                p = p[0]
-            assert ids[p] is p, p
-    assert tails
-
-
-def test_equal_subsets_share_one_frozenset_apart(ray_files, tmp_path):
-    """Equal member lists that are not consecutive decode as one frozenset,
-    with tail points or without."""
-    inst, out = ray_files
-    doc = read_json(out)
-    doc["subsets"]["p02"] = list(doc["subsets"]["p00"])
-    doc["subsets"]["p17"] = list(doc["subsets"]["p19"])
-    edited = tmp_path / "edited.json"
-    write_canonical(edited, doc)
-    subsets, _ = load_output(edited, load_instance(inst).space.points)
-    assert subsets["p00"] is subsets["p02"] is not subsets["p01"]
-    assert subsets["p17"] is subsets["p19"] is not subsets["p18"]
-    assert subsets["p19"] == {"p17", "p18", "p19", ("p19", 1), ("p19", 2)}
-    assert parse_subsets(subsets) == subsets
-    # without the instance's points every subset stays a list
-    subsets, _ = load_output(edited)
-    assert set(map(type, subsets.values())) == {list}
+    tails = {}
+    for backend, (inst, out) in {"line": ray_files, "graph": graph, "matrix": matrix}.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", str(inst), str(out)]) == 0, backend
+        raw, parsed = seen["parse_subsets"]
+        assert set(map(type, raw.values())) == {frozenset}, backend
+        ids = {p: p for p in seen["load_instance"][1].space.points}
+        tails[backend] = 0
+        for subset in parsed.values():
+            for p in subset:
+                if isinstance(p, tuple):
+                    tails[backend] += 1
+                    p = p[0]
+                assert ids[p] is p, (backend, p)
+    assert tails["line"]
 
 
 def test_subsets_that_stay_lists(ray_files):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import FlowSuiteSpec, certificate_violations, flow_monitor
+from oracles import FlowSuiteSpec, canonical_dumps, certificate_violations, flow_monitor
 from test_e2e import LONG_LINE_DOC, documents
 from test_trees import clustered_spaces
 
@@ -24,7 +24,6 @@ from naivea.errors import MalformedInputError, UnknownPointError
 from naivea.generators import gen_instance
 from naivea.instance_io import (
     PAIR_KEYS,
-    canonical_dumps,
     load_instance,
     load_output,
     output_to_jsonable,

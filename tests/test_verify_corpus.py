@@ -4,7 +4,13 @@ Three instances (a good one, one missing a chain, one whose chain names a
 point the space lacks) against seven outputs of the good one (as written,
 cut short, with an unknown subset member, with a pair row whose x is an
 int, with a row that has an extra key, with a changed y, and with a row
-dropped). Each of the 21 calls runs in its own process under two hash
+dropped). The good instance also meets fourteen outputs with an edited
+subset (a duplicate member, a malformed tail, a tail at index 0, a member
+that is not a string, a subset that is a string, an empty subset, and
+``p02`` given ``p00``'s list apart from it; the decoder builds no set for
+the first five, so ``parse_subsets`` decides them), each as it stands and
+with ``worst_ratio`` deleted, which pins that the certificate's shape is
+checked first. Each of the 35 calls runs in its own process under two hash
 seeds, from the corpus directory, so no message holds a temporary path.
 Its exit code and the sha256 of its stdout and stderr are pinned, so a
 change that moves any byte `verify` prints, or makes it depend on the hash
@@ -42,6 +48,18 @@ def _pairs(doc):
     return doc["certificate"]["pairs"]
 
 
+def _members(doc):
+    return doc["subsets"]["p03"]
+
+
+def _without_worst_ratio(edit):
+    def both(doc):
+        edit(doc)
+        del doc["certificate"]["worst_ratio"]
+
+    return both
+
+
 OUTPUTS = {
     "good": lambda doc: None,
     "unknown_member": lambda doc: doc["subsets"]["p03"].append("zz"),
@@ -50,6 +68,19 @@ OUTPUTS = {
     "changed_y": lambda doc: _pairs(doc)[8].update(y="p11"),
     "dropped_row": lambda doc: _pairs(doc).pop(10),
 }
+# edited subsets, run against the good instance alone
+LISTS = {
+    "duplicate_member": lambda doc: _members(doc).append(_members(doc)[0]),
+    "malformed_tail": lambda doc: _members(doc).append("p19#01"),
+    "zero_tail": lambda doc: _members(doc).append("p19#0"),
+    "int_member": lambda doc: _members(doc).append(5),
+    "str_subset": lambda doc: doc["subsets"].update(p03="p03"),
+    "empty_subset": lambda doc: doc["subsets"].update(p03=[]),
+    "equal_apart": lambda doc: doc["subsets"].update(p02=list(doc["subsets"]["p00"])),
+}
+OUTPUTS.update(LISTS)
+OUTPUTS.update({f"{name}_no_worst_ratio": _without_worst_ratio(edit)
+                for name, edit in LISTS.items()})
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +108,7 @@ def corpus(tmp_path_factory):
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()
+MISSING_WORST_RATIO = "35668ed6991e0ea12ba4d7628473c1c9b7b20b7369b4ab2d0fff4a9bf07e4a4c"
 # (instance, output) -> (exit code, sha256 of stdout, sha256 of stderr)
 PINNED = {
     ("good", "changed_y"):
@@ -121,7 +153,24 @@ PINNED = {
         (2, EMPTY, "9a607149fc32d7079265f241379cddbb8dd9362e750cb9518c75c54977e89b3b"),
     ("unknown_point", "unknown_member"):
         (2, EMPTY, "6c819c65f57390c887b662ee8ae81315959e29781af32b65c74dc201422322d4"),
+    ("good", "duplicate_member"):
+        (2, EMPTY, "78ca5c0d84da0b570172c3bf31144961b60ff2c61c19260e881a10334f57ebe6"),
+    ("good", "empty_subset"):
+        (2, EMPTY, "c4c8e84380b116f565b91be3f05af3640cfcf97ccd22e38a02f7a424c092b6f5"),
+    ("good", "equal_apart"):
+        (1, "ccdd10267337654f584bd1351e575d4700db25b8b861e0339d351e24a473e4a0", EMPTY),
+    ("good", "int_member"):
+        (2, EMPTY, "398073b4d6a0cc19e3af16a1747f7047f6b045126054a1450cead3b2e1fa97f0"),
+    ("good", "malformed_tail"):
+        (2, EMPTY, "d8f73ab7918e82007bda50fe2c5e50dc974a8e0c2f3bddd1ead1ac8cd5606521"),
+    ("good", "str_subset"):
+        (2, EMPTY, "7261ecd1faff6191af870afcdc29da4662cec121e03e114b4d53d7c3ef6eccb7"),
+    ("good", "zero_tail"):
+        (2, EMPTY, "786dcedeae9407b9ae636d1655f200433a93d82cab212aab5f8e38dd1052a9e1"),
 }
+# deleting worst_ratio makes each of those an output-shape error, which comes first
+PINNED.update({("good", f"{name}_no_worst_ratio"): (2, EMPTY, MISSING_WORST_RATIO)
+               for name in LISTS})
 
 
 def sha256(data: bytes) -> str:
