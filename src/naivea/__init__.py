@@ -8,8 +8,6 @@ from .chains import (
     InstanceReport,
     check_instance,
     l1_norm,
-    set_ratio,
-    variation_ratio,
 )
 from .errors import (
     InternalInvariantError,
@@ -49,8 +47,6 @@ __all__ = [
     "prepare",
     "rips_components",
     "run_pipeline",
-    "set_ratio",
-    "variation_ratio",
     "verify_certificate",
     "verify_naive",
     "__version__",

@@ -110,25 +110,18 @@ def format_ratio(q) -> str:
 
 
 @dataclass(frozen=True)
-class SetFamily:
-    """Leveled subsets A_x of X x {0..M-1}, the raw witness form."""
-
-    sets: dict
-    multiplicity_bound: int
-
-
-@dataclass(frozen=True)
 class ChainFamily:
     chains: dict  # point id -> chain
 
 
-def from_sets(family: SetFamily) -> ChainFamily:
-    """Collapse levels: a_x(z) = number of levels at which (z, level) sits in A_x."""
-    M = family.multiplicity_bound
+def from_sets(sets: dict, multiplicity_bound: int) -> ChainFamily:
+    """Collapse the leveled subsets A_x of X x {0..M-1}, the raw witness
+    form, to chains: a_x(z) = number of levels at which (z, level) sits in A_x."""
+    M = multiplicity_bound
     if not isinstance(M, int) or isinstance(M, bool) or M < 1:
         raise MalformedInputError(f"multiplicity bound must be a positive int, got {M!r}")
     chains = {}
-    for x, pairs in family.sets.items():
+    for x, pairs in sets.items():
         chain: dict = {}
         seen = set()
         for item in pairs:

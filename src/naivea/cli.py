@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 
+from . import instance_io
 from .augment import aug_sort_key, format_aug
 from .chains import format_ratio
 from .errors import InternalInvariantError, MalformedInputError, NaiveAError, PreconditionError
@@ -91,15 +92,11 @@ def cmd_run(args) -> int:
     points = instance.space.points
     flow_map, chains = (prep.flow_map, instance.family.chains) if args.trace else (None, None)
     del prep, instance
-    # imported at call time, so a tracer that wraps
-    # instance_io.output_to_jsonable sees this call; do not hoist
-    from .instance_io import output_to_jsonable
-
     # the trace opens first, so an unwritable trace leaves no output behind,
     # and an output that cannot be written takes the new trace with it
     trace = open_output(args.trace) if args.trace else None
     try:
-        write_canonical(args.out, output_to_jsonable(subsets, certificate))
+        write_canonical(args.out, instance_io.output_to_jsonable(subsets, certificate))
     except BaseException:
         if trace is not None:
             trace.close()

@@ -95,20 +95,13 @@ def build_flow(aug: AugmentedSpace) -> FlowMap:
             base_successor[ray[-1]] = (comp.anchor, 1)
         else:
             base_successor[comp.basepoint] = (comp.anchor, 1)
-    hop = floor_units(aug.decomposition.scale, space.metric.denominator)
+    hop = floor_units(aug.params.S, space.metric.denominator)
     for child, par in base_successor.items():
         if isinstance(par, str) and space.metric.dist(child, par) > hop:
             raise InternalInvariantError(
                 f"successor edge ({child!r}, {par!r}) longer than the scale"
             )
     return FlowMap(base_successor=base_successor, tail_cap=aug.params.N)
-
-
-def split(a) -> tuple[dict, dict]:
-    """Decompose a chain into its support indicator and the excess."""
-    base = {p: 1 for p in a}
-    excess = {p: v - 1 for p, v in a.items() if v > 1}
-    return base, excess
 
 
 def step(flow: FlowMap, a) -> dict:
@@ -131,8 +124,7 @@ def iterate(flow: FlowMap, a):
     failure. The last chain always occupies exactly ||a|| points.
     """
     mass = l1_norm(a)
-    _, excess = split(a)
-    bound = mass * l1_norm(excess)
+    bound = mass * sum(v - 1 for v in a.values() if v > 1)
     current = a
     count = 0
     while any(v > 1 for v in current.values()):

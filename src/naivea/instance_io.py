@@ -32,17 +32,17 @@ raised is the stdlib's own. A pipe cannot be read twice, so the decoder
 holds a pipe's bytes for that.
 
 ``load_output`` takes the instance's points, and the decoder builds each
-subset while it decodes it: a member list of ``"subsets"`` whose members are
-distinct ids of the instance, or tail points at them, becomes at once the
-frozenset of the instance's own id objects, so the decoded strings are freed
-and the subsets are never held twice. Any other list stays a list, for
-``parse_subsets`` to decide. The certificate's ``"pairs"`` is then decoded
-row by row through the same window, and each row as the file writes it (keys
-``input_ratio``, ``output_ratio``, ``x``, ``y`` with str values, ``x`` and
-``y`` ids of the instance) becomes the tuple of its values in that order,
-with the instance's own id objects and one shared str per distinct ratio
-text. Any other row stays the dict the stdlib makes, for
-``verify_certificate`` to compare as it stands.
+subset while it decodes it: a non-empty member list of ``"subsets"`` whose
+members are distinct ids of the instance, or tail points at them, becomes at
+once the frozenset of the instance's own id objects, so the decoded strings
+are freed and the subsets are never held twice. Any other list stays a
+list, for ``parse_subsets`` to decide. The certificate's ``"pairs"`` is
+then decoded row by row through the same window, and each row as the file
+writes it (keys ``input_ratio``, ``output_ratio``, ``x``, ``y`` with str
+values, ``x`` and ``y`` ids of the instance) becomes the tuple of its
+values in that order, with the instance's own id objects and one shared
+str per distinct ratio text. Any other row stays the dict the stdlib makes,
+for ``verify_certificate`` to compare as it stands.
 """
 from __future__ import annotations
 
@@ -58,8 +58,9 @@ from fractions import Fraction
 from json.decoder import WHITESPACE, WHITESPACE_STR, JSONDecodeError, scanstring
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
+from . import generators
 from .augment import format_aug, parse_aug
-from .chains import ChainFamily, InstanceParams, SetFamily, format_ratio, from_sets, make_chain
+from .chains import ChainFamily, InstanceParams, format_ratio, from_sets, make_chain
 from .errors import MalformedInputError
 from .rational import format_rational, parse_rational
 from .space import Space, build_space, check_points, parse_hints
@@ -275,7 +276,7 @@ def _array(read, s, end, scan):
             s, end = _refill(read, s, mark, end, exc), 0
 
 
-def _object(read, s, end, scan, top, make=None, scan_row=None):
+def _object(read, s, end, scan, top, make, scan_row):
     """The object whose ``{`` is ``s[end - 1]``, decoded member by member from
     the window ``s`` and then ``read``, with the window that holds the text
     past its ``}`` and the index there.
@@ -285,12 +286,12 @@ def _object(read, s, end, scan, top, make=None, scan_row=None):
     top an array whose text repeats the previous array's text is that
     array's value again (exact, as an array is self-delimiting). The top
     object hands ``make`` to its ``"subsets"`` member and ``scan_row`` to its
-    ``"certificate"`` member; below the top, each array decoded is replaced
-    by ``make(array)`` when ``make`` is given, and a ``"pairs"`` array is
-    decoded element by element with ``scan_row`` (``_array``) when that is
-    given. A member counts only once its ``,`` or ``}`` is in the window,
-    since a number at the window's end may go on. Until then ``_refill``
-    gives the window the member is decoded again from.
+    ``"certificate"`` member, and None to the others; below the top, each
+    array decoded is replaced by ``make(array)`` when ``make`` is given, and
+    a ``"pairs"`` array is decoded element by element with ``scan_row``
+    (``_array``) when that is given. A member counts only once its ``,`` or
+    ``}`` is in the window, since a number at the window's end may go on.
+    Until then ``_refill`` gives the window the member is decoded again from.
     """
     match = WHITESPACE.match
     obj = {}
@@ -358,15 +359,15 @@ _match_row = re.compile(r"\{%s\}" % ",".join(
 
 
 def _makers(points, scan):
-    """What ``decode_output`` applies given the instance's ``points``: a
+    """What ``decode_output`` applies against the instance's ``points``: a
     function to each member list of ``"subsets"``, and a scanner, in place
     of ``scan``, to each row of the certificate's ``"pairs"``. Neither ever
     raises where ``scan`` would not.
 
-    A member list of distinct members, each an id of ``points`` or a tail
+    A non-empty list of distinct members, each an id of ``points`` or a tail
     point ``parse_aug`` reads at one, becomes their frozenset, built from the
     instance's own id objects, so the decoded strings are freed at once. Any
-    other list is returned as it stands, for ``parse_subsets`` to decide.
+    other list, the empty one too, is returned as it stands.
 
     A pair row whose keys are exactly ``PAIR_KEYS``, in that order and each
     once, with string values and ``x`` and ``y`` ids of ``points``, is read
@@ -383,7 +384,7 @@ def _makers(points, scan):
         return ids[anchor], index
 
     def make(members):
-        if not set(map(type, members)) <= _STR:
+        if set(map(type, members)) != _STR:  # empty, or not all str
             return members
         try:
             subset = frozenset(map(ids.__getitem__, members))
@@ -412,18 +413,15 @@ def _makers(points, scan):
     return make, scan_row
 
 
-def decode_output(fh, points=None):
+def decode_output(fh, points):
     """``json.load(fh)``, except that the text is read in windows of
-    ``_WINDOW`` characters and dropped once decoded, and that in each object
-    one level below the top an array that repeats the previous array's text
-    shares its list object (``_object``). Given the instance's ``points``,
-    as ``load_output`` gives them, each member list of ``"subsets"`` that
-    names distinct points, or tail points at them, is decoded as their
-    frozenset, and the certificate's ``"pairs"`` row by row, each canonical
-    row as a tuple of its values in ``PAIR_KEYS`` order (``_makers``). Any
-    failure decodes the whole text again with ``json.loads``, so every error
-    raised is the stdlib's own, positions included, and every list stays a
-    list."""
+    ``_WINDOW`` characters and dropped once decoded, that in each object one
+    level below the top an array that repeats the previous array's text
+    shares its value (``_object``), and that, against the instance's
+    ``points``, the member lists of ``"subsets"`` and the certificate's
+    ``"pairs"`` rows are taken as ``_makers`` builds them. Any failure
+    decodes the whole text again with ``json.loads``, so every error raised
+    is the stdlib's own, positions included, and every list stays a list."""
     if not fh.seekable():
         # a pipe cannot be read again: hold its bytes for the failure path
         fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8")
@@ -432,8 +430,7 @@ def decode_output(fh, points=None):
         s, end = _skip(read, "", 0)
         if s.startswith("{", end):
             scan = json.JSONDecoder().scan_once
-            makers = () if points is None else _makers(points, scan)
-            doc, s, end = _object(read, s, end + 1, scan, True, *makers)
+            doc, s, end = _object(read, s, end + 1, scan, True, *_makers(points, scan))
             s, end = _skip(read, s, end)
             if end == len(s):
                 return doc
@@ -463,10 +460,6 @@ def _require(doc, key, where):
 def _generated(points, metric, hints, with_chains):
     """Space of a generator metric, and its ball-sum chains when
     ``with_chains`` (else None); non-empty ``hints`` replace its own."""
-    # imported at call time, so a tracer that wraps generators.gen_instance
-    # sees this call; do not hoist
-    from . import generators
-
     sorted_points = check_points(points)
     spec = (metric.get("kind"), metric.get("params", {}), metric.get("seed", 0))
     if with_chains:
@@ -524,7 +517,7 @@ def instance_from_doc(doc) -> Instance:
                 for item in pairs
             ]
             bound = max([0, *levels]) + 1
-        family = from_sets(SetFamily(sets=raw, multiplicity_bound=bound))
+        family = from_sets(raw, bound)
     elif generated is not None:
         family = generated
     else:
@@ -640,13 +633,10 @@ def output_to_jsonable(subsets: dict, certificate: Certificate) -> dict:
 
 def load_output(path, points) -> tuple[dict, dict]:
     """The output's subsets and certificate, checked for shape, decoded
-    against the instance's ``points`` (``decode_output``). Each member list
-    of distinct known points, or tail points at them, comes back as a
-    frozenset built from the instance's own id objects; every other member
-    list comes back as a list, for ``parse_subsets``. Each canonical pair
-    row of the certificate comes back as the tuple of its values in
-    ``PAIR_KEYS`` order, for ``verify_certificate``; every other row comes
-    back as a dict."""
+    against the instance's ``points`` by ``decode_output``: a member list it
+    did not take as a frozenset stays a list, for ``parse_subsets``, and a
+    pair row it did not take as a tuple stays a dict, for
+    ``verify_certificate``."""
     doc = _read_document(path, functools.partial(decode_output, points=points))
     if not isinstance(doc, dict):
         raise MalformedInputError("output document must be a JSON object")

@@ -507,7 +507,6 @@ class Component:
 
 @dataclass(frozen=True)
 class Decomposition:
-    scale: Fraction
     components: tuple[Component, ...]
     owner: dict = field(repr=False)  # point id -> index of its component
 
@@ -562,7 +561,7 @@ def rips_components(space: Space, S) -> Decomposition:
         owner.update(dict.fromkeys(parent, idx))
         pts = tuple(sorted(parent))
         components.append(Component(index=idx, points=pts, basepoint=pts[0], parent=parent))
-    return Decomposition(scale=S, components=tuple(components), owner=owner)
+    return Decomposition(components=tuple(components), owner=owner)
 
 
 def ray_problem(space: Space, comp: Component, ray, S):

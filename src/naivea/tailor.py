@@ -64,13 +64,13 @@ def classify(space: Space, decomp: Decomposition, params: InstanceParams):
     for comp, case in zip(decomp.components, cases):
         if case == "1":
             ray = rays[comp.index]
-            tree = bfs_tree(space, ray, decomp.scale)
+            tree = bfs_tree(space, ray, params.S)
             comp = replace(comp, cls=CLS_UNBOUNDED, basepoint=ray[0], ray=ray, parent=tree)
         elif case == "3":
             markers = annulus_points(space, comp, params)
             comp = replace(comp, cls=CLS_BOUNDED_LARGE, markers=markers)
         comps.append(comp)
-    decomp = Decomposition(scale=decomp.scale, components=tuple(comps), owner=decomp.owner)
+    decomp = Decomposition(components=tuple(comps), owner=decomp.owner)
     return decomp, warnings
 
 

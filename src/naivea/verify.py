@@ -191,12 +191,14 @@ def verify_naive(
         radii[x] = d
         if d > radius:
             radius, worst_x = d, x
-    # report the radius as the rational distance of the first pair that
-    # attains it, which checks the int scaling against the exact metric
+    # report the radius as the rational distance of the pair that attains it
+    # with the first member in _member_key order, whatever the hash seed,
+    # which checks the int scaling against the exact metric
     support_radius = Fraction(0)
     if worst_x is not None:
         x = worst_x
-        p = next(p for p in subsets[x] if _units(metric, spacing, k, x, p) == radius)
+        p = next(p for p in sorted(subsets[x], key=_member_key)
+                 if _units(metric, spacing, k, x, p) == radius)
         if isinstance(p, tuple):
             support_radius = space.dist(x, p[0]) + p[1] * Fraction(tail_spacing)
         else:

@@ -1,8 +1,9 @@
 """Brute-force oracles for the flow's redistribution laws and the
 certificate check.
 
-The package never calls these; they check it from outside. ``meet`` and
-``diff_l1`` compute a meet and an l1 difference from first principles, and
+The package never calls these; they check it from outside. ``split``,
+``meet`` and ``diff_l1`` compute a chain's support indicator and excess, a
+meet and an l1 difference from first principles, and
 ``flow_monitor`` brute-forces every small chain on a successor path, checks
 the redistribution laws exhaustively, and checks the one-pass settler
 against synchronous stepping. ``certificate_violations`` checks a
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from naivea.chains import case_bounds, l1_norm
 from naivea.errors import MalformedInputError, PreconditionError
-from naivea.flow import FlowMap, iterate, split, stabilize, step
+from naivea.flow import FlowMap, iterate, stabilize, step
 from naivea.instance_io import Certificate, _render
 
 
@@ -38,6 +39,13 @@ def materialize(aug, max_index: int) -> list:
     for comp in aug.decomposition.components:
         pts.extend((comp.anchor, j) for j in range(1, max_index + 1))
     return pts
+
+
+def split(a) -> tuple[dict, dict]:
+    """Decompose a chain into its support indicator and the excess."""
+    base = {p: 1 for p in a}
+    excess = {p: v - 1 for p, v in a.items() if v > 1}
+    return base, excess
 
 
 def meet(a, b) -> dict:

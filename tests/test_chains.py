@@ -16,7 +16,6 @@ from naivea.chains import (
     INFINITE,
     ChainFamily,
     InstanceParams,
-    SetFamily,
     check_instance,
     format_ratio,
     from_sets,
@@ -103,21 +102,19 @@ def test_format_ratio():
 
 
 def test_from_sets_collapses_levels():
-    fam = from_sets(
-        SetFamily(sets={"x": [("a", 0), ("a", 2), ("b", 1)]}, multiplicity_bound=3)
-    )
+    fam = from_sets({"x": [("a", 0), ("a", 2), ("b", 1)]}, 3)
     assert fam.chains == {"x": {"a": 2, "b": 1}}
     with pytest.raises(MalformedInputError, match="outside range"):
-        from_sets(SetFamily(sets={"x": [("a", 3)]}, multiplicity_bound=3))
+        from_sets({"x": [("a", 3)]}, 3)
     with pytest.raises(MalformedInputError, match="duplicate"):
-        from_sets(SetFamily(sets={"x": [("a", 1), ("a", 1)]}, multiplicity_bound=3))
+        from_sets({"x": [("a", 1), ("a", 1)]}, 3)
     for item in (5, ("a",), (["a"], 0)):
         with pytest.raises(MalformedInputError, match="set element"):
-            from_sets(SetFamily(sets={"x": [item]}, multiplicity_bound=3))
+            from_sets({"x": [item]}, 3)
     with pytest.raises(PreconditionError, match="empty"):
-        from_sets(SetFamily(sets={"x": []}, multiplicity_bound=3))
+        from_sets({"x": []}, 3)
     with pytest.raises(MalformedInputError, match="multiplicity bound"):
-        from_sets(SetFamily(sets={"x": [("a", 0)]}, multiplicity_bound=True))  # bool is an int
+        from_sets({"x": [("a", 0)]}, True)  # bool is an int
 
 
 def test_params_validation():

@@ -349,6 +349,38 @@ def test_errors_do_not_depend_on_the_hash_seed(tmp_path):
         assert seen == {(2, f"error: {message}\n")}
 
 
+# verify with every rational distance read 10^-9 high, so that the worst
+# radius's re-derivation fails and names the member it took
+SKEWED_VERIFY = """
+import sys
+from fractions import Fraction
+from naivea.space import Space
+dist = Space.dist
+Space.dist = lambda self, x, y: dist(self, x, y) + Fraction(1, 10**9)
+from naivea.cli import main
+sys.exit(main(["verify", *sys.argv[1:]]))
+"""
+
+
+def test_verify_names_the_same_witness_under_every_hash_seed(tmp_path):
+    """The worst point's ball in a Cayley graph of a cyclic group has two
+    members at its radius, g02 and g10; the failed re-derivation names the
+    first in sorted order in every process."""
+    inst, out = str(tmp_path / "inst.json"), str(tmp_path / "out.json")
+    assert run_cli("generate", "cayley_cyclic", "--n", "12", "--k", "2", "--out", inst) == 0
+    assert run_cli("run", inst, "--out", out) == 0
+    paths = (str(Path(naivea.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    seen = set()
+    for seed in ("0", "1", "5"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+               "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-c", SKEWED_VERIFY, inst, out],
+                              capture_output=True, env=env, timeout=120)
+        seen.add((done.returncode, done.stderr.decode()))
+    assert seen == {(4, "internal invariant violated: support radius at ('g00', 'g02') is "
+                        "2000000001/1000000000, but 2/1 in units\n")}
+
+
 def test_commands_free_the_chains_once_done(tmp_path, monkeypatch):
     """No chain is alive when `verify` decodes the output, nor when `run`
     writes it without --trace; with --trace the replay still writes the

@@ -11,11 +11,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import split
 
 from naivea.augment import augment
 from naivea.chains import InstanceParams, l1_norm
 from naivea.errors import InternalInvariantError
-from naivea.flow import FlowMap, build_flow, iterate, split, stabilize, step
+from naivea.flow import FlowMap, build_flow, iterate, stabilize, step
 from naivea.generators import gen_instance
 from naivea.space import rips_components
 from naivea.tailor import classify
@@ -211,7 +212,6 @@ def test_missing_ray_is_internal_error(two, two_params):
     decomp = rips_components(two, 2)
     broken = replace(decomp.components[0], cls="UNBOUNDED_EMULATED", ray=None)
     bad = type(decomp)(
-        scale=decomp.scale,
         components=(broken, decomp.components[1]),
         owner=decomp.owner,
     )

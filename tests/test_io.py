@@ -490,13 +490,13 @@ class Windows(io.StringIO):
 
 
 def assert_decodes_like_the_stdlib(text):
-    assert_decodes_alike(lambda t: decode_output(io.StringIO(t)), text, json.loads)
+    assert_decodes_alike(lambda t: decode_output(io.StringIO(t), ()), text, json.loads)
     doc, _ = decoded(json.loads, text)
     if isinstance(doc, dict):
         # a valid output-like text: decoded from its windows alone, with no
         # whole-text read to fall back on
         for window in WINDOWS:
-            assert at_window(window, decode_output)(Windows(text)) == doc
+            assert at_window(window, lambda t: decode_output(Windows(t), ()))(text) == doc
 
 
 # whitespace, and characters that end, open or escape a JSON token
@@ -608,7 +608,7 @@ EDGE_TEXTS = {
 
 
 def read_output_text(path):
-    return instance_io._read_document(path, decode_output)
+    return instance_io._read_document(path, lambda fh: decode_output(fh, ()))
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_TEXTS))
@@ -624,7 +624,7 @@ def test_decode_output_across_window_edges(name, tmp_path):
 def test_a_repeated_list_across_a_refill_is_shared():
     text = EDGE_TEXTS["repeated_list"]
     for window in range(1, len(text) + 1):
-        subsets = at_window(window, decode_output)(io.StringIO(text))["subsets"]
+        subsets = at_window(window, lambda t: decode_output(io.StringIO(t), ()))(text)["subsets"]
         assert subsets["a"] is subsets["b"] is subsets["c"] == ["p1", "p2", "p3"], window
 
 

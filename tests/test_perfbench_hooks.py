@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from naivea.cli import main
+from naivea.generators import gen_instance
+from naivea.instance_io import instance_to_doc, load_instance, write_canonical
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -90,3 +92,20 @@ def test_traced_cycle_reaches_every_count(layers, tmp_path):
     for half in ("verify.naive", "verify.certificate"):
         assert ops["verify"]["calls"][half] == 1, half
         assert ops["run"]["calls"][half] == 0, half
+
+
+def test_traced_load_regenerates_through_the_module(layers, tmp_path):
+    """A generator-metric instance without chains is loaded by regenerating
+    them with ``generators.gen_instance`` as the module holds it at call
+    time, so the tracer sees the one call."""
+    space, family, params = gen_instance("line", {"count": 8, "radii": ["2"]}, seed=1)
+    thin = instance_to_doc(space, family, params)
+    del thin["chains"]
+    path = tmp_path / "thin.json"
+    write_canonical(path, thin)
+    tracer = layers.Tracer()
+    with layers.installed(tracer):
+        with tracer.op("cli.load"):
+            load_instance(path)
+        calls = tracer.take()["calls"]
+    assert calls["generators.gen_instance"] == 1

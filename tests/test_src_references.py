@@ -1,13 +1,17 @@
-"""Every function, class and method in ``src/naivea`` is reached from ``src``.
+"""Every function, class and method in ``src/naivea`` is reached from ``src``,
+and every public name has a caller.
 
 A definition counts as reached when ``src`` names it in code (a ``Name`` or
 an ``Attribute``; a docstring does not count), when ``naivea.__all__`` lists
-it, or when ``perfbench/layers.py`` hooks it. Dunder methods are exempt.
+it, or when ``perfbench/layers.py`` hooks it. A name in ``naivea.__all__``
+has a caller when ``src`` names it in code outside ``__init__.py``, or when
+README's Library section does. Dunders are exempt from both.
 Code that only tests call belongs in ``tests/``, as ``oracles.py`` does.
 """
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 from test_perfbench_hooks import layers  # noqa: F401  (the fixture)
@@ -15,11 +19,18 @@ from test_perfbench_hooks import layers  # noqa: F401  (the fixture)
 import naivea
 
 SRC = Path(naivea.__file__).resolve().parent
+README = SRC.parents[1] / "README.md"
 
 
-def test_every_definition_is_referenced_in_src(layers):  # noqa: F811
-    defined, named = [], set(naivea.__all__)
-    for path in sorted(SRC.rglob("*.py")):
+def _dunder(name) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _walk(paths):
+    """The definitions in ``paths``, as (where, name), and every name their
+    code uses."""
+    defined, named = [], set()
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((f"{path.name}:{node.lineno}", node.name))
@@ -27,9 +38,21 @@ def test_every_definition_is_referenced_in_src(layers):  # noqa: F811
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+    return defined, named
+
+
+def test_every_definition_is_referenced_in_src(layers):  # noqa: F811
+    defined, named = _walk(sorted(SRC.rglob("*.py")))
+    named.update(naivea.__all__)
     named.update(attr for _, attr, _ in layers.Tracer().patches())
-    unreached = [
-        (where, name) for where, name in defined
-        if name not in named and not (name.startswith("__") and name.endswith("__"))
-    ]
+    unreached = [(where, name) for where, name in defined
+                 if name not in named and not _dunder(name)]
     assert not unreached
+
+
+def test_every_public_name_has_a_caller():
+    _, named = _walk(path for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py")
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    named.update(re.findall(r"\w+", library.split("\n## ", 1)[0]))
+    uncalled = [name for name in naivea.__all__ if name not in named and not _dunder(name)]
+    assert not uncalled

@@ -1,4 +1,4 @@
-"""A standing byte-identity corpus for `verify`.
+"""A standing byte-identity corpus for every command.
 
 Three instances (a good one, one missing a chain, one whose chain names a
 point the space lacks) against seven outputs of the good one (as written,
@@ -8,13 +8,20 @@ dropped). The good instance also meets fourteen outputs with an edited
 subset (a duplicate member, a malformed tail, a tail at index 0, a member
 that is not a string, a subset that is a string, an empty subset, and
 ``p02`` given ``p00``'s list apart from it; the decoder builds no set for
-the first five, so ``parse_subsets`` decides them), each as it stands and
+the first six, so ``parse_subsets`` decides them), each as it stands and
 with ``worst_ratio`` deleted, which pins that the certificate's shape is
-checked first. Each of the 35 calls runs in its own process under two hash
-seeds, from the corpus directory, so no message holds a temporary path.
-Its exit code and the sha256 of its stdout and stderr are pinned, so a
-change that moves any byte `verify` prints, or makes it depend on the hash
-seed, fails here.
+checked first. Each of these 35 `verify` calls runs in its own process
+under two hash seeds, from the corpus directory, so no message holds a
+temporary path. Its exit code and the sha256 of its stdout and stderr are
+pinned, so a change that moves any byte a command prints, or makes it
+depend on the hash seed, fails here.
+
+The other commands meet the three instances the same way: `run` with
+``--out`` and ``--trace``, whose files' sha256 are pinned too (None when
+there is no file), `trace --point p05` and `inspect`. So do the two inputs
+that each hold several bad members: the good output with tails at three
+anchors that are not its ray's end (`verify`), and a positions instance
+that misses three points' positions (`inspect`).
 """
 from __future__ import annotations
 
@@ -67,6 +74,7 @@ OUTPUTS = {
     "extra_key": lambda doc: _pairs(doc)[6].update(z="1"),
     "changed_y": lambda doc: _pairs(doc)[8].update(y="p11"),
     "dropped_row": lambda doc: _pairs(doc).pop(10),
+    "foreign_tails": lambda doc: _members(doc).extend(["p05#1", "p06#1", "p07#1"]),
 }
 # edited subsets, run against the good instance alone
 LISTS = {
@@ -81,6 +89,16 @@ LISTS = {
 OUTPUTS.update(LISTS)
 OUTPUTS.update({f"{name}_no_worst_ratio": _without_worst_ratio(edit)
                 for name, edit in LISTS.items()})
+# a positions instance with no position for three of its points
+GAP_IDS = [f"x{i:02d}" for i in range(12)]
+GAPS = {
+    "space": {"points": GAP_IDS, "metric": {
+        "type": "positions",
+        "values": {p: i for i, p in enumerate(GAP_IDS) if p not in ("x03", "x07", "x10")},
+    }},
+    "params": {"R": "1", "epsilon": "1", "S": "2"},
+    "chains": {x: {x: 1} for x in GAP_IDS},
+}
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +120,7 @@ def corpus(tmp_path_factory):
             doc = read_json(out)
             edit(doc)
             write_canonical(root / f"{name}.out.json", doc)
+    write_canonical(root / "gaps.inst.json", GAPS)
     text = out.read_bytes()
     (root / "truncated.out.json").write_bytes(text[:len(text) // 2])
     return root
@@ -168,6 +187,8 @@ PINNED = {
     ("good", "zero_tail"):
         (2, EMPTY, "786dcedeae9407b9ae636d1655f200433a93d82cab212aab5f8e38dd1052a9e1"),
 }
+PINNED["good", "foreign_tails"] = (
+    2, EMPTY, "7982779d3e1d2a0ab767de03e09afd984a80eceb611629dcb26d3a8c60594ee9")
 # deleting worst_ratio makes each of those an output-shape error, which comes first
 PINNED.update({("good", f"{name}_no_worst_ratio"): (2, EMPTY, MISSING_WORST_RATIO)
                for name in LISTS})
@@ -177,14 +198,74 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("instance, output", sorted(PINNED))
-def test_verify_prints_the_pinned_bytes(corpus, instance, output):
+def printed(corpus, argv):
+    """For each hash seed, (exit code, sha256 of stdout, sha256 of stderr) of
+    ``argv`` run in a process of its own, and the seed and the finished
+    process, for a failure's message."""
     paths = (str(Path(naivea.__file__).parents[1]), os.environ.get("PYTHONPATH"))
-    argv = ["verify", f"{instance}.inst.json", f"{output}.out.json"]
     for seed in ("0", "1"):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
                "PYTHONHASHSEED": seed}
         done = subprocess.run([sys.executable, "-m", "naivea.cli", *argv], cwd=corpus,
                               capture_output=True, env=env, timeout=120)
-        seen = (done.returncode, sha256(done.stdout), sha256(done.stderr))
+        yield (done.returncode, sha256(done.stdout), sha256(done.stderr)), (seed, done)
+
+
+@pytest.mark.parametrize("instance, output", sorted(PINNED))
+def test_verify_prints_the_pinned_bytes(corpus, instance, output):
+    argv = ["verify", f"{instance}.inst.json", f"{output}.out.json"]
+    for seen, (seed, done) in printed(corpus, argv):
         assert seen == PINNED[instance, output], (seed, done.stdout, done.stderr)
+
+
+NO_CHAIN = "a38230210aadecd182619759b6b3637071139774e2988720410cee8f318d5935"
+UNKNOWN_POINT = "6c819c65f57390c887b662ee8ae81315959e29781af32b65c74dc201422322d4"
+# what run writes, in the corpus directory
+RAN = ("ran.out.json", "ran.trace.txt")
+# instance -> (exit code, sha256 of stdout, of stderr, of the output, of the trace)
+RAN_PINNED = {
+    "good": (0, "f6d14ffb9f95e54ffc2c36e4fd5b84f63d7057bcb8d58073d9027077f04899ed", EMPTY,
+             "ffdc907ded40c94f8a497dc7f50263ba04307ca01569f6e60e92f121eeb47ac8",
+             "3578f7f7a0615a031fcae16aebfb2cbe34ae608fd0e0012e4ab136e4e21df950"),
+    "missing_chain": (3, EMPTY, NO_CHAIN, None, None),
+    "unknown_point": (2, EMPTY, UNKNOWN_POINT, None, None),
+}
+
+
+def written(path):
+    """The sha256 of the file at ``path``, or None when there is none; the
+    file is removed, so the next process writes afresh."""
+    if not path.exists():
+        return None
+    digest = sha256(path.read_bytes())
+    path.unlink()
+    return digest
+
+
+@pytest.mark.parametrize("instance", sorted(INSTANCES))
+def test_run_writes_the_pinned_bytes(corpus, instance):
+    argv = ["run", f"{instance}.inst.json", "--out", RAN[0], "--trace", RAN[1]]
+    for seen, (seed, done) in printed(corpus, argv):
+        files = tuple(written(corpus / name) for name in RAN)
+        assert (*seen, *files) == RAN_PINNED[instance], (seed, done.stdout, done.stderr)
+
+
+# argv -> (exit code, sha256 of stdout, sha256 of stderr)
+COMMANDS = {
+    ("trace", "good.inst.json", "--point", "p05"):
+        (0, "f9016267e6a850dbd6a12308ef51800acfc9562c8da615aa0eafae6f37b73f3b", EMPTY),
+    ("trace", "missing_chain.inst.json", "--point", "p05"): (3, EMPTY, NO_CHAIN),
+    ("trace", "unknown_point.inst.json", "--point", "p05"): (2, EMPTY, UNKNOWN_POINT),
+    ("inspect", "good.inst.json"):
+        (0, "7f785d1345677431fe24b2e984792284fd68c7b6280b6ded8a5735a387dbf6e2", EMPTY),
+    ("inspect", "missing_chain.inst.json"): (3, EMPTY, NO_CHAIN),
+    ("inspect", "unknown_point.inst.json"): (2, EMPTY, UNKNOWN_POINT),
+    ("inspect", "gaps.inst.json"):
+        (2, EMPTY, "1b36058e3795de42edb92d636f5966ccba5c445618507277bc7f0de6e5ac6e28"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(COMMANDS), ids=" ".join)
+def test_commands_print_the_pinned_bytes(corpus, argv):
+    for seen, (seed, done) in printed(corpus, list(argv)):
+        assert seen == COMMANDS[argv], (seed, done.stdout, done.stderr)
