@@ -85,7 +85,8 @@ def meet_mass(a, b) -> int:
 
 
 def set_terms(A, B) -> tuple:
-    """(|A ^ B|, |A & B|) for two sets or frozensets, from one intersection."""
+    """(|A ^ B|, |A & B|) for two sets or frozensets, from one intersection;
+    one collection of distinct members given twice needs no intersection."""
     i = len(A) if A is B else len(A & B)
     return len(A) + len(B) - 2 * i, i
 

@@ -12,8 +12,8 @@ keys, or a list or tuple, whose values all have exact type ``str``,
 stdlib's C encoder, with the indent in its item separator; every other
 container, and every container where there is no C encoder, is walked here.
 Within a batch a flat container that recurs at one depth is rendered once:
-every case-2 point of a component shares one subset list
-(``output_to_jsonable``).
+every case-2 point of a component shares one subset tuple, its component's
+points (``output_to_jsonable``).
 
 ``load_output`` reads that sharing back. Its decoder, ``decode_output``,
 never holds the whole text of a file. It reads the file in windows of
@@ -34,15 +34,18 @@ holds a pipe's bytes for that.
 ``load_output`` takes the instance's points, and the decoder builds each
 subset while it decodes it: a non-empty member list of ``"subsets"`` whose
 members are distinct ids of the instance, or tail points at them, becomes at
-once the frozenset of the instance's own id objects, so the decoded strings
-are freed and the subsets are never held twice. Any other list stays a
-list, for ``parse_subsets`` to decide. The certificate's ``"pairs"`` is
-then decoded row by row through the same window, and each row as the file
-writes it (keys ``input_ratio``, ``output_ratio``, ``x``, ``y`` with str
-values, ``x`` and ``y`` ids of the instance) becomes the tuple of its
-values in that order, with the instance's own id objects and one shared
-str per distinct ratio text. Any other row stays the dict the stdlib makes,
-for ``verify_certificate`` to compare as it stands.
+once the tuple of the instance's own id objects, in list order, so the
+decoded strings are freed and the subsets are never held twice; a tuple
+costs a fraction of a set, and ``verify_naive`` makes a set of a subset only
+while the pairs of its point read it. Any other list stays a list, for
+``parse_subsets`` to decide. The certificate's ``"pairs"`` is then decoded
+through the same window, and each row as the file writes it (keys
+``input_ratio``, ``output_ratio``, ``x``, ``y`` with str values, ``x`` and
+``y`` ids of the instance) becomes the tuple of its values in that order,
+with the instance's own id objects and one shared str per distinct ratio
+text; a run of rows laid out as the writer lays them out is read by one
+regex scanner pass. Any other row stays the dict the stdlib makes, for
+``verify_certificate`` to compare as it stands.
 """
 from __future__ import annotations
 
@@ -202,7 +205,7 @@ def read_json(path):
 
 # characters per read of the output decoder; a window grows past this only
 # while one member is longer
-_WINDOW = 1 << 18
+_WINDOW = 1 << 16
 
 
 def _skip(read, s, end):
@@ -243,10 +246,13 @@ def _refill(read, s, mark, end, exc):
     return "".join(pieces)
 
 
-def _array(read, s, end, scan):
-    """The array whose ``[`` is ``s[end - 1]``, decoded element by element,
-    each whole with ``scan``, from the window ``s`` and then ``read``, with
-    the window that holds the text past its ``]`` and the index there. An
+def _array(read, s, end, scan, scan_run):
+    """The array whose ``[`` is ``s[end - 1]``, decoded from the window ``s``
+    and then ``read``, with the window that holds the text past its ``]``
+    and the index there. ``scan_run`` takes at once the run of elements that
+    it can from where an element starts, each with the ``,`` after it, and
+    returns their values (none when it can take none) and the index after
+    them; an element it does not take is decoded whole with ``scan``. An
     element counts only once its ``,`` or ``]`` is in the window; until then
     ``_refill`` gives the window it is decoded again from."""
     match = WHITESPACE.match
@@ -258,6 +264,11 @@ def _array(read, s, end, scan):
             end = match(s, end).end()
             if s[end] == close:
                 return out, s, end + 1
+            run, end = scan_run(s, end)
+            if run:
+                out += run
+                close = ""
+                continue
             value, end = scan(s, end)
             c = s[end]
             if c in WHITESPACE_STR:
@@ -276,7 +287,7 @@ def _array(read, s, end, scan):
             s, end = _refill(read, s, mark, end, exc), 0
 
 
-def _object(read, s, end, scan, top, make, scan_row):
+def _object(read, s, end, scan, top, make, rows):
     """The object whose ``{`` is ``s[end - 1]``, decoded member by member from
     the window ``s`` and then ``read``, with the window that holds the text
     past its ``}`` and the index there.
@@ -285,11 +296,11 @@ def _object(read, s, end, scan, top, make, scan_row):
     the top object that is an object is decoded here too, and that below the
     top an array whose text repeats the previous array's text is that
     array's value again (exact, as an array is self-delimiting). The top
-    object hands ``make`` to its ``"subsets"`` member and ``scan_row`` to its
+    object hands ``make`` to its ``"subsets"`` member and ``rows`` to its
     ``"certificate"`` member, and None to the others; below the top, each
     array decoded is replaced by ``make(array)`` when ``make`` is given, and
-    a ``"pairs"`` array is decoded element by element with ``scan_row``
-    (``_array``) when that is given. A member counts only once its ``,`` or
+    a ``"pairs"`` array is decoded by ``_array`` with the two scanners of
+    ``rows`` when that is given. A member counts only once its ``,`` or
     ``}`` is in the window, since a number at the window's end may go on.
     Until then ``_refill`` gives the window the member is decoded again from.
     """
@@ -316,11 +327,11 @@ def _object(read, s, end, scan, top, make, scan_row):
                 mark = None  # the window moves on; nothing here is read again
                 value, s, end = _object(
                     read, s, end + 1, scan, False, make if key == "subsets" else None,
-                    scan_row if key == "certificate" else None)
+                    rows if key == "certificate" else None)
                 s, end = _skip(read, s, end)
-            elif scan_row is not None and not top and key == "pairs" and s[end] == "[":
+            elif rows is not None and not top and key == "pairs" and s[end] == "[":
                 mark = None
-                value, s, end = _array(read, s, end + 1, scan_row)
+                value, s, end = _array(read, s, end + 1, *rows)
                 s, end = _skip(read, s, end)
             elif last_text is not None and s.startswith(last_text, end):
                 value, end = last, end + len(last_text)
@@ -356,25 +367,32 @@ _WS = WHITESPACE.pattern
 _match_row = re.compile(r"\{%s\}" % ",".join(
     rf'{_WS}"{key}"{_WS}:{_WS}"([^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*)"{_WS}'
     for key in PAIR_KEYS)).match
+# such a row laid out as the writer lays out a certificate's rows, with no
+# escape in it, and the ',' and indent after it: one anchored scanner
+# takes a run of them
+_scan_run = re.compile(r"\{%s\n      \},\n      " % ",".join(
+    rf'\n        "{key}": "([^"\\\x00-\x1f]*)"' for key in PAIR_KEYS)).scanner
 
 
 def _makers(points, scan):
     """What ``decode_output`` applies against the instance's ``points``: a
-    function to each member list of ``"subsets"``, and a scanner, in place
-    of ``scan``, to each row of the certificate's ``"pairs"``. Neither ever
-    raises where ``scan`` would not.
+    function to each member list of ``"subsets"``, and the two scanners of
+    ``_array``, in place of ``scan``, to the rows of the certificate's
+    ``"pairs"``. None of them ever raises where ``scan`` would not.
 
     A non-empty list of distinct members, each an id of ``points`` or a tail
-    point ``parse_aug`` reads at one, becomes their frozenset, built from the
-    instance's own id objects, so the decoded strings are freed at once. Any
+    point ``parse_aug`` reads at one, becomes the tuple of the instance's own
+    id objects, in list order, so the decoded strings are freed at once. Any
     other list, the empty one too, is returned as it stands.
 
     A pair row whose keys are exactly ``PAIR_KEYS``, in that order and each
-    once, with string values and ``x`` and ``y`` ids of ``points``, is read
-    by one match of ``_match_row`` and becomes the tuple of its values in
-    that order: ``x`` and ``y`` are the instance's own id objects, and equal
-    ratio texts share one str. Any other row is decoded with ``scan``, so it
-    is the stdlib's own dict."""
+    once, with string values and ``x`` and ``y`` ids of ``points``, becomes
+    the tuple of its values in that order: ``x`` and ``y`` are the
+    instance's own id objects, and equal ratio texts share one str. A run of
+    such rows laid out as the writer lays them out, with no escape, is read
+    by one pass of ``_scan_run``; any other such row by one match of
+    ``_match_row``. Any other row is decoded with ``scan``, so it is the
+    stdlib's own dict."""
     ids = dict(zip(points, points))
 
     def member(m):
@@ -387,17 +405,18 @@ def _makers(points, scan):
         if set(map(type, members)) != _STR:  # empty, or not all str
             return members
         try:
-            subset = frozenset(map(ids.__getitem__, members))
+            subset = tuple(map(ids.__getitem__, members))
         except KeyError:  # a tail point, or an unknown or malformed member
             try:
-                subset = frozenset(map(member, members))
+                subset = tuple(map(member, members))
             except (KeyError, MalformedInputError):
                 return members
-        if len(subset) != len(members):  # a duplicate
+        if len(frozenset(subset)) != len(subset):  # a duplicate
             return members
         return subset
 
     texts = {}
+    share = texts.setdefault
 
     def scan_row(s, end):
         m = _match_row(s, end)
@@ -407,10 +426,20 @@ def _makers(points, scan):
                 rin, rout, x, y = (scanstring(s, m.start(i))[0] for i in range(1, 5))
             x, y = ids.get(x), ids.get(y)
             if x is not None and y is not None:
-                return (texts.setdefault(rin, rin), texts.setdefault(rout, rout), x, y), m.end()
+                return (share(rin, rin), share(rout, rout), x, y), m.end()
         return scan(s, end)
 
-    return make, scan_row
+    def scan_run(s, end):
+        rows = []
+        for m in iter(_scan_run(s, end).match, None):
+            rin, rout, x, y = m.groups()
+            if x not in ids or y not in ids:
+                break  # the run stops at a row with an unknown id, for scan_row
+            rows.append((share(rin, rin), share(rout, rout), ids[x], ids[y]))
+            end = m.end()
+        return rows, end
+
+    return make, (scan_row, scan_run)
 
 
 def decode_output(fh, points):
@@ -612,17 +641,17 @@ class Certificate:
 
 
 def output_to_jsonable(subsets: dict, certificate: Certificate) -> dict:
-    """The output document for ``run_pipeline``'s subsets (point id ->
-    frozenset) and certificate; points that share one subset object share
-    its member list, which the writer then renders once."""
-    members = {}  # id(subset) -> its sorted member list; subsets stay alive meanwhile
+    """The output document for ``run_pipeline``'s subsets (point id -> tuple
+    of its members, in the order the file lists them) and certificate; a
+    tuple with no tail point is its own member list, so points that share
+    one share its list, which the writer then renders once."""
+    members = {}  # id(subset) -> its member list; subsets stay alive meanwhile
 
     def listed(pts):
         out = members.get(id(pts))
         if out is None:
-            # a subset with no tail point is its own formatted members
             tailless = set(map(type, pts)) <= _STR
-            out = members[id(pts)] = sorted(pts if tailless else map(format_aug, pts))
+            out = members[id(pts)] = pts if tailless else list(map(format_aug, pts))
         return out
 
     return {
@@ -633,10 +662,10 @@ def output_to_jsonable(subsets: dict, certificate: Certificate) -> dict:
 
 def load_output(path, points) -> tuple[dict, dict]:
     """The output's subsets and certificate, checked for shape, decoded
-    against the instance's ``points`` by ``decode_output``: a member list it
-    did not take as a frozenset stays a list, for ``parse_subsets``, and a
-    pair row it did not take as a tuple stays a dict, for
-    ``verify_certificate``."""
+    against the instance's ``points`` by ``decode_output``: each subset is
+    the tuple of its members' own id objects, but a member list it could not
+    take stays a list, for ``parse_subsets``; each pair row is a tuple, but
+    a row it could not take stays a dict, for ``verify_certificate``."""
     doc = _read_document(path, functools.partial(decode_output, points=points))
     if not isinstance(doc, dict):
         raise MalformedInputError("output document must be a JSON object")
@@ -662,17 +691,18 @@ def load_output(path, points) -> tuple[dict, dict]:
 
 
 def parse_subsets(raw) -> dict:
-    """Decode the serialized subsets into frozensets of augmented points.
+    """Decode the serialized subsets into collections of distinct augmented
+    points.
 
-    A frozenset, which ``load_output`` builds while decoding, passes through
-    as it stands. A list, which the decoder could not take, raises at its
+    A tuple, which ``load_output`` builds while decoding, passes through as
+    it stands. A list, which the decoder could not take, raises at its
     first bad member in list order, and then at a duplicate; one that names
     an unknown point or anchor becomes the frozenset of its members, for
     ``verify_naive`` to reject.
     """
     out = {}
     for x, members in raw.items():
-        if type(members) is not frozenset:
+        if type(members) is not tuple:
             if not isinstance(members, list):
                 raise MalformedInputError(f"subset for {x!r} must be a list")
             parsed = frozenset(map(parse_aug, members))

@@ -14,10 +14,11 @@ only ``admit``, the admission and S-Rips stage that ``prepare`` starts with.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .augment import AugmentedSpace, aug_sort_key, augment
+from .augment import AugmentedSpace, aug_sort_key, augment, format_aug
 from .chains import (
     ChainFamily,
     InstanceParams,
@@ -125,6 +126,13 @@ def annulus_points(space: Space, comp: Component, params: InstanceParams) -> tup
     return tuple(markers)
 
 
+def listed(subset) -> tuple:
+    """A subset's members in the order the output lists them, that of their
+    formatted text."""
+    tails = tuple in set(map(type, subset))  # else the members sort as they stand
+    return tuple(sorted(subset, key=format_aug if tails else None))
+
+
 def tailor_subset(comp: Component, pts) -> frozenset:
     """Map one stabilized support into the output subset for its component.
 
@@ -177,17 +185,23 @@ def prepare(space: Space, family: ChainFamily, R, epsilon, S) -> Prepared:
 def run_pipeline(prep: Prepared):
     """Full conversion of a prepared instance: flow, tailoring, certificate.
 
-    Returns (subsets, Certificate), where subsets maps each point id to a
-    frozenset of augmented points. Raises PreconditionError when the
-    instance failed admission and InternalInvariantError if any guaranteed
-    bound fails to hold (which would mean the machinery is wrong, not the
-    input). A case-2 point is not flowed: its subset is its component, which
-    lies within 3S+4SN of the basepoint (``component_cases``). Every other
-    point's flow is settled by one ``stabilize`` call; ``trace`` and ``run
-    --trace`` replay the synchronous steps of any point's flow from
-    ``prep.flow_map``.
+    Returns (subsets, Certificate), where subsets maps each point id to the
+    tuple of its augmented points in the order the output lists them.
+    Raises PreconditionError when the instance failed admission and
+    InternalInvariantError if any guaranteed bound fails to hold (which
+    would mean the machinery is wrong, not the input). A case-2 point is not
+    flowed: its subset is its component, which lies within 3S+4SN of the
+    basepoint (``component_cases``), and every point of the component shares
+    its ``points``. Every other point's flow is settled by one ``stabilize``
+    call; ``trace`` and ``run --trace`` replay the synchronous steps of any
+    point's flow from ``prep.flow_map``.
     Every qualifying pair lies in one component, since its R-ball lies in
-    the S-ball that ``bfs_tree`` swept whole.
+    the S-ball that ``bfs_tree`` swept whole. The points are handled in
+    sorted order, and each pair is checked, in list order, once its second
+    point is handled. A flowed point's subset is a frozenset only while a
+    pair left reads it, so in a space of bounded geometry only a short
+    window of points holds one. The first pair error is raised once every
+    point is handled, so an error of a point always comes first.
     """
     report = prep.report
     report.require_admitted()
@@ -201,7 +215,9 @@ def run_pipeline(prep: Prepared):
     locality = aug.step + 2 * N * aug.step
     owner = decomp.owner
     chains = prep.family.chains
-    supports = {}  # case 3 only: the 3b pair check compares them with their subsets
+    # case 3 only, until the point is listed: the 3b pair check compares them
+    # with their subsets
+    supports = {}
 
     def handle(x):
         """Case, subset, radius and case bound of x: only cases 1 and 3 flow."""
@@ -251,9 +267,17 @@ def run_pipeline(prep: Prepared):
         # markers replaced the tail
         return "3b", subset, k * max(dist(x, p) for p in subset), bounds["case3"]
 
-    cases = {}
-    subsets = {}
-    radii = {}
+    cases, subsets, radii = {}, {}, {}
+    # (s, i) against the input ratio, which admission left finite; i = 0 (INF) exceeds it
+    values = Ratios()
+    pair_rows = []
+    worst_ratio = (0, 1)
+    # the first point of the largest radius, its radius and its subset
+    worst, worst_units, worst_subset = None, -1, None
+    failure = None  # the first pair error, raised only once every point is handled
+    unlisted = deque()  # the handled points whose subset is still a frozenset, in order
+    pending = iter(report.pairs)
+    pair = next(pending, None)  # the first pair not checked
     for x in space.points:
         case, subset, radius, limit = handle(x)
         if radius > limit:
@@ -261,28 +285,41 @@ def run_pipeline(prep: Prepared):
                 f"output radius {Fraction(radius, aug.unit)} for {x!r} exceeds "
                 f"the case bound {Fraction(limit, aug.unit)}"
             )
-        cases[x], subsets[x], radii[x] = case, subset, radius
-
-    # (s, i) against the input ratio, which admission left finite; i = 0 (INF) exceeds it
-    values = Ratios()
-    pair_rows = []
-    worst_ratio = (0, 1)
-    for x, y, rin in report.pairs:
-        s, i = set_terms(subsets[x], subsets[y])
-        if s * rin.denominator > rin.numerator * i:
-            raise InternalInvariantError(
-                f"output ratio for ({x!r}, {y!r}) is {values[s, i]}, input was {rin}"
-            )
-        if "3b" in (cases[x], cases[y]) and (s, i) != set_terms(supports[x], supports[y]):
-            raise InternalInvariantError(f"tailoring distorted the pair ({x!r}, {y!r})")
-        if s * worst_ratio[1] > worst_ratio[0] * i:
-            worst_ratio = (s, i)
-        pair_rows.append((x, y, rin, values[s, i]))
+        cases[x], radii[x] = case, radius
+        if radius > worst_units:
+            worst, worst_units, worst_subset = x, radius, subset
+        if case == "2":
+            # every pair of x lies in its component, and all its points share
+            # this one tuple, which set_terms takes by identity
+            subsets[x] = decomp.components[owner[x]].points
+        else:
+            subsets[x] = subset
+            unlisted.append(x)
+        # the pairs whose second point is handled, in list order, up to the
+        # first that fails
+        while failure is None and pair is not None and pair[1] in subsets:
+            a, b, rin = pair
+            pair = next(pending, None)
+            s, i = set_terms(subsets[a], subsets[b])
+            if s * rin.denominator > rin.numerator * i:
+                failure = f"output ratio for ({a!r}, {b!r}) is {values[s, i]}, input was {rin}"
+            elif "3b" in (cases[a], cases[b]) and (s, i) != set_terms(supports[a], supports[b]):
+                failure = f"tailoring distorted the pair ({a!r}, {b!r})"
+            if s * worst_ratio[1] > worst_ratio[0] * i:
+                worst_ratio = (s, i)
+            pair_rows.append((a, b, rin, values[s, i]))
+        # pairs are sorted by (x, y) with x < y, so no pair left reads a
+        # point before the x of the first one
+        while unlisted and (pair is None or unlisted[0] < pair[0]):
+            p = unlisted.popleft()
+            subsets[p] = listed(subsets[p])
+            supports.pop(p, None)
+    if failure is not None:
+        raise InternalInvariantError(failure)
 
     # the reported worst radius is re-derived by the rational reference metric
     # at a pair that attains it, which checks the int scaling where it shows
-    worst = max(space.points, key=radii.__getitem__)
-    far = max(subsets[worst], key=lambda p: aug.dist_units(worst, p))
+    far = max(worst_subset, key=lambda p: aug.dist_units(worst, p))
     worst_radius = aug.dist(worst, far)
     if worst_radius * aug.unit != radii[worst]:
         raise InternalInvariantError(

@@ -11,6 +11,10 @@ sorted order, so a bad member is named the same whatever the hash seed.
 A shared subset's radius at a point is one ``metric.eccentricity`` over its
 base members, and a subset held by one point takes one ``metric.farthest``
 over them, not a distance per member.
+A subset may be a tuple of distinct members, as ``load_output`` builds
+it, or a set. The pairs come sorted by x, so each run of pairs whose x
+holds one subset makes one frozenset of it and meets each y's subset as
+it stands: a set is built only while the pairs of its point read it.
 As in ``chains``, a ratio is an int pair, (s, i) = (|A ^ B|, |A & B|) for
 two subsets; every verdict (a ratio against epsilon, or an output ratio
 against its input ratio) is a cross-multiplication of ints, and each call
@@ -32,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chains import InstanceReport, Ratios, case_bounds, format_ratio, ratio_terms, set_terms
+from .chains import InstanceReport, Ratios, case_bounds, format_ratio, ratio_terms
 # Not called here: perfbench/layers.py looks these names up in this module.
 from .chains import qualifying_pairs, set_ratio  # noqa: F401
 from .errors import (
@@ -88,9 +92,9 @@ def _split(space, hint_anchors, spacing, subset):
     others are checked, in ``_member_key`` order: the first bad one there
     raises, whatever the hash seed (members that key cannot compare, which
     ``parse_subsets`` never yields, go in ``repr`` order)."""
-    rest = subset - space.point_set
-    if not rest:
+    if space.point_set.issuperset(subset):
         return subset, {}
+    rest = set(subset) - space.point_set
     try:
         rest = sorted(rest, key=_member_key)
     except TypeError:
@@ -102,7 +106,7 @@ def _split(space, hint_anchors, spacing, subset):
         anchor, index = _tail_member(space, hint_anchors, spacing, p)
         if index > tails.get(anchor, 0):
             tails[anchor] = index
-    return subset & space.point_set, tails
+    return space.point_set.intersection(subset), tails
 
 
 def _units(metric, spacing, k, x, p) -> int:
@@ -123,6 +127,7 @@ def verify_naive(
 ) -> VerifyReport:
     """Check a subset family directly against the two defining conditions.
 
+    ``subsets`` maps each point to a tuple of distinct members or to a set.
     (a) every pair in ``pairs``, the (x, y) pairs at distance <= R in
     ``chains.qualifying_pairs`` order (admission's, in ``verify``), has
     symmetric-difference/intersection ratio strictly below epsilon; (b) the
@@ -147,8 +152,17 @@ def verify_naive(
     p, q = epsilon.numerator, epsilon.denominator
     ratios, violations = [], []
     worst = (0, 1)  # the largest finite ratio
+    # the pairs of one x come one after another, and the points of a case-2
+    # component share one subset, so each run of pairs whose x holds one
+    # subset builds one frozenset of it, and meets y's subset as it stands
+    held = A = None
     for x, y in pairs:
-        s, i = set_terms(subsets[x], subsets[y])
+        B = subsets[y]
+        if subsets[x] is not held:
+            held = subsets[x]
+            A = frozenset(held)
+        i = len(B) if B is held else len(A.intersection(B))
+        s = len(A) + len(B) - 2 * i
         ratio = values[s, i]
         ratios.append(ratio)
         if s and s * q >= p * i:  # s/i >= epsilon

@@ -189,7 +189,8 @@ def test_criterion_5_unbounded_emulation(crit5, criterion):
     flow_map = build_flow(augment(crit5.space, decomp, params))
     for x in ("p0000", "p0500", "p1357", "p1999"):
         final, _ = stabilize(flow_map, crit5.family.chains[x])
-        assert crit5.subsets[x] == frozenset(final)
+        assert frozenset(crit5.subsets[x]) == frozenset(final)
+        assert len(set(crit5.subsets[x])) == len(crit5.subsets[x])
     elapsed = crit5.elapsed + time.monotonic() - t0
     assert elapsed < 30
     criterion(

@@ -751,7 +751,7 @@ def ray_files(tmp_path_factory):
 
 def test_verify_builds_subsets_from_the_instance_ids(ray_files, tmp_path, monkeypatch):
     """On a canonical output of each backend, `verify` hands parse_subsets
-    only frozensets, and every member it checks, base point or tail anchor,
+    only tuples, and every member it checks, base point or tail anchor,
     is the loaded instance's own id object, not a string decoded from the
     output."""
     from naivea import cli
@@ -782,7 +782,7 @@ def test_verify_builds_subsets_from_the_instance_ids(ray_files, tmp_path, monkey
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["verify", str(inst), str(out)]) == 0, backend
         raw, parsed = seen["parse_subsets"]
-        assert set(map(type, raw.values())) == {frozenset}, backend
+        assert set(map(type, raw.values())) == {tuple}, backend
         ids = {p: p for p in seen["load_instance"][1].space.points}
         tails[backend] = 0
         for subset in parsed.values():
@@ -861,6 +861,33 @@ def test_pair_rows_that_stay_dicts(ray_files, name):
         first, kept, last = decode(text)["certificate"]["pairs"]
         assert first_divergence(kept, expected[1]) is None, window
         assert first == last == ("1/2", "0", "p00", "p01"), window
+
+
+def test_a_run_of_rows_stops_at_an_unknown_id(ray_files, tmp_path, monkeypatch):
+    """Rows laid out as the writer lays them out are read in runs, not one
+    by one; a row whose y is no id of the instance is the stdlib's dict, at
+    every window size, and the rows around it are tuples."""
+    inst, out = ray_files
+    points = load_instance(inst).space.points
+    doc = read_json(out)
+    doc["certificate"]["pairs"][3]["y"] = "zz"
+    edited = tmp_path / "edited.json"
+    write_canonical(edited, doc)
+    text = edited.read_text()
+    rows = doc["certificate"]["pairs"]
+    kinds = [dict if i == 3 else tuple for i in range(len(rows))]
+    for window in WINDOWS:
+        decode = at_window(window, lambda t: decode_output(io.StringIO(t), points))
+        pairs = decode(text)["certificate"]["pairs"]
+        assert list(map(type, pairs)) == kinds, window
+        assert as_stdlib(pairs) == rows, window
+    # in one window, only the row that ends the run and the last row are read alone
+    matched = []
+    match_row = instance_io._match_row
+    monkeypatch.setattr(instance_io, "_match_row", lambda s, end: matched.append(end)
+                        or match_row(s, end))
+    decode_output(io.StringIO(text), points)
+    assert len(matched) == 2
 
 
 def as_stdlib(tree):

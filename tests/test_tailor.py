@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -175,6 +176,13 @@ def test_tailor_subset_cases():
     assert isinstance(out, frozenset)
 
 
+def distinct(members) -> frozenset:
+    """The set of a subset's members, which ``run_pipeline`` lists once each."""
+    out = frozenset(members)
+    assert len(out) == len(members)
+    return out
+
+
 def test_pipeline_small_two_components(two):
     whole = {
         x: {p: 1 for p in ("q0", "q1", "q2")} if x.startswith("q") else {p: 1 for p in ("r0", "r1", "r2")}
@@ -183,8 +191,8 @@ def test_pipeline_small_two_components(two):
     subsets, cert = run_pipeline(prepare(two, ChainFamily(chains=whole), 1, 1, 2))
     doc = cert.to_jsonable()
     assert set(doc["cases"].values()) == {"2"}
-    assert subsets["q1"] == frozenset({"q0", "q1", "q2"})
-    assert subsets["r0"] == frozenset({"r0", "r1", "r2"})
+    assert distinct(subsets["q1"]) == frozenset({"q0", "q1", "q2"})
+    assert distinct(subsets["r0"]) == frozenset({"r0", "r1", "r2"})
     assert doc["worst_ratio"] == "0"
     assert doc["worst_radius"] == "2"
     assert doc["params"]["L"] == 4 and doc["params"]["N"] == 18
@@ -221,7 +229,7 @@ def test_pipeline_case_3a_identity():
     assert doc["params"]["L"] == 4 and doc["params"]["N"] == 18
     assert set(doc["cases"].values()) == {"3a"}
     for x, sub in subsets.items():
-        assert sub == frozenset(chains[x])  # identity on tail-free supports
+        assert distinct(sub) == frozenset(chains[x])  # identity on tail-free supports
     assert doc["worst_ratio"] == "1"  # end effects: {p0,p1} vs {p0,p1,p2}
     assert all(
         Fraction(row["output_ratio"]) <= Fraction(row["input_ratio"]) for row in doc["pairs"]
@@ -238,7 +246,7 @@ def test_pipeline_case_3b_swaps_tail_for_markers():
     assert cases["p350"] == "3a"
     # hand-tracked: mass 5 at the basepoint leaves two units on the tail,
     # which land on the first two annulus markers at distances 506 and 508
-    assert subsets["p000"] == frozenset({"p000", "p001", "p002", "p506", "p508"})
+    assert distinct(subsets["p000"]) == frozenset({"p000", "p001", "p002", "p506", "p508"})
     assert Fraction(doc["radii"]["p000"]) == 508
     for row in doc["pairs"]:
         assert Fraction(row["output_ratio"]) <= Fraction(row["input_ratio"])
@@ -255,7 +263,7 @@ def test_pipeline_case_1_unbounded():
     doc = cert.to_jsonable()
     assert set(doc["cases"].values()) == {"1"}
     # the right edge pushes mass onto the virtual continuation of the ray
-    assert subsets["p29"] == frozenset({"p27", "p28", "p29", ("p29", 1), ("p29", 2)})
+    assert distinct(subsets["p29"]) == frozenset({"p27", "p28", "p29", ("p29", 1), ("p29", 2)})
     assert Fraction(doc["radii"]["p29"]) == 4
     case1 = Fraction(doc["bounds"]["case1"])
     assert all(Fraction(r) <= case1 for r in doc["radii"].values())
@@ -440,6 +448,39 @@ def test_pipeline_rejects_output_ratios_above_their_input(monkeypatch, tmp_path,
         with pytest.raises(InternalInvariantError) as exc:
             run_pipeline(prep)
         assert str(exc.value) == message
+        capsys.readouterr()
+        assert main(["run", str(inst), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"internal invariant violated: {message}\n"
+
+
+def test_pair_errors_come_after_every_point_error(monkeypatch, tmp_path, capsys):
+    """A point's error is named before any pair error, even when the pair
+    is checked first; with no point error, the first pair error is named."""
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert main(["generate", "line", "--count", "30", "--radii", "2,1", "--unbounded",
+                 "--out", str(inst)]) == 0
+    late = load_instance(inst).family.chains["p25"]
+    check_instance, stabilize = naivea.tailor.check_instance, naivea.tailor.stabilize
+
+    def zero_first_input_ratio(*args):
+        # the first pair's output ratio, 2/5, now exceeds its input ratio
+        report = check_instance(*args)
+        (x, y, _), *rest = report.pairs
+        return replace(report, pairs=((x, y, Fraction(0)), *rest))
+
+    def far_support_at_p25(flow, chain):
+        support, steps = stabilize(flow, chain)
+        if chain == late:
+            support = {"p00": 1, **support}
+        return support, steps
+
+    monkeypatch.setattr("naivea.tailor.check_instance", zero_first_input_ratio)
+    for patch, message in [
+        (None, "output ratio for ('p00', 'p01') is 2/5, input was 0"),
+        (far_support_at_p25, "stabilized support of 'p25' reaches past S(1 + ||a_x||_1)"),
+    ]:
+        if patch is not None:
+            monkeypatch.setattr("naivea.tailor.stabilize", patch)
         capsys.readouterr()
         assert main(["run", str(inst), "--out", str(out)]) == 4
         assert capsys.readouterr().err == f"internal invariant violated: {message}\n"

@@ -21,7 +21,10 @@ The other commands meet the three instances the same way: `run` with
 there is no file), `trace --point p05` and `inspect`. So do the two inputs
 that each hold several bad members: the good output with tails at three
 anchors that are not its ray's end (`verify`), and a positions instance
-that misses three points' positions (`inspect`).
+that misses three points' positions (`inspect`). A 700-point line whose
+one component is case 3, with 695 points in 3a, 5 in 3b and 699 pairs,
+meets `run` with ``--out`` and ``--trace`` and `verify` of its output, so
+the 3b pair check is pinned too.
 """
 from __future__ import annotations
 
@@ -89,6 +92,8 @@ LISTS = {
 OUTPUTS.update(LISTS)
 OUTPUTS.update({f"{name}_no_worst_ratio": _without_worst_ratio(edit)
                 for name, edit in LISTS.items()})
+# a line whose one component is case 3, with 3b points at its basepoint
+CASE_3 = ["line", "--count", "700", "--radii", "2,1", "--R", "1", "--epsilon", "1"]
 # a positions instance with no position for three of its points
 GAP_IDS = [f"x{i:02d}" for i in range(12)]
 GAPS = {
@@ -110,6 +115,9 @@ def corpus(tmp_path_factory):
         assert main(["generate", "line", "--count", "20", "--radii", "2,1", "--unbounded",
                      "--out", str(inst)]) == 0
         assert main(["run", str(inst), "--out", str(out)]) == 0
+        assert main(["generate", *CASE_3, "--out", str(root / "case3.inst.json")]) == 0
+        assert main(["run", str(root / "case3.inst.json"), "--out",
+                     str(root / "case3.out.json")]) == 0
     for name, edit in INSTANCES.items():
         if edit is not None:
             doc = read_json(inst)
@@ -189,6 +197,8 @@ PINNED = {
 }
 PINNED["good", "foreign_tails"] = (
     2, EMPTY, "7982779d3e1d2a0ab767de03e09afd984a80eceb611629dcb26d3a8c60594ee9")
+PINNED["case3", "case3"] = (
+    0, "a00a7afa0b1bdbf8633c7a6b70a3b6d196b07ef1207279a72595e50239371e95", EMPTY)
 # deleting worst_ratio makes each of those an output-shape error, which comes first
 PINNED.update({("good", f"{name}_no_worst_ratio"): (2, EMPTY, MISSING_WORST_RATIO)
                for name in LISTS})
@@ -229,6 +239,9 @@ RAN_PINNED = {
              "3578f7f7a0615a031fcae16aebfb2cbe34ae608fd0e0012e4ab136e4e21df950"),
     "missing_chain": (3, EMPTY, NO_CHAIN, None, None),
     "unknown_point": (2, EMPTY, UNKNOWN_POINT, None, None),
+    "case3": (0, "99c3318426ccd2b5636060ef8a91100fb0aeaf4cdcd881fe7cdfc322acece5c8", EMPTY,
+              "eecc5c99f86da7ca951e736c7d4cdde191ea2c703de8a5375f407680cc7f3dea",
+              "df89e71b2fb272fe7111bede8f4ee78e48ecfec19e0874395193c28b2fb79a8d"),
 }
 
 
@@ -242,7 +255,7 @@ def written(path):
     return digest
 
 
-@pytest.mark.parametrize("instance", sorted(INSTANCES))
+@pytest.mark.parametrize("instance", sorted(RAN_PINNED))
 def test_run_writes_the_pinned_bytes(corpus, instance):
     argv = ["run", f"{instance}.inst.json", "--out", RAN[0], "--trace", RAN[1]]
     for seen, (seed, done) in printed(corpus, argv):
