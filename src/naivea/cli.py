@@ -79,6 +79,9 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     if args.trace and os.path.realpath(args.trace) == os.path.realpath(args.out):
         raise MalformedInputError(f"--trace and --out name the same file {args.out}")
+    for flag, path in (("--out", args.out), ("--trace", args.trace)):
+        if path and os.path.realpath(path) == os.path.realpath(args.instance):
+            raise MalformedInputError(f"{flag} names the instance file {args.instance}")
     for path in filter(None, (args.out, args.trace)):
         check_writable(path)
     instance = _load(args.instance)

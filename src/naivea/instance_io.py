@@ -13,7 +13,13 @@ stdlib's C encoder, with the indent in its item separator; every other
 container, and every container where there is no C encoder, is walked here.
 Within a batch a flat container that recurs at one depth is rendered once:
 every case-2 point of a component shares one subset tuple, its component's
-points (``output_to_jsonable``).
+points (``output_to_jsonable``). The certificate's pair rows reach the
+writer as the ``(x, y, input_ratio, output_ratio)`` tuples that
+``run_pipeline`` builds, wrapped in ``PairRows``; each row is rendered
+through one template, its keys in ``PAIR_KEYS`` order, the layout the
+decoder's run scanner reads, with each distinct id and ratio text encoded
+once. So the tree ``output_to_jsonable`` builds is for ``write_canonical``
+alone: ``json.dumps`` raises TypeError on it.
 
 ``load_output`` reads that sharing back. Its decoder, ``decode_output``,
 never holds the whole text of a file. It reads the file in windows of
@@ -94,15 +100,59 @@ def _flat_text(obj, depth) -> str:
     return "".join((text[0], "\n", "  " * (depth + 1), text[1:-1], "\n", "  " * depth, text[-1]))
 
 
+class PairRows:
+    """A certificate's pair rows as ``run_pipeline`` builds them, ``(x, y,
+    input_ratio, output_ratio)`` tuples, for ``_render`` alone, which writes
+    each as the text of the row dict with those keys and str values;
+    ``json.dumps`` raises TypeError on it."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+
 def _render(obj, write):
     """Hand the text of ``json.dumps(obj, sort_keys=True, indent=2)`` plus
     the newline to ``write``, joined in batches of ``_BATCH`` pieces, for
-    trees of str-keyed dicts, lists, tuples, str, int, float, bool and None;
-    anything else raises TypeError. ``memo`` maps (id(container), depth) to a
-    flat container's text until the batch goes out; every container stays
-    alive in the tree meanwhile, so no id is reused."""
+    trees of str-keyed dicts, lists, tuples, str, int, float, bool and None,
+    and ``PairRows`` as the list of their row dicts; anything else raises
+    TypeError. ``memo`` maps (id(container), depth) to a flat container's
+    text until the batch goes out; every container stays alive in the tree
+    meanwhile, so no id is reused."""
     parts, memo = [], {}
     append = parts.append
+
+    def flush():
+        write("".join(parts))
+        parts.clear()
+        memo.clear()
+
+    def pair_rows(rows, depth):
+        """Each row through one template, its keys in ``PAIR_KEYS`` order,
+        with each distinct id and ratio text encoded once; ``texts`` maps
+        id(ratio) to its encoded text, and every ratio stays alive in
+        ``rows`` meanwhile."""
+        if not rows:
+            append("[]")
+            return
+        encoded, ratio, texts = functools.cache(encode_basestring_ascii), ratio_texts(), {}
+
+        def text(q):
+            value = texts[id(q)] = encoded(ratio(q))
+            return value
+
+        inner = "\n" + "  " * (depth + 2)
+        row = "%s{" + ",".join(f'{inner}"{key}": %s' for key in PAIR_KEYS) + (
+            "\n" + "  " * (depth + 1) + "}")
+        sep, next_sep = "[\n" + "  " * (depth + 1), ",\n" + "  " * (depth + 1)
+        for x, y, rin, rout in rows:
+            append(row % (sep, texts.get(id(rin)) or text(rin),
+                          texts.get(id(rout)) or text(rout), encoded(x), encoded(y)))
+            sep = next_sep
+            if len(parts) >= _BATCH:
+                flush()
+        append("\n" + "  " * depth + "]")
 
     def emit(obj, depth):
         if isinstance(obj, str):
@@ -136,14 +186,14 @@ def _render(obj, write):
                 emit(value, depth + 1)
                 sep = "," + inner
                 if len(parts) >= _BATCH:
-                    write("".join(parts))
-                    parts.clear()
-                    memo.clear()
+                    flush()
             append("\n" + "  " * depth + ("}" if is_dict else "]"))
         elif obj is None or isinstance(obj, (bool, float)):  # bool before int
             append(json.dumps(obj))
         elif isinstance(obj, int):
             append(int.__repr__(obj))
+        elif type(obj) is PairRows:
+            pair_rows(obj.rows, depth)
         else:
             _not_serializable(obj)
 
@@ -606,6 +656,8 @@ class Certificate:
     unit: int
 
     def to_jsonable(self) -> dict:
+        """The certificate's tree for ``write_canonical``: rationals as
+        strings, and the pair rows as ``PairRows``."""
         lengths = {}  # each distinct radius or bound is formatted once
 
         def length(units):
@@ -613,7 +665,6 @@ class Certificate:
                 lengths[units] = format_rational(Fraction(units, self.unit))
             return lengths[units]
 
-        ratio = ratio_texts()
         return {
             "params": {
                 "R": format_rational(self.params.R),
@@ -622,21 +673,13 @@ class Certificate:
                 "L": self.params.L,
                 "N": self.params.N,
             },
-            "cases": dict(sorted(self.cases.items())),
-            "radii": {x: length(r) for x, r in sorted(self.radii.items())},
-            "pairs": [
-                {
-                    "x": x,
-                    "y": y,
-                    "input_ratio": ratio(rin),
-                    "output_ratio": ratio(rout),
-                }
-                for x, y, rin, rout in self.pairs
-            ],
+            "cases": self.cases,  # the writer sorts every key
+            "radii": {x: length(r) for x, r in self.radii.items()},
+            "pairs": PairRows(self.pairs),
             "worst_ratio": format_ratio(self.worst_ratio),
             "worst_radius": format_rational(self.worst_radius),
             "bound_radius": length(self.bounds["overall"]),
-            "bounds": {k: length(v) for k, v in sorted(self.bounds.items())},
+            "bounds": {k: length(v) for k, v in self.bounds.items()},
         }
 
 
@@ -655,7 +698,7 @@ def output_to_jsonable(subsets: dict, certificate: Certificate) -> dict:
         return out
 
     return {
-        "subsets": {x: listed(pts) for x, pts in sorted(subsets.items())},
+        "subsets": {x: listed(pts) for x, pts in subsets.items()},
         "certificate": certificate.to_jsonable(),
     }
 

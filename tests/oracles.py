@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from naivea.chains import case_bounds, l1_norm
+from naivea.chains import case_bounds, format_ratio, l1_norm
 from naivea.errors import MalformedInputError, PreconditionError
 from naivea.flow import FlowMap, iterate, stabilize, step
 from naivea.instance_io import Certificate, _render
@@ -196,8 +196,8 @@ def tree_divergence(a, b, path=""):
 def certificate_violations(report, cases, naive, certificate_jsonable) -> tuple:
     """The violations ``verify_certificate(report, cases, naive,
     certificate_jsonable)`` reports, found by recomputing the whole
-    certificate, every pair row included, through ``Certificate.to_jsonable``
-    and comparing it with ``tree_divergence``."""
+    certificate through ``Certificate.to_jsonable``, with every pair row a
+    dict built here, and comparing it with ``tree_divergence``."""
     try:
         report.require_admitted()
     except PreconditionError as exc:
@@ -227,6 +227,10 @@ def certificate_violations(report, cases, naive, certificate_jsonable) -> tuple:
         bounds=bounds,
         unit=naive.unit,
     ).to_jsonable()
+    recomputed["pairs"] = [
+        {"x": x, "y": y, "input_ratio": format_ratio(rin), "output_ratio": format_ratio(rout)}
+        for x, y, rin, rout in rows
+    ]
     divergence = tree_divergence(certificate_jsonable, recomputed, "certificate")
     if divergence is not None:
         violations.insert(0, {"condition": "certificate_mismatch", "field": divergence})

@@ -637,6 +637,32 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith(f"error: {utf16} is not valid UTF-8")
 
 
+def test_run_never_writes_over_its_instance(tmp_path, capsys, monkeypatch):
+    """--out or --trace naming the instance file, under any spelling of its
+    path or through a symlink, exits 2 before any file is opened."""
+    inst = tmp_path / "inst.json"
+    assert run_cli("generate", "line", "--count", "12", "--radii", "2,1", "--out", str(inst)) == 0
+    kept = inst.read_bytes()
+    (tmp_path / "link.json").symlink_to(inst)
+    monkeypatch.chdir(tmp_path)
+    opened = []
+    for name in ("load_instance", "open_output", "write_canonical"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: opened.append(name))
+    spellings = ("inst.json", "./inst.json", str(inst), "link.json")
+    for given in spellings:
+        for same in spellings:
+            for flag, argv in (("--out", ["--out", same]),
+                               ("--out", ["--out", same, "--trace", "trace.txt"]),
+                               ("--trace", ["--out", "out.json", "--trace", same])):
+                capsys.readouterr()
+                assert run_cli("run", given, *argv) == 2, (given, argv)
+                assert capsys.readouterr().err == (
+                    f"error: {flag} names the instance file {given}\n"), (given, argv)
+    assert opened == []
+    assert inst.read_bytes() == kept
+    assert sorted(os.listdir(tmp_path)) == ["inst.json", "link.json"]
+
+
 def test_generate_checks_its_output_path_first(tmp_path, capsys, monkeypatch):
     """An unwritable --out ends generate before any instance is built."""
     missing = tmp_path / "missing" / "x.json"

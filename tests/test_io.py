@@ -5,6 +5,8 @@ import contextlib
 import io
 import json
 import math
+import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from oracles import canonical_dumps
 from test_golden import MATRIX_DOC
 
 from naivea import instance_io
+from naivea.chains import INFINITE, format_ratio
 from naivea.cli import main
 from naivea.errors import MalformedInputError
 from naivea.generators import gen_instance
@@ -22,11 +25,13 @@ from naivea.instance_io import (
     instance_to_doc,
     load_instance,
     load_output,
+    output_to_jsonable,
     parse_subsets,
     read_json,
     write_canonical,
 )
 from naivea.space import Space
+from naivea.tailor import prepare, run_pipeline
 from naivea.verify import first_divergence
 
 
@@ -124,6 +129,77 @@ def test_canonical_dumps_matches_the_stdlib(written, tree):
     assert text == json.dumps(tree, sort_keys=True, indent=2) + "\n"
     write_canonical(written, tree)
     assert written.read_bytes() == text.encode("utf-8")
+
+
+# a pair row's ratio: 0, whole, fractional or INF, each drawn afresh or taken
+# from a shared pool, as run_pipeline shares one value per distinct ratio
+fresh_ratios = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(1, 10**6).map(Fraction),
+    st.fractions(min_value=0, max_denominator=10**4),
+    st.just(INFINITE),
+)
+
+
+@st.composite
+def pair_row_trees(draw):
+    """A tree holding one ``PairRows`` at a drawn place, the certificate's
+    depth among them, and the same tree with the rows as dicts."""
+    pool = draw(st.lists(fresh_ratios, min_size=1, max_size=3))
+    ratios = st.one_of(fresh_ratios, st.sampled_from(pool))
+    rows = draw(st.lists(st.tuples(texts, texts, ratios, ratios), max_size=6))
+    # repeated past one writer batch
+    rows *= draw(st.sampled_from([1, instance_io._BATCH + 1]))
+    tree = instance_io.PairRows(tuple(rows))
+    expected = [
+        {"x": x, "y": y, "input_ratio": format_ratio(rin), "output_ratio": format_ratio(rout)}
+        for x, y, rin, rout in rows
+    ]
+    # the output's certificate, with leaves around the rows, and then more
+    # containers around it
+    path = ["pairs", "certificate", *draw(st.lists(st.one_of(texts, st.none()), max_size=2))]
+    for key in path:
+        if key is None:
+            tree, expected = [tree], [expected]
+        else:
+            siblings = draw(st.dictionaries(texts, leaves, max_size=3))
+            tree, expected = {**siblings, key: tree}, {**siblings, key: expected}
+    return tree, expected, len(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees=pair_row_trees())
+def test_pair_rows_render_as_their_dicts(written, trees):
+    tree, expected, count = trees
+    chunks = []
+    instance_io._render(tree, chunks.append)
+    # one piece per row, handed over each _BATCH pieces
+    assert len(chunks) > count // instance_io._BATCH
+    text, want = "".join(chunks), json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    # the first difference, not a diff of two texts of thousands of lines,
+    # which pytest would take minutes to make
+    at = len(os.path.commonprefix([text, want]))
+    near = slice(max(at - 60, 0), at + 60)
+    assert at == len(text) == len(want), (text[near], want[near])
+    write_canonical(written, tree)
+    assert written.read_bytes() == text.encode("utf-8")
+    # the stdlib takes the rows for no JSON value, so it writes none
+    with pytest.raises(TypeError, match="PairRows"):
+        json.dumps(tree)
+
+
+def test_the_output_tree_is_for_the_canonical_writer_alone():
+    space, family, params = gen_instance("line", {"count": 12, "radii": ["2", "1"]}, seed=0)
+    subsets, cert = run_pipeline(prepare(space, family, params.R, params.epsilon, params.S))
+    assert cert.pairs
+    doc = output_to_jsonable(subsets, cert)
+    with pytest.raises(TypeError, match="PairRows"):
+        json.dumps(doc)
+    rows = json.loads(canonical_dumps(doc))["certificate"]["pairs"]
+    assert rows == [
+        {"x": x, "y": y, "input_ratio": format_ratio(rin), "output_ratio": format_ratio(rout)}
+        for x, y, rin, rout in cert.pairs
+    ]
 
 
 def test_write_canonical_writes_past_one_batch(tmp_path):

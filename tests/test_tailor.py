@@ -197,7 +197,7 @@ def test_pipeline_small_two_components(two):
     assert doc["worst_radius"] == "2"
     assert doc["params"]["L"] == 4 and doc["params"]["N"] == 18
     assert doc["bound_radius"] == str(6 * 2 + 8 * 2 * 18)
-    assert [p["x"] for p in doc["pairs"]] == ["q0", "q1", "r0", "r1"]
+    assert [x for x, *_ in cert.pairs] == ["q0", "q1", "r0", "r1"]
     # one shared subset object per component, not one copy per point
     assert len(subsets) == 6
     assert len({id(s) for s in subsets.values()}) == 2
@@ -231,9 +231,7 @@ def test_pipeline_case_3a_identity():
     for x, sub in subsets.items():
         assert distinct(sub) == frozenset(chains[x])  # identity on tail-free supports
     assert doc["worst_ratio"] == "1"  # end effects: {p0,p1} vs {p0,p1,p2}
-    assert all(
-        Fraction(row["output_ratio"]) <= Fraction(row["input_ratio"]) for row in doc["pairs"]
-    )
+    assert all(rout <= rin for _, _, rin, rout in cert.pairs)
 
 
 def test_pipeline_case_3b_swaps_tail_for_markers():
@@ -248,11 +246,11 @@ def test_pipeline_case_3b_swaps_tail_for_markers():
     # which land on the first two annulus markers at distances 506 and 508
     assert distinct(subsets["p000"]) == frozenset({"p000", "p001", "p002", "p506", "p508"})
     assert Fraction(doc["radii"]["p000"]) == 508
-    for row in doc["pairs"]:
-        assert Fraction(row["output_ratio"]) <= Fraction(row["input_ratio"])
+    for _, _, rin, rout in cert.pairs:
+        assert rout <= rin
     # marker swap preserves pair cardinalities: neighbors get equal ratios
-    row = next(r for r in doc["pairs"] if r["x"] == "p000" and r["y"] == "p001")
-    assert row["output_ratio"] == row["input_ratio"] == "2/5"
+    _, _, rin, rout = next(row for row in cert.pairs if row[:2] == ("p000", "p001"))
+    assert rout == rin == Fraction(2, 5)
 
 
 def test_pipeline_case_1_unbounded():

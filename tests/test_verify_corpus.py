@@ -24,7 +24,11 @@ anchors that are not its ray's end (`verify`), and a positions instance
 that misses three points' positions (`inspect`). A 700-point line whose
 one component is case 3, with 695 points in 3a, 5 in 3b and 699 pairs,
 meets `run` with ``--out`` and ``--trace`` and `verify` of its output, so
-the 3b pair check is pinned too.
+the 3b pair check is pinned too. So does a 300-point case-1 line whose
+point ids all need JSON escapes (a quote, a backslash, a control
+character, non-ASCII text), so that `run` writes 299 escaped pair rows,
+more than one writer batch, and `verify` reads each of them through the
+decoder's one-row matcher rather than its run scanner.
 """
 from __future__ import annotations
 
@@ -104,6 +108,20 @@ GAPS = {
     "params": {"R": "1", "epsilon": "1", "S": "2"},
     "chains": {x: {x: 1} for x in GAP_IDS},
 }
+# a line of 300 points on the unbounded branch, all case 1, whose ids need
+# JSON escapes; their sorted order is not the line's order
+MARKS = ['"', "\\", "\x01", "\t", "\u00e9", "\u2028", "\U0001f600", "/"]
+ESCAPED_IDS = [f"e{MARKS[i % len(MARKS)]}{i:03d}" for i in range(300)]
+ESCAPED = {
+    "space": {"points": ESCAPED_IDS, "metric": {
+        "type": "positions", "values": {p: i for i, p in enumerate(ESCAPED_IDS)},
+    }},
+    "params": {"R": "1", "epsilon": "1", "S": "2"},
+    "chains": {p: {q: 2 if abs(i - j) < 2 else 1
+                   for j, q in enumerate(ESCAPED_IDS) if abs(i - j) <= 2}
+               for i, p in enumerate(ESCAPED_IDS)},
+    "unbounded_hints": [{"component_of": ESCAPED_IDS[0], "ray": ESCAPED_IDS}],
+}
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +147,10 @@ def corpus(tmp_path_factory):
             edit(doc)
             write_canonical(root / f"{name}.out.json", doc)
     write_canonical(root / "gaps.inst.json", GAPS)
+    write_canonical(root / "escaped.inst.json", ESCAPED)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(root / "escaped.inst.json"), "--out",
+                     str(root / "escaped.out.json")]) == 0
     text = out.read_bytes()
     (root / "truncated.out.json").write_bytes(text[:len(text) // 2])
     return root
@@ -199,6 +221,8 @@ PINNED["good", "foreign_tails"] = (
     2, EMPTY, "7982779d3e1d2a0ab767de03e09afd984a80eceb611629dcb26d3a8c60594ee9")
 PINNED["case3", "case3"] = (
     0, "a00a7afa0b1bdbf8633c7a6b70a3b6d196b07ef1207279a72595e50239371e95", EMPTY)
+PINNED["escaped", "escaped"] = (
+    0, "47d34ece04aeca5046c0c3350e8bcfff445b73987f37d88e2c17fe6d5f04a7c0", EMPTY)
 # deleting worst_ratio makes each of those an output-shape error, which comes first
 PINNED.update({("good", f"{name}_no_worst_ratio"): (2, EMPTY, MISSING_WORST_RATIO)
                for name in LISTS})
@@ -242,6 +266,9 @@ RAN_PINNED = {
     "case3": (0, "99c3318426ccd2b5636060ef8a91100fb0aeaf4cdcd881fe7cdfc322acece5c8", EMPTY,
               "eecc5c99f86da7ca951e736c7d4cdde191ea2c703de8a5375f407680cc7f3dea",
               "df89e71b2fb272fe7111bede8f4ee78e48ecfec19e0874395193c28b2fb79a8d"),
+    "escaped": (0, "f6d14ffb9f95e54ffc2c36e4fd5b84f63d7057bcb8d58073d9027077f04899ed", EMPTY,
+                "42a42baa531a70c1d20cffcfb1568cd0fc0184fb5c28725f8bb8951893374a9f",
+                "62d22195552707283a729842b98694e037260f9e72173605e7f894f3edb683eb"),
 }
 
 
