@@ -93,7 +93,9 @@ class AugmentedSpace:
         Tails are glued isometrically at their anchor with spacing S, so a
         tail point (a, j) sits at distance d(x, a) + j*S from any base point
         and tails of different components route anchor-to-anchor. This is the
-        rational reference that dist_units is checked against.
+        rational reference for the int radii in units of 1/unit, which the
+        pipeline takes as ``k`` times a base distance plus ``step`` per tail
+        index: ``run_pipeline`` re-derives the worst radius with it.
         """
         S = self.params.S
         ut, vt = isinstance(u, tuple), isinstance(v, tuple)
@@ -113,24 +115,6 @@ class AugmentedSpace:
             u, v = v, u  # now u is the base point, v the tail
         self.space.require(u)
         return self.space.dist(u, v[0]) + v[1] * S
-
-    def dist_units(self, u, v) -> int:
-        """dist(u, v) * unit, computed on ints; the pipeline compares these.
-
-        Trusts its arguments: it checks neither that a base id is in the space
-        nor a tail's anchor and index. ``dist`` validates both.
-        """
-        base = self.space.metric.dist
-        ut, vt = isinstance(u, tuple), isinstance(v, tuple)
-        if not ut and not vt:
-            return self.k * base(u, v)
-        if ut and vt:
-            if u[0] == v[0]:
-                return abs(u[1] - v[1]) * self.step
-            return (u[1] + v[1]) * self.step + self.k * base(u[0], v[0])
-        if ut:
-            u, v = v, u  # now u is the base point, v the tail
-        return self.k * base(u, v[0]) + v[1] * self.step
 
 
 def augment(space: Space, decomposition: Decomposition, params: InstanceParams) -> AugmentedSpace:

@@ -265,15 +265,14 @@ def run_pipeline(prep: Prepared):
         if any(not isinstance(p, tuple) and p in z for p in support):
             raise InternalInvariantError(f"support of {x!r} collides with the annulus markers")
         # markers replaced the tail
-        return "3b", subset, k * max(dist(x, p) for p in subset), bounds["case3"]
+        return "3b", subset, k * farthest(x, subset), bounds["case3"]
 
     cases, subsets, radii = {}, {}, {}
     # (s, i) against the input ratio, which admission left finite; i = 0 (INF) exceeds it
     values = Ratios()
     pair_rows = []
     worst_ratio = (0, 1)
-    # the first point of the largest radius, its radius and its subset
-    worst, worst_units, worst_subset = None, -1, None
+    worst, worst_units = None, -1  # the first point of the largest radius, and its radius
     failure = None  # the first pair error, raised only once every point is handled
     unlisted = deque()  # the handled points whose subset is still a frozenset, in order
     pending = iter(report.pairs)
@@ -287,7 +286,7 @@ def run_pipeline(prep: Prepared):
             )
         cases[x], radii[x] = case, radius
         if radius > worst_units:
-            worst, worst_units, worst_subset = x, radius, subset
+            worst, worst_units = x, radius
         if case == "2":
             # every pair of x lies in its component, and all its points share
             # this one tuple, which set_terms takes by identity
@@ -317,10 +316,9 @@ def run_pipeline(prep: Prepared):
     if failure is not None:
         raise InternalInvariantError(failure)
 
-    # the reported worst radius is re-derived by the rational reference metric
-    # at a pair that attains it, which checks the int scaling where it shows
-    far = max(worst_subset, key=lambda p: aug.dist_units(worst, p))
-    worst_radius = aug.dist(worst, far)
+    # the reported worst radius is re-derived as the exact maximum of the
+    # rational reference metric over its subset, which checks the int scaling
+    worst_radius = max(aug.dist(worst, p) for p in subsets[worst])
     if worst_radius * aug.unit != radii[worst]:
         raise InternalInvariantError(
             f"radius of {worst!r} is {worst_radius}, but {radii[worst]}/{aug.unit} in units"

@@ -56,7 +56,7 @@ class VerifyReport:
     stats: dict
     # facts for verify_certificate, not printed: the set ratio of each
     # qualifying pair in order, each point's radius in units of 1/unit = 1/(D*k),
-    # and the largest radius re-derived as an exact rational
+    # and the largest radius re-derived as the exact maximum over its subset
     ratios: tuple = ()
     radii: dict = field(default_factory=dict)
     support_radius: Fraction = Fraction(0)
@@ -107,14 +107,6 @@ def _split(space, hint_anchors, spacing, subset):
         if index > tails.get(anchor, 0):
             tails[anchor] = index
     return space.point_set.intersection(subset), tails
-
-
-def _units(metric, spacing, k, x, p) -> int:
-    """Distance from a base point to a checked subset member in units of
-    1/(D*k); a tail point (anchor, j) hangs j*spacing beyond its anchor."""
-    if isinstance(p, tuple):
-        return k * metric.dist(x, p[0]) + p[1] * spacing
-    return k * metric.dist(x, p)
 
 
 def verify_naive(
@@ -205,21 +197,22 @@ def verify_naive(
         radii[x] = d
         if d > radius:
             radius, worst_x = d, x
-    # report the radius as the rational distance of the pair that attains it
-    # with the first member in _member_key order, whatever the hash seed,
-    # which checks the int scaling against the exact metric
+    # re-derive the radius as the exact maximum of the rational metric over
+    # the worst point's subset, which checks the int scaling; a mismatch names
+    # the first member at that maximum in _member_key order, whatever the hash seed
     support_radius = Fraction(0)
     if worst_x is not None:
-        x = worst_x
-        p = next(p for p in sorted(subsets[x], key=_member_key)
-                 if _units(metric, spacing, k, x, p) == radius)
-        if isinstance(p, tuple):
-            support_radius = space.dist(x, p[0]) + p[1] * Fraction(tail_spacing)
-        else:
-            support_radius = space.dist(x, p)
+        x, far = worst_x, None
+        for p in sorted(subsets[x], key=_member_key):
+            if isinstance(p, tuple):
+                d = space.dist(x, p[0]) + p[1] * Fraction(tail_spacing)
+            else:
+                d = space.dist(x, p)
+            if far is None or d > support_radius:
+                support_radius, far = d, p
         if support_radius * D * k != radius:
             raise InternalInvariantError(
-                f"support radius at {(x, p)!r} is {support_radius}, "
+                f"support radius at {(x, far)!r} is {support_radius}, "
                 f"but {radius}/{D * k} in units"
             )
 

@@ -83,13 +83,20 @@ def test_metric_axioms_exhaustive(two, two_params):
     ],
 )
 def test_int_units_match_rational_reference(source, S, unit):
+    """The int radii of ``run_pipeline`` and ``verify_naive`` take a base
+    distance k times and a tail index ``step`` times; in units of 1/unit
+    that is the rational augmented metric, from a base point to any point."""
     sp = build_space(["a", "b", "c", "d"], source)
     params = InstanceParams(R=Fraction(1, 4), epsilon=Fraction(1), S=Fraction(S), L=2, N=6)
     aug = make_aug(sp, params, S=params.S)
     assert len(aug.decomposition.components) == 2 and aug.unit == unit
-    pts = materialize(aug, 6)
-    for u, v in itertools.product(pts, repeat=2):
-        d = aug.dist_units(u, v)
+    assert aug.unit == sp.metric.denominator * aug.k and aug.step == params.S * aug.unit
+    base = sp.metric.dist
+    for u, v in itertools.product(sp.points, materialize(aug, 6)):
+        if isinstance(v, tuple):
+            d = aug.k * base(u, v[0]) + v[1] * aug.step
+        else:
+            d = aug.k * base(u, v)
         assert isinstance(d, int) and Fraction(d, aug.unit) == aug.dist(u, v)
 
 

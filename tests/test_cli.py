@@ -8,6 +8,7 @@ import subprocess
 import sys
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import naivea
 from naivea import cli, tailor
 from naivea.cli import main
 from naivea.instance_io import read_json, write_canonical
-from naivea.space import CLS_BOUNDED_SMALL
+from naivea.space import CLS_BOUNDED_SMALL, Space
 
 
 def run_cli(*argv):
@@ -379,6 +380,29 @@ def test_verify_names_the_same_witness_under_every_hash_seed(tmp_path):
         seen.add((done.returncode, done.stderr.decode()))
     assert seen == {(4, "internal invariant violated: support radius at ('g00', 'g02') is "
                         "2000000001/1000000000, but 2/1 in units\n")}
+
+
+def test_the_worst_radius_is_rederived_over_its_whole_subset(line_files, monkeypatch, capsys):
+    """The worst point p00 of the line holds all twelve points, and p11 is
+    its farthest. With only d(p00, p05) read far too long by the rational
+    metric, the int radius 11 is still right at p11, so a re-derivation at
+    the int argmax alone would pass; the exact maximum over the subset
+    meets p05, and both commands stop."""
+    inst, out = line_files
+    dist = Space.dist
+
+    def skewed(self, x, y):
+        return Fraction(100) if {x, y} == {"p00", "p05"} else dist(self, x, y)
+
+    monkeypatch.setattr(Space, "dist", skewed)
+    capsys.readouterr()
+    assert run_cli("run", str(inst), "--out", str(out.with_name("again.json"))) == 4
+    assert capsys.readouterr().err == (
+        "internal invariant violated: radius of 'p00' is 100, but 11/1 in units\n")
+    assert run_cli("verify", str(inst), str(out)) == 4
+    assert capsys.readouterr().err == (
+        "internal invariant violated: support radius at ('p00', 'p05') is 100, "
+        "but 11/1 in units\n")
 
 
 def test_commands_free_the_chains_once_done(tmp_path, monkeypatch):
