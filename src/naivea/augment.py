@@ -19,8 +19,6 @@ from .chains import InstanceParams
 from .errors import InternalInvariantError, MalformedInputError, UnknownPointError
 from .space import Decomposition, Space
 
-AugPoint = "str | tuple[str, int]"
-
 
 def format_aug(p) -> str:
     if isinstance(p, tuple):

@@ -16,10 +16,10 @@ every case-2 point of a component shares one subset tuple, its component's
 points (``output_to_jsonable``). The certificate's pair rows reach the
 writer as the ``(x, y, input_ratio, output_ratio)`` tuples that
 ``run_pipeline`` builds, wrapped in ``PairRows``; each row is rendered
-through one template, its keys in ``PAIR_KEYS`` order, the layout the
-decoder's run scanner reads, with each distinct id and ratio text encoded
-once. So the tree ``output_to_jsonable`` builds is for ``write_canonical``
-alone: ``json.dumps`` raises TypeError on it.
+through ``_row_layout``'s template, which the decoder's run scanner is
+built from, with each distinct id and ratio text encoded once. So the
+tree ``output_to_jsonable`` builds is for ``write_canonical`` alone:
+``json.dumps`` raises TypeError on it.
 
 ``load_output`` reads that sharing back. Its decoder, ``decode_output``,
 never holds the whole text of a file. It reads the file in windows of
@@ -32,10 +32,10 @@ window outgrows ``_WINDOW`` only while one member does. One level below the
 top, an array whose text is the previous array's text again, character for
 character, is the previous array's value and is not decoded again.
 Only arrays are compared, because an array is self-delimiting, and only
-against the previous array. Any error that more text cannot mend makes the
-decoder decode the whole text again with ``json.loads``, so every error
-raised is the stdlib's own. A pipe cannot be read twice, so the decoder
-holds a pipe's bytes for that.
+against the previous array. Any error still standing once the file has
+ended makes the decoder decode the whole text again with ``json.loads``,
+so every error raised is the stdlib's own. A pipe cannot be read twice,
+so the decoder holds a pipe's bytes for that.
 
 ``load_output`` takes the instance's points, and the decoder builds each
 subset while it decodes it: a non-empty member list of ``"subsets"`` whose
@@ -45,12 +45,12 @@ decoded strings are freed and the subsets are never held twice; a tuple
 costs a fraction of a set, and ``verify_naive`` makes a set of a subset only
 while the pairs of its point read it. Any other list stays a list, for
 ``parse_subsets`` to decide. The certificate's ``"pairs"`` is then decoded
-through the same window, and each row as the file writes it (keys
-``input_ratio``, ``output_ratio``, ``x``, ``y`` with str values, ``x`` and
-``y`` ids of the instance) becomes the tuple of its values in that order,
-with the instance's own id objects and one shared str per distinct ratio
-text; a run of rows laid out as the writer lays them out is read by one
-regex scanner pass. Any other row stays the dict the stdlib makes, for
+through the same window, and each row in the writer's layout (keys
+``input_ratio``, ``output_ratio``, ``x``, ``y`` with str values and no
+escape, ``x`` and ``y`` ids of the instance) becomes the tuple of its
+values in that order, with the instance's own id objects and one shared
+str per distinct ratio text; a run of such rows is read by one regex
+scanner pass. Any other row is the dict the stdlib makes, for
 ``verify_certificate`` to compare as it stands.
 """
 from __future__ import annotations
@@ -129,10 +129,9 @@ def _render(obj, write):
         memo.clear()
 
     def pair_rows(rows, depth):
-        """Each row through one template, its keys in ``PAIR_KEYS`` order,
-        with each distinct id and ratio text encoded once; ``texts`` maps
-        id(ratio) to its encoded text, and every ratio stays alive in
-        ``rows`` meanwhile."""
+        """Each row through ``_row_layout``'s template, with each distinct
+        id and ratio text encoded once; ``texts`` maps id(ratio) to its
+        encoded text, and every ratio stays alive in ``rows`` meanwhile."""
         if not rows:
             append("[]")
             return
@@ -142,9 +141,7 @@ def _render(obj, write):
             value = texts[id(q)] = encoded(ratio(q))
             return value
 
-        inner = "\n" + "  " * (depth + 2)
-        row = "%s{" + ",".join(f'{inner}"{key}": %s' for key in PAIR_KEYS) + (
-            "\n" + "  " * (depth + 1) + "}")
+        row = "%s" + _row_layout(depth)
         sep, next_sep = "[\n" + "  " * (depth + 1), ",\n" + "  " * (depth + 1)
         for x, y, rin, rout in rows:
             append(row % (sep, texts.get(id(rin)) or text(rin),
@@ -271,40 +268,26 @@ def _skip(read, s, end):
     return s, end
 
 
-def _refill(read, s, mark, end, exc):
+def _refill(read, s, mark, exc):
     """The window to decode a member or element again from, once ``exc``
-    stopped its decode at ``s[end]``: the text from ``mark``, where it
-    starts, and at least as much again (so a long member is decoded a
-    logarithmic number of times) and, for an array or object the window cut,
-    more until a closing bracket comes in. A failure once the file has
-    ended, or well inside the window, is raised."""
-    # a cut string errs at its start, and a cut number, name or escape (at
-    # most "-Infinity") within a few characters of the window's end; any
-    # other error well before that end is in the text itself
-    at = exc.value if type(exc) is StopIteration else getattr(exc, "pos", len(s))
-    cut_string = getattr(exc, "msg", "").startswith("Unterminated string")
-    if mark is None or (at < len(s) - 16 and not cut_string):
+    stopped its decode: the text from ``mark``, where it starts, and at
+    least as much again, so a long member is decoded a logarithmic number of
+    times. ``exc`` is raised when ``mark`` is None or the file has ended."""
+    more = None if mark is None else read(max(_WINDOW, len(s) - mark))
+    if not more:
         raise exc
-    # an array or object that the window cut (its scan failed at s[end])
-    # cannot end before its closing bracket comes in
-    closer = {"[": "]", "{": "}"}.get(s[end:end + 1])
-    pieces = [s[mark:], read(max(_WINDOW, len(s) - mark))]
-    while closer and pieces[-1] and closer not in pieces[-1]:
-        pieces.append(read(_WINDOW))
-    if not pieces[1]:
-        raise exc
-    return "".join(pieces)
+    return s[mark:] + more
 
 
 def _array(read, s, end, scan, scan_run):
     """The array whose ``[`` is ``s[end - 1]``, decoded from the window ``s``
     and then ``read``, with the window that holds the text past its ``]``
     and the index there. ``scan_run`` takes at once the run of elements that
-    it can from where an element starts, each with the ``,`` after it, and
-    returns their values (none when it can take none) and the index after
-    them; an element it does not take is decoded whole with ``scan``. An
-    element counts only once its ``,`` or ``]`` is in the window; until then
-    ``_refill`` gives the window it is decoded again from."""
+    it can from where an element starts, each with the ``,`` or ``]`` after
+    it, and returns their values (none when it can take none) and the index
+    after them; an element it does not take is decoded whole with ``scan``.
+    An element counts only once its ``,`` or ``]`` is in the window; until
+    then ``_refill`` gives the window it is decoded again from."""
     match = WHITESPACE.match
     out = []
     close = "]"  # ']' may follow '[' at once, but not ','
@@ -317,6 +300,8 @@ def _array(read, s, end, scan, scan_run):
             run, end = scan_run(s, end)
             if run:
                 out += run
+                if s[end - 1] == "]":  # a run ends past a ',' and whitespace, or past ']'
+                    return out, s, end
                 close = ""
                 continue
             value, end = scan(s, end)
@@ -334,7 +319,7 @@ def _array(read, s, end, scan, scan_run):
             else:
                 raise JSONDecodeError("Expecting ',' delimiter", s, end - 1)
         except (ValueError, IndexError, StopIteration) as exc:
-            s, end = _refill(read, s, mark, end, exc), 0
+            s, end = _refill(read, s, mark, exc), 0
 
 
 def _object(read, s, end, scan, top, make, rows):
@@ -349,8 +334,8 @@ def _object(read, s, end, scan, top, make, rows):
     object hands ``make`` to its ``"subsets"`` member and ``rows`` to its
     ``"certificate"`` member, and None to the others; below the top, each
     array decoded is replaced by ``make(array)`` when ``make`` is given, and
-    a ``"pairs"`` array is decoded by ``_array`` with the two scanners of
-    ``rows`` when that is given. A member counts only once its ``,`` or
+    a ``"pairs"`` array is decoded by ``_array`` with ``rows`` as its run
+    scanner when that is given. A member counts only once its ``,`` or
     ``}`` is in the window, since a number at the window's end may go on.
     Until then ``_refill`` gives the window the member is decoded again from.
     """
@@ -381,7 +366,7 @@ def _object(read, s, end, scan, top, make, rows):
                 s, end = _skip(read, s, end)
             elif rows is not None and not top and key == "pairs" and s[end] == "[":
                 mark = None
-                value, s, end = _array(read, s, end + 1, *rows)
+                value, s, end = _array(read, s, end + 1, scan, rows)
                 s, end = _skip(read, s, end)
             elif last_text is not None and s.startswith(last_text, end):
                 value, end = last, end + len(last_text)
@@ -406,43 +391,45 @@ def _object(read, s, end, scan, top, make, rows):
             else:
                 raise JSONDecodeError("Expecting ',' delimiter", s, end - 1)
         except (ValueError, IndexError, StopIteration) as exc:
-            s, end = _refill(read, s, mark, end, exc), 0
+            s, end = _refill(read, s, mark, exc), 0
 
 
 # the keys of a certificate's pair row, in the order a canonical file lists them
 PAIR_KEYS = ("input_ratio", "output_ratio", "x", "y")
-# the text of a pair row with exactly those keys, in that order and each
-# once, JSON whitespace around them, and a string for each value
-_WS = WHITESPACE.pattern
-_match_row = re.compile(r"\{%s\}" % ",".join(
-    rf'{_WS}"{key}"{_WS}:{_WS}"([^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*)"{_WS}'
-    for key in PAIR_KEYS)).match
-# such a row laid out as the writer lays out a certificate's rows, with no
-# escape in it, and the ',' and indent after it: one anchored scanner
-# takes a run of them
-_scan_run = re.compile(r"\{%s\n      \},\n      " % ",".join(
-    rf'\n        "{key}": "([^"\\\x00-\x1f]*)"' for key in PAIR_KEYS)).scanner
 
 
-def _makers(points, scan):
+def _row_layout(depth):
+    """The text of a pair row in a list at level ``depth``, from its ``{``
+    to its ``}``, as ``json.dumps(..., indent=2)`` lays it out: its keys in
+    ``PAIR_KEYS`` order, with a ``%s`` slot for each value's JSON text."""
+    inner = "\n" + "  " * (depth + 2)
+    return "{" + ",".join(f'{inner}"{key}": %s' for key in PAIR_KEYS) + (
+        "\n" + "  " * (depth + 1) + "}")
+
+
+# a row of the certificate's "pairs", a list at level 2, as the writer lays it
+# out with no escape, and the ',' and whitespace after it or the whitespace
+# and ']' closing the list: one anchored scanner takes a run of them
+_scan_run = re.compile(r"%s(?:,%s|%s\])" % (
+    re.escape(_row_layout(2)) % ((r'"([^"\\\x00-\x1f]*)"',) * len(PAIR_KEYS)),
+    WHITESPACE.pattern, WHITESPACE.pattern)).scanner
+
+
+def _makers(points):
     """What ``decode_output`` applies against the instance's ``points``: a
-    function to each member list of ``"subsets"``, and the two scanners of
-    ``_array``, in place of ``scan``, to the rows of the certificate's
-    ``"pairs"``. None of them ever raises where ``scan`` would not.
+    function to each member list of ``"subsets"``, and ``_array``'s run
+    scanner to the rows of the certificate's ``"pairs"``; neither raises.
 
     A non-empty list of distinct members, each an id of ``points`` or a tail
     point ``parse_aug`` reads at one, becomes the tuple of the instance's own
     id objects, in list order, so the decoded strings are freed at once. Any
     other list, the empty one too, is returned as it stands.
 
-    A pair row whose keys are exactly ``PAIR_KEYS``, in that order and each
-    once, with string values and ``x`` and ``y`` ids of ``points``, becomes
-    the tuple of its values in that order: ``x`` and ``y`` are the
-    instance's own id objects, and equal ratio texts share one str. A run of
-    such rows laid out as the writer lays them out, with no escape, is read
-    by one pass of ``_scan_run``; any other such row by one match of
-    ``_match_row``. Any other row is decoded with ``scan``, so it is the
-    stdlib's own dict."""
+    A pair row in the writer's layout (``_row_layout``) with no escape, and
+    ``x`` and ``y`` ids of ``points``, becomes the tuple of its values in
+    ``PAIR_KEYS`` order, with the instance's own id objects and one str per
+    distinct ratio text; ``_scan_run`` reads a run of them in one pass. Any
+    other row is left to ``scan``, the stdlib's dict."""
     ids = dict(zip(points, points))
 
     def member(m):
@@ -468,28 +455,19 @@ def _makers(points, scan):
     texts = {}
     share = texts.setdefault
 
-    def scan_row(s, end):
-        m = _match_row(s, end)
-        if m is not None:
-            rin, rout, x, y = m.groups()
-            if "\\" in m.group():  # an escape: decode each value as the stdlib does
-                rin, rout, x, y = (scanstring(s, m.start(i))[0] for i in range(1, 5))
-            x, y = ids.get(x), ids.get(y)
-            if x is not None and y is not None:
-                return (share(rin, rin), share(rout, rout), x, y), m.end()
-        return scan(s, end)
-
     def scan_run(s, end):
         rows = []
         for m in iter(_scan_run(s, end).match, None):
             rin, rout, x, y = m.groups()
             if x not in ids or y not in ids:
-                break  # the run stops at a row with an unknown id, for scan_row
+                break  # the run stops at a row with an unknown id, a dict
             rows.append((share(rin, rin), share(rout, rout), ids[x], ids[y]))
             end = m.end()
+            if s[end - 1] == "]":
+                break  # the list is closed; what follows is no row of it
         return rows, end
 
-    return make, (scan_row, scan_run)
+    return make, scan_run
 
 
 def decode_output(fh, points):
@@ -509,7 +487,7 @@ def decode_output(fh, points):
         s, end = _skip(read, "", 0)
         if s.startswith("{", end):
             scan = json.JSONDecoder().scan_once
-            doc, s, end = _object(read, s, end + 1, scan, True, *_makers(points, scan))
+            doc, s, end = _object(read, s, end + 1, scan, True, *_makers(points))
             s, end = _skip(read, s, end)
             if end == len(s):
                 return doc

@@ -26,7 +26,8 @@ augments or flows anything, and reads no label from the file: the
 certificate must equal the one the facts make, field by field and with the
 same JSON types (so the file's whitespace does not matter). The facts'
 pair rows are never built as a list: the file's rows, which the decoder
-hands over as tuples in ``PAIR_KEYS`` order where it can, are compared one
+hands over as tuples in ``PAIR_KEYS`` order when they are in the layout
+``run`` writes and as the stdlib's dicts otherwise, are compared one
 at a time with the rows admission's pairs and the set ratios make, and the
 first differing field is the one ``first_divergence`` would name.
 """

@@ -89,6 +89,48 @@ def test_verify_reads_a_pipe(line_files, capsys):
         assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == want
 
 
+@pytest.fixture(scope="module")
+def ray_files(tmp_path_factory):
+    """A 60-point line on the unbounded branch, all case 1 as crit5's ray is,
+    and its output."""
+    root = tmp_path_factory.mktemp("ray")
+    inst, out = root / "inst.json", root / "out.json"
+    assert run_cli("generate", "line", "--count", "60", "--radii", "2,1", "--unbounded",
+                   "--out", str(inst)) == 0
+    assert run_cli("run", str(inst), "--out", str(out)) == 0
+    return inst, out
+
+
+@pytest.mark.parametrize("indent", [None, 4, "\t"], ids=["compact", "4", "tab"])
+def test_verify_reads_a_reindented_output_as_the_canonical_one(ray_files, tmp_path, capsys,
+                                                               indent):
+    """An output dumped in another layout, whose pair rows all decode as the
+    stdlib's dicts, gets the canonical file's verdict: exit 0 and the same
+    stdout, and, with one row's output ratio edited, exit 1 and the same
+    mismatch as that edit in the canonical file."""
+    inst, out = ray_files
+    doc = read_json(out)
+    dumped, edited = tmp_path / "dumped.json", tmp_path / "edited.json"
+    dumped.write_text(json.dumps(doc, indent=indent))
+    points = naivea.load_instance(inst).space.points
+    pairs = naivea.load_output(dumped, points)[1]["pairs"]
+    assert set(map(type, pairs)) == {dict}
+    capsys.readouterr()
+    verdicts = []
+    for path in (out, dumped):
+        verdicts.append((run_cli("verify", str(inst), str(path)), capsys.readouterr()))
+    doc["certificate"]["pairs"][3]["output_ratio"] = "1/7"
+    write_canonical(edited, doc)
+    dumped.write_text(json.dumps(doc, indent=indent))
+    for path in (edited, dumped):
+        verdicts.append((run_cli("verify", str(inst), str(path)), capsys.readouterr()))
+    canonical, ours, canonical_edited, ours_edited = verdicts
+    assert canonical[0] == 0 and ours == canonical
+    assert canonical_edited[0] == 1 and ours_edited == canonical_edited
+    mismatch = "{'condition': 'certificate_mismatch', 'field': 'certificate.pairs[3].output_ratio'}"
+    assert mismatch in ours_edited[1].out
+
+
 def test_trace_lists_iterations(line_files, capsys):
     inst, _ = line_files
     assert run_cli("trace", str(inst), "--point", "p00") == 0
