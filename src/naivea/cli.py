@@ -89,26 +89,21 @@ def cmd_run(args) -> int:
     subsets, certificate = run_pipeline(prep)
     for warning in prep.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    # only --trace reads the flow map and the chains again, so the rest of
-    # the preparation and of the instance, chains included, is freed before
-    # the output is serialized, which is when run's memory peaks
-    points = instance.space.points
-    flow_map, chains = (prep.flow_map, instance.family.chains) if args.trace else (None, None)
+    # the trace is written first: an unwritable trace leaves no output, and an
+    # unwritable output takes the trace with it. Everything but the subsets and
+    # the certificate is freed before the output is serialized, run's memory peak
+    if args.trace:
+        with instance_io.writing(open_output(args.trace)) as fh:
+            for x in instance.space.points:
+                fh.writelines(f"{x} {line}\n"
+                              for line in _flow_lines(prep.flow_map, instance.family.chains[x]))
     del prep, instance
-    # the trace opens first, so an unwritable trace leaves no output behind,
-    # and an output that cannot be written takes the new trace with it
-    trace = open_output(args.trace) if args.trace else None
     try:
         write_canonical(args.out, instance_io.output_to_jsonable(subsets, certificate))
     except BaseException:
-        if trace is not None:
-            trace.close()
-            os.remove(args.trace)
+        if args.trace:
+            instance_io.discard(args.trace)
         raise
-    if trace is not None:
-        with trace as fh:
-            for x in points:
-                fh.writelines(f"{x} {line}\n" for line in _flow_lines(flow_map, chains[x]))
     print(
         f"wrote {args.out}: worst ratio {format_ratio(certificate.worst_ratio)}, "
         f"worst radius {format_rational(certificate.worst_radius)}"

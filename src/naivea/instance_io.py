@@ -55,6 +55,7 @@ scanner pass. Any other row is the dict the stdlib makes, for
 """
 from __future__ import annotations
 
+import contextlib
 import errno
 import functools
 import io
@@ -207,6 +208,28 @@ def open_output(path):
         raise MalformedInputError(f"cannot write {path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def writing(fh):
+    """``fh``, a file ``open_output`` opened, for a ``with`` block that writes
+    it; the file is closed after the block. Failing to write or close it is
+    malformed input, and a block that fails ends with ``discard(fh.name)``."""
+    try:
+        with fh:
+            yield fh
+    except BaseException as exc:
+        discard(fh.name)
+        if isinstance(exc, OSError):
+            raise MalformedInputError(f"cannot write {fh.name}: {exc}") from None
+        raise
+
+
+def discard(path):
+    """Remove ``path`` if it is a regular file, as a command that fails does
+    with each file it opened for writing; a device, pipe or symlink stays."""
+    if os.path.isfile(path) and not os.path.islink(path):
+        os.remove(path)
+
+
 def check_writable(path):
     """Raise what ``open_output(path)`` would for a path that names a
     directory or sits in a missing or unwritable one, without creating or
@@ -226,7 +249,7 @@ def check_writable(path):
 def write_canonical(path, obj):
     """Write the canonical text of ``obj`` to ``path`` batch by batch, never
     as one whole-document string."""
-    with open_output(path) as fh:
+    with writing(open_output(path)) as fh:
         _render(obj, fh.write)
 
 

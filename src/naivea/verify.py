@@ -24,12 +24,12 @@ facts, admission's report, the case bounds and each point's case, as
 ``space.component_cases`` decides it from the space. It never classifies,
 augments or flows anything, and reads no label from the file: the
 certificate must equal the one the facts make, field by field and with the
-same JSON types (so the file's whitespace does not matter). The facts'
-pair rows are never built as a list: the file's rows, which the decoder
-hands over as tuples in ``PAIR_KEYS`` order when they are in the layout
-``run`` writes and as the stdlib's dicts otherwise, are compared one
-at a time with the rows admission's pairs and the set ratios make, and the
-first differing field is the one ``first_divergence`` would name.
+same JSON types (so the file's whitespace does not matter), in one walk
+of ``first_divergence``. The facts' pair rows are never built as a list:
+the expected tree holds, at ``"pairs"``, the check that compares the file's
+rows, which the decoder hands over as tuples in ``PAIR_KEYS`` order when
+they are in the layout ``run`` writes and as the stdlib's dicts otherwise,
+one at a time with the rows admission's pairs and the set ratios make.
 """
 from __future__ import annotations
 
@@ -238,17 +238,21 @@ def _all_str(values) -> bool:
 
 
 def first_divergence(a, b, path=""):
-    """First differing field between two JSON-like trees, depth-first in
-    sorted key order; None when equal.
+    """First field where the file's tree ``a`` differs from the expected tree
+    ``b``, depth-first in sorted key order; None when equal.
 
-    Equal dicts whose values are exactly ``str`` on both sides (a
-    certificate's cases, radii and bounds) return None without a walk.
-    Anything else is walked, since ``==`` alone takes ``true`` for ``1``
-    and ``39.0`` for ``39``."""
+    An expected value that is callable checks its place itself: it is called
+    with the file's value there and that path, and returns the same. Equal
+    dicts whose values are exactly ``str`` on both sides (a certificate's
+    cases, radii and bounds) return None without a walk. Any other dict is
+    walked, since ``==`` alone takes ``true`` for ``1`` and ``39.0`` for
+    ``39``; the expected tree holds no list."""
+    if callable(b):
+        return b(a, path)
     if type(a) is not type(b):
         return path or "<root>"
     if isinstance(a, dict):
-        if a == b and _all_str(a.values()) and _all_str(b.values()):
+        if _all_str(b.values()) and a == b and _all_str(a.values()):
             return None
         for key in sorted(set(a) | set(b)):
             here = f"{path}.{key}" if path else str(key)
@@ -257,14 +261,6 @@ def first_divergence(a, b, path=""):
             sub = first_divergence(a[key], b[key], here)
             if sub is not None:
                 return sub
-        return None
-    if isinstance(a, list):
-        for i in range(min(len(a), len(b))):
-            sub = first_divergence(a[i], b[i], f"{path}[{i}]")
-            if sub is not None:
-                return sub
-        if len(a) != len(b):
-            return f"{path}[{min(len(a), len(b))}]"
         return None
     return None if a == b else (path or "<root>")
 
@@ -289,25 +285,6 @@ def _pairs_divergence(rows, report: InstanceReport, naive, path):
                 return sub
     if len(rows) != len(report.pairs):
         return f"{path}[{min(len(rows), len(report.pairs))}]"
-    return None
-
-
-def _certificate_divergence(cert, recomputed, report: InstanceReport, naive):
-    """``first_divergence(cert, the recomputed certificate, "certificate")``,
-    where ``recomputed`` lacks only its pair rows, which
-    ``_pairs_divergence`` takes at their place in the walk."""
-    if type(cert) is not dict:
-        return "certificate"
-    for key in sorted(set(cert) | set(recomputed)):
-        here = f"certificate.{key}"
-        if key not in cert or key not in recomputed:
-            return here
-        if key == "pairs":
-            sub = _pairs_divergence(cert[key], report, naive, here)
-        else:
-            sub = first_divergence(cert[key], recomputed[key], here)
-        if sub is not None:
-            return sub
     return None
 
 
@@ -356,7 +333,8 @@ def verify_certificate(report: InstanceReport, cases, naive, certificate_jsonabl
         bounds=bounds,
         unit=naive.unit,
     ).to_jsonable()
-    divergence = _certificate_divergence(certificate_jsonable, recomputed, report, naive)
+    recomputed["pairs"] = lambda rows, path: _pairs_divergence(rows, report, naive, path)
+    divergence = first_divergence(certificate_jsonable, recomputed, "certificate")
     if divergence is not None:
         violations.insert(0, {"condition": "certificate_mismatch", "field": divergence})
     return VerifyReport(ok=not violations, violations=tuple(violations), stats={})

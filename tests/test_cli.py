@@ -1,6 +1,7 @@
 """The command-line interface: subcommands, exit codes, reproducibility."""
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import naivea
-from naivea import cli, tailor
+from naivea import cli, instance_io, tailor
 from naivea.cli import main
 from naivea.instance_io import read_json, write_canonical
 from naivea.space import CLS_BOUNDED_SMALL, Space
@@ -285,6 +286,68 @@ def test_verify_decides_cases_without_classify(tmp_path, monkeypatch, capsys):
     assert "worst radius 99" in capsys.readouterr().out
     assert run_cli("verify", str(inst), str(out)) == 1
     assert "'field': 'certificate.cases.p00'" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def unbounded_line(tmp_path_factory):
+    """A 20-point line on the unbounded branch, all case 1, and its output."""
+    root = tmp_path_factory.mktemp("line20")
+    inst, out = root / "inst.json", root / "out.json"
+    assert run_cli("generate", "line", "--count", "20", "--radii", "2,1", "--unbounded",
+                   "--out", str(inst)) == 0
+    assert run_cli("run", str(inst), "--out", str(out)) == 0
+    return inst, out
+
+
+def _set(key, value):
+    return lambda doc: doc.update({key: value})
+
+
+_PASS = "naive check: PASS {'pairs_checked': 19, 'worst_ratio': '2/5', 'support_radius': '8'}\n"
+_FAIL = "certificate check: FAIL\n"
+# each forgery of the output (or, with "instance", of the instance), and what
+# verify prints on stdout, with exit 1 and nothing on stderr
+FORGED = {
+    "set_ratio": ("subsets", _set("p03", ["p03"]), (
+        "naive check: FAIL {'pairs_checked': 19, 'worst_ratio': '7', 'support_radius': '8'}\n"
+        "  {'condition': 'set_ratio', 'x': 'p02', 'y': 'p03', 'ratio': '7'}\n"
+        "  {'condition': 'set_ratio', 'x': 'p03', 'y': 'p04', 'ratio': '7'}\n" + _FAIL +
+        "  {'condition': 'certificate_mismatch', 'field': 'certificate.pairs[2].output_ratio'}\n"
+        "  {'condition': 'output_ratio_above_input', 'x': 'p02', 'y': 'p03'}\n"
+        "  {'condition': 'output_ratio_above_input', 'x': 'p03', 'y': 'p04'}\n")),
+    "output_ratio_above_input": ("subsets", lambda s: s.update(p03=s["p03"][:-2]), (
+        "naive check: PASS {'pairs_checked': 19, 'worst_ratio': '4/5', 'support_radius': '8'}\n"
+        + _FAIL +
+        "  {'condition': 'certificate_mismatch', 'field': 'certificate.pairs[2].output_ratio'}\n"
+        "  {'condition': 'output_ratio_above_input', 'x': 'p03', 'y': 'p04'}\n")),
+    "radius_above_bound": ("subsets", lambda s: s["p03"].append("p19#500"), (
+        "naive check: PASS {'pairs_checked': 19, 'worst_ratio': '3/7', 'support_radius': '1016'}\n"
+        + _FAIL +
+        "  {'condition': 'certificate_mismatch', 'field': 'certificate.pairs[2].output_ratio'}\n"
+        "  {'condition': 'radius_above_bound', 'x': 'p03'}\n")),
+    "certificate_mismatch, missing key": ("certificate", lambda c: c.pop("bounds"), (
+        _PASS + _FAIL + "  {'condition': 'certificate_mismatch', 'field': 'certificate.bounds'}\n")),
+    "certificate_mismatch, extra key": ("certificate", _set("zz", "1"), (
+        _PASS + _FAIL + "  {'condition': 'certificate_mismatch', 'field': 'certificate.zz'}\n")),
+    "recompute_failed": ("instance", lambda d: d["params"].update(epsilon="2/3"), (
+        _PASS + _FAIL + "  {'condition': 'recompute_failed', "
+        "'detail': 'instance fails admission with 15 violation(s)'}\n")),
+}
+
+
+@pytest.mark.parametrize("name", FORGED)
+def test_verify_prints_each_condition(unbounded_line, tmp_path, capsys, name):
+    """Every condition `verify` can print, each from one forged file."""
+    inst, out = unbounded_line
+    part, edit, expected = FORGED[name]
+    doc = read_json(inst if part == "instance" else out)
+    edit(doc if part == "instance" else doc[part])
+    forged = tmp_path / "forged.json"
+    write_canonical(forged, doc)
+    argv = (forged, out) if part == "instance" else (inst, forged)
+    capsys.readouterr()
+    assert run_cli("verify", *map(str, argv)) == 1
+    assert capsys.readouterr() == (expected, "")
 
 
 def test_verify_rejects_malformed_certificate_fields(tmp_path, capsys):
@@ -701,6 +764,52 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith(f"error: {utf16} is not valid UTF-8")
     assert run_cli("verify", str(good_inst), str(utf16)) == 2
     assert capsys.readouterr().err.startswith(f"error: {utf16} is not valid UTF-8")
+
+
+def test_a_write_that_fails_once_its_file_is_open_exits_2(line_files, tmp_path, capsys,
+                                                         monkeypatch):
+    """A write that fails after its file is open (a full disk) exits 2 with
+    the line an open error prints, never a traceback; the failed command
+    removes the regular files it opened, and no other file."""
+    inst = str(line_files[0])
+    out, trace = str(tmp_path / "new.json"), str(tmp_path / "new.txt")
+    removed, remove = [], os.remove
+
+    def recorder(path):
+        removed.append(path)
+        if os.path.dirname(path) == str(tmp_path):  # never a device
+            remove(path)
+
+    monkeypatch.setattr(os, "remove", recorder)
+    enospc = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def full_disk(*args):
+        raise enospc
+
+    def fails(argv, full, discarded):
+        removed.clear()
+        capsys.readouterr()
+        assert run_cli(*argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: cannot write {full}: {enospc}\n"), argv
+        assert removed == discarded, argv
+        assert not os.path.exists(out) and not os.path.exists(trace), argv
+
+    if os.path.exists("/dev/full"):
+        full = "/dev/full"
+        fails(["generate", "line", "--count", "5", "--out", full], full, [])
+        fails(["run", inst, "--out", full], full, [])
+        fails(["run", inst, "--out", full, "--trace", trace], full, [trace])
+        fails(["run", inst, "--out", out, "--trace", full], full, [])
+        fails(["run", inst, "--out", full, "--trace", "/dev/null"], full, [])
+    # a disk that fills up under a regular file
+    with monkeypatch.context() as patch:
+        patch.setattr(instance_io, "_render", full_disk)
+        fails(["generate", "line", "--count", "5", "--out", out], out, [out])
+        fails(["run", inst, "--out", out], out, [out])
+        fails(["run", inst, "--out", out, "--trace", trace], out, [out, trace])
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_flow_lines", full_disk)
+        fails(["run", inst, "--out", out, "--trace", trace], trace, [trace])
 
 
 def test_run_never_writes_over_its_instance(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import canonical_dumps
+from oracles import canonical_dumps, tree_divergence
 from test_golden import MATRIX_DOC
 
 from naivea import instance_io
@@ -32,7 +32,6 @@ from naivea.instance_io import (
 )
 from naivea.space import Space
 from naivea.tailor import prepare, run_pipeline
-from naivea.verify import first_divergence
 
 
 def base_doc():
@@ -552,8 +551,8 @@ def assert_decodes_alike(decode, source, reference):
     for window in WINDOWS:
         ours, our_error = decoded(at_window(window, decode), source)
         assert our_error == their_error, window
-        assert first_divergence(ours, theirs) is None, window
-        assert first_divergence(theirs, ours) is None, window
+        assert tree_divergence(ours, theirs) is None, window
+        assert tree_divergence(theirs, ours) is None, window
         sharing.add(tuple(list_sharing(ours)))
     assert len(sharing) == 1
 
@@ -702,6 +701,26 @@ def test_a_repeated_list_across_a_refill_is_shared():
     for window in range(1, len(text) + 1):
         subsets = at_window(window, lambda t: decode_output(io.StringIO(t), ()))(text)["subsets"]
         assert subsets["a"] is subsets["b"] is subsets["c"] == ["p1", "p2", "p3"], window
+
+
+LONG_IDS = tuple(f"q{i}" for i in range(20_000))
+
+
+@pytest.mark.parametrize("long", ["x" * 100_000, list(LONG_IDS)], ids=["string", "subset"])
+def test_a_long_member_is_decoded_a_logarithmic_number_of_times(long, monkeypatch):
+    """Each refill takes in at least as much text again as the window held
+    since the member began, so a member of L characters at a window of W is
+    decoded again about log2(L / W) times, not L / W."""
+    window = 64
+    text = json.dumps({"certificate": {}, "subsets": {"p": long}}, indent=2)
+    length = len(json.dumps(long, indent=2))
+    assert length > 1000 * window
+    calls, refill = [], instance_io._refill
+    monkeypatch.setattr(instance_io, "_refill", lambda *args: calls.append(1) or refill(*args))
+    monkeypatch.setattr(instance_io, "_WINDOW", window)
+    subsets = decode_output(io.StringIO(text), LONG_IDS)["subsets"]
+    assert subsets["p"] == (long if type(long) is str else LONG_IDS)
+    assert 0 < len(calls) <= math.log2(length / window) + 4, len(calls)
 
 
 def test_invalid_utf8_after_the_first_window(tmp_path):
@@ -936,7 +955,7 @@ def test_pair_rows_that_stay_dicts(ray_files, name):
     for window in WINDOWS:
         decode = at_window(window, lambda t: decode_output(io.StringIO(t), points))
         first, kept, last = decode(text)["certificate"]["pairs"]
-        assert first_divergence(kept, expected[1]) is None, window
+        assert tree_divergence(kept, expected[1]) is None, window
         assert first == last == ("1/2", "0", "p00", "p01"), window
 
 
@@ -1020,7 +1039,7 @@ def test_pair_rows_decode_like_the_stdlib_on_run_output(ray_files, data):
         assert our_error == their_error, window
         if their_error is None:
             certificate = as_stdlib(ours["certificate"])
-            assert first_divergence(certificate, theirs["certificate"]) is None, window
+            assert tree_divergence(certificate, theirs["certificate"]) is None, window
 
 
 def test_pairs_that_are_not_a_list(ray_files, tmp_path, capsys):

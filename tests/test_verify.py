@@ -111,48 +111,51 @@ def test_verify_naive_names_incomparable_members_in_repr_order(l10):
 
 
 def test_first_divergence():
-    assert first_divergence({"a": [1, 2]}, {"a": [1, 2]}) is None
-    assert first_divergence({"a": [1, 2]}, {"a": [1, 3]}) == "a[1]"
     assert first_divergence({"a": 1}, {"b": 1}) == "a"
     assert first_divergence({"a": {"b": 1}}, {"a": {"b": 2}}) == "a.b"
-    assert first_divergence([1], [1, 2]) == "[1]"
+    assert first_divergence({"a": {}}, {"a": {"b": 1}}) == "a.b"
     assert first_divergence(1, "1") == "<root>"
-    # equal lists and dicts of str are equal; == alone would also take these
-    # type mismatches, at any depth
-    assert first_divergence(["p0", "p1#2"], ["p0", "p1#2"]) is None
+    assert first_divergence({"a": [1]}, {"a": "1"}) == "a"
+    # equal dicts of str are equal; == alone would also take these type
+    # mismatches, at any depth
     assert first_divergence({"p0": "1", "p1": "2"}, {"p0": "1", "p1": "2"}) is None
-    assert first_divergence(["p0", "p1"], ["p0", "p2"]) == "[1]"
-    assert first_divergence([True], [1]) == "[0]"
     assert first_divergence({"L": 39.0}, {"L": 39}) == "L"
     assert first_divergence({"a": "1"}, {"a": 1}) == "a"
-    assert first_divergence([["p0", "p1"]], [["p0", "p1"]]) is None
-    assert first_divergence({"s": ["p0"]}, {"s": ["p0"]}) is None
-    assert first_divergence([[True]], [[1]]) == "[0][0]"
+    assert first_divergence({"a": True}, {"a": 1}) == "a"
     assert first_divergence({"c": {"L": 39.0}}, {"c": {"L": 39}}) == "c.L"
 
     class Tagged(str):
         pass
 
-    assert first_divergence([Tagged("p0")], ["p0"]) == "[0]"
     assert first_divergence({"a": "p0"}, {"a": Tagged("p0")}) == "a"
-    assert first_divergence([{"a": Tagged("p0")}], [{"a": "p0"}]) == "[0].a"
-    assert first_divergence([{"a": "p0"}], [{"a": Tagged("p0")}]) == "[0].a"
-    assert first_divergence([{"a": 1}], [{"a": True}]) == "[0].a"
+    assert first_divergence({"a": {"b": Tagged("p0")}}, {"a": {"b": "p0"}}) == "a.b"
+    # an expected value that is callable checks its place: it gets the
+    # file's value and its path, and its answer is the walk's
+    calls = []
+
+    def check(value, path):
+        calls.append((value, path))
+        return None if value == [1, 2] else f"{path}[0]"
+
+    assert first_divergence({"a": "1", "rows": [1, 2]}, {"a": "1", "rows": check}, "c") is None
+    assert first_divergence({"rows": [3]}, {"rows": check}, "c") == "c.rows[0]"
+    assert calls == [([1, 2], "c.rows"), ([3], "c.rows")]
+    assert first_divergence({"a": "2", "rows": [3]}, {"a": "1", "rows": check}, "c") == "c.a"
+    assert len(calls) == 2  # the walk stops at the first difference
 
 
-def test_first_divergence_names_a_pair_field():
-    """Equal lists of str-to-str dicts, as pair rows the decoder keeps as
-    dicts, are equal; a ratio of any other type or text is still named."""
-    rows = [
-        {"x": f"p{i}", "y": f"p{i + 1}", "input_ratio": "1/2", "output_ratio": "1"}
-        for i in range(6)
-    ]
-    assert first_divergence({"pairs": rows}, {"pairs": [dict(r) for r in rows]}) is None
+def test_first_divergence_names_a_pair_field(ray_checked):
+    """Pair rows the decoder keeps as dicts (str to str, as the stdlib
+    decodes them) pass the pairs check; a ratio of any other type or text
+    is named by its field."""
+    text, _, facts = ray_checked
+    assert verify_certificate(*facts, json.loads(text)["certificate"]).ok
     for bad in (1, True, "1.0", 1.0):
-        edited = [dict(r) for r in rows]
-        edited[4]["output_ratio"] = bad
-        for a, b in (({"pairs": edited}, {"pairs": rows}), ({"pairs": rows}, {"pairs": edited})):
-            assert first_divergence(a, b, "certificate") == "certificate.pairs[4].output_ratio"
+        certificate = json.loads(text)["certificate"]
+        certificate["pairs"][4]["output_ratio"] = bad
+        assert verify_certificate(*facts, certificate).violations == (
+            {"condition": "certificate_mismatch", "field": "certificate.pairs[4].output_ratio"},
+        ), bad
 
 
 def pipeline_doc(space, family, params):
